@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
   }
   opt::CostModel model = opt::CostModel::Default();
   opt::StatsCatalog stats_catalog(database);
-  opt::CardinalityEstimator estimator(stats_catalog, model, database);
+  opt::CardinalityEstimator estimator(stats_catalog, model);
 
   // ---- Part 1: cost-model calibration against measured TRACE times. ----
   const db::JoinAlgo kAlgos[] = {db::JoinAlgo::kLegacy, db::JoinAlgo::kHash,

@@ -36,6 +36,7 @@
 #include "report/table_format.h"
 #include "serve/loadgen.h"
 #include "serve/service.h"
+#include "stats/bootstrap.h"
 #include "stats/confidence.h"
 #include "txn/store.h"
 #include "txn/vdisk.h"
@@ -109,13 +110,17 @@ struct RecoveryCell {
   bool checkpointed = false;
   size_t wal_bytes = 0;
   uint64_t records_replayed = 0;
+  int n = 0;  ///< recovery samples behind `recover_ms`.
+  /// Bootstrap interval: recovery times are positive and skewed, and a
+  /// Student-t interval on a handful of them reaches below zero.
   stats::ConfidenceInterval recover_ms;
 };
 
 /// Builds `commits` batches of durable state (optionally checkpointing,
 /// then committing a short tail), then measures Open() from a fresh
-/// pristine database `reps` times.
-RecoveryCell MeasureRecovery(int commits, bool checkpointed, int reps) {
+/// pristine database `reps` (>= 2) times; `seed` drives the bootstrap.
+RecoveryCell MeasureRecovery(int commits, bool checkpointed, int reps,
+                             uint64_t seed) {
   RecoveryCell cell;
   cell.commits = commits;
   cell.checkpointed = checkpointed;
@@ -155,7 +160,8 @@ RecoveryCell MeasureRecovery(int commits, bool checkpointed, int reps) {
     samples.push_back(timer.ElapsedMs());
     cell.records_replayed = recovered.stats().wal_records_replayed;
   }
-  cell.recover_ms = stats::MeanConfidenceInterval(samples, kConfidence);
+  cell.n = static_cast<int>(samples.size());
+  cell.recover_ms = stats::BootstrapMeanCI(samples, kConfidence, seed);
   return cell;
 }
 
@@ -231,6 +237,12 @@ int main(int argc, char** argv) {
     batch_sizes = {1, 16, 128};
     recovery_commits = {16, 64};
     group_commits_per_thread = 12;
+  }
+  if (recovery_reps < 2) {
+    std::fprintf(stderr,
+                 "recoveryReps must be >= 2: the recovery CI resamples the "
+                 "recovery times\n");
+    return 2;
   }
 
   // --- Panel 1: ingest rate vs commit batch size.
@@ -318,22 +330,24 @@ int main(int argc, char** argv) {
   // --- Panel 2: recovery time vs WAL length, plus the checkpoint bound.
   report::TextTable recovery_table;
   recovery_table.SetHeader({"commits", "checkpoint", "WAL bytes",
-                            "records replayed", "recovery (ms)"});
+                            "records replayed",
+                            "recovery ms [95% bootstrap CI]"});
   std::vector<RecoveryCell> recovery;
   core::Series recovery_series{"replay from WAL", {}, {}, {}};
   for (int commits : recovery_commits) {
-    recovery.push_back(MeasureRecovery(commits, false, recovery_reps));
+    recovery.push_back(MeasureRecovery(commits, false, recovery_reps,
+                                       run_seed * 31 + commits));
   }
-  recovery.push_back(
-      MeasureRecovery(recovery_commits.back(), true, recovery_reps));
+  recovery.push_back(MeasureRecovery(recovery_commits.back(), true,
+                                     recovery_reps, run_seed * 31 + 1));
   for (const RecoveryCell& cell : recovery) {
     recovery_table.AddRow(
         {StrFormat("%d", cell.commits), cell.checkpointed ? "yes" : "no",
          StrFormat("%zu", cell.wal_bytes),
          StrFormat("%llu", static_cast<unsigned long long>(
                                cell.records_replayed)),
-         StrFormat("%.2f [%.2f,%.2f]", cell.recover_ms.mean,
-                   cell.recover_ms.lower, cell.recover_ms.upper)});
+         StrFormat("%.2f [%.2f,%.2f] n=%d", cell.recover_ms.mean,
+                   cell.recover_ms.lower, cell.recover_ms.upper, cell.n)});
     if (!cell.checkpointed) {
       // The chart shows the replay line only; the checkpointed cell is a
       // single point (WriteSeriesCsv wants equal-length series) and lives
@@ -512,10 +526,10 @@ int main(int argc, char** argv) {
     const RecoveryCell& cell = recovery[i];
     json += StrFormat(
         "    {\"commits\": %d, \"checkpointed\": %s, \"wal_bytes\": %zu, "
-        "\"records_replayed\": %llu, \"recover_ms\": %.3f, "
+        "\"records_replayed\": %llu, \"n\": %d, \"recover_ms\": %.3f, "
         "\"ci_lower_ms\": %.3f, \"ci_upper_ms\": %.3f}%s\n",
         cell.commits, cell.checkpointed ? "true" : "false", cell.wal_bytes,
-        static_cast<unsigned long long>(cell.records_replayed),
+        static_cast<unsigned long long>(cell.records_replayed), cell.n,
         cell.recover_ms.mean, cell.recover_ms.lower, cell.recover_ms.upper,
         i + 1 < recovery.size() ? "," : "");
   }

@@ -1,5 +1,7 @@
 #include "db/column.h"
 
+#include <algorithm>
+
 namespace perfeval {
 namespace db {
 
@@ -79,6 +81,51 @@ void Column::AppendColumn(const Column& other) {
     nulls_.insert(nulls_.end(), other.nulls_.begin(), other.nulls_.end());
   } else if (!nulls_.empty()) {
     nulls_.resize(nulls_.size() + other.size(), 0);
+  }
+}
+
+void Column::AppendGather(const Column& other,
+                          const std::vector<uint32_t>& rows) {
+  PERFEVAL_CHECK(type_ == other.type_) << "AppendGather type mismatch";
+  size_t old_size = size();
+  auto gather = [&rows](auto& dst, const auto& src) {
+    dst.reserve(dst.size() + rows.size());
+    for (uint32_t r : rows) {
+      dst.push_back(src[r]);
+    }
+  };
+  switch (type_) {
+    case DataType::kInt64:
+    case DataType::kDate:
+      gather(ints_, other.ints_);
+      break;
+    case DataType::kDouble:
+      gather(doubles_, other.doubles_);
+      break;
+    case DataType::kString:
+      gather(strings_, other.strings_);
+      break;
+  }
+  // The mask stays lazy, as the one-value appends keep it: it exists
+  // only once a NULL has been appended, so gathering only non-NULL rows
+  // of a nullable column adds none.
+  bool gathers_null =
+      !other.nulls_.empty() &&
+      std::any_of(rows.begin(), rows.end(),
+                  [&other](uint32_t r) { return other.nulls_[r] != 0; });
+  // Keyed on had_mask, not on nulls_ after the backfill: backfilling an
+  // empty column leaves the mask empty (NoteAppend's leading-NULL case).
+  bool had_mask = !nulls_.empty();
+  if (!gathers_null && !had_mask) {
+    return;
+  }
+  if (!had_mask) {
+    nulls_.assign(old_size, 0);  // backfill: prior rows were non-null.
+  }
+  if (other.nulls_.empty()) {
+    nulls_.resize(nulls_.size() + rows.size(), 0);
+  } else {
+    gather(nulls_, other.nulls_);
   }
 }
 

@@ -69,6 +69,10 @@ class Column {
   /// per-chunk sub-columns in parallel and glues them in chunk order.
   void AppendColumn(const Column& other);
 
+  /// Appends `other`'s rows at positions `rows`, in order (same type
+  /// required) — a typed gather, null-mask aware.
+  void AppendGather(const Column& other, const std::vector<uint32_t>& rows);
+
   int64_t GetInt64(size_t row) const { return ints_[row]; }
   double GetDouble(size_t row) const { return doubles_[row]; }
   const std::string& GetString(size_t row) const { return strings_[row]; }

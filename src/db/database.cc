@@ -5,102 +5,130 @@
 namespace perfeval {
 namespace db {
 
+namespace {
+
+/// A table version with its layout and statistics, built outside any lock;
+/// the caller assigns the id and version when it publishes the entry.
+std::shared_ptr<TableVersion> BuildVersion(std::shared_ptr<const Table> table,
+                                           size_t rows_per_page) {
+  PERFEVAL_CHECK(table != nullptr);
+  auto out = std::make_shared<TableVersion>();
+  out->layout = BuildTableLayout(*table, rows_per_page);
+  out->stats = ComputeTableStats(*table, &out->layout);
+  out->table = std::move(table);
+  return out;
+}
+
+}  // namespace
+
 Database::Database(DatabaseOptions options)
     : options_(options),
       storage_(std::make_unique<StorageManager>(options.disk,
                                                 options.buffer_pool_pages,
-                                                options.rows_per_page)) {}
+                                                options.rows_per_page)),
+      catalog_(std::make_shared<const Catalog>()) {}
 
 void Database::RegisterTable(const std::string& name,
                              std::shared_ptr<Table> table) {
-  PERFEVAL_CHECK(table != nullptr);
+  std::shared_ptr<TableVersion> version =
+      BuildVersion(std::move(table), options_.rows_per_page);
   std::lock_guard<std::mutex> lock(catalog_mu_);
-  PERFEVAL_CHECK(tables_.find(name) == tables_.end())
+  PERFEVAL_CHECK(catalog_->Find(name) == nullptr)
       << "table " << name << " already registered";
-  uint32_t id = static_cast<uint32_t>(table_order_.size());
-  storage_->RegisterTable(id, *table);
-  stats_[name] = std::make_shared<const TableStats>(
-      ComputeTableStats(*table, storage_.get(), id));
-  tables_[name] = std::move(table);
-  table_ids_[name] = id;
-  table_order_.push_back(name);
+  version->layout.table_id = static_cast<uint32_t>(catalog_->names().size());
+  PERFEVAL_CHECK_LT(version->layout.table_id, kMaxTableIds);
+  auto next = std::make_shared<Catalog>(*catalog_);
+  next->tables_[name] = std::move(version);
+  next->order_.push_back(name);
+  catalog_ = std::move(next);
 }
 
-void Database::ReplaceTable(const std::string& name,
-                            std::shared_ptr<Table> table) {
-  PERFEVAL_CHECK(table != nullptr);
-  // Exclusive gate first: wait out running queries, then swap catalog and
-  // storage metadata together so a scan never sees one without the other.
-  std::unique_lock<std::shared_mutex> gate(exec_gate_);
+std::shared_ptr<const Catalog> Database::ReplaceTables(
+    std::vector<TableInstall> installs) {
+  // Build every new version before taking the catalog lock: layouts and
+  // statistics are O(table), the swap is O(tables).
+  std::vector<std::shared_ptr<TableVersion>> versions;
+  versions.reserve(installs.size());
+  for (auto& [name, table] : installs) {
+    versions.push_back(BuildVersion(std::move(table), options_.rows_per_page));
+  }
   std::lock_guard<std::mutex> lock(catalog_mu_);
-  auto it = tables_.find(name);
-  PERFEVAL_CHECK(it != tables_.end()) << "no table named " << name;
-  PERFEVAL_CHECK_EQ(it->second->schema().num_columns(),
-                    table->schema().num_columns());
-  storage_->ReplaceTable(table_ids_[name], *table);
-  stats_[name] = std::make_shared<const TableStats>(
-      ComputeTableStats(*table, storage_.get(), table_ids_[name]));
-  retired_.push_back(std::move(it->second));
-  it->second = std::move(table);
+  auto next = std::make_shared<Catalog>(*catalog_);
+  for (size_t i = 0; i < installs.size(); ++i) {
+    auto it = next->tables_.find(installs[i].first);
+    PERFEVAL_CHECK(it != next->tables_.end())
+        << "no table named " << installs[i].first;
+    const TableVersion& old = *it->second;
+    PERFEVAL_CHECK_EQ(old.table->schema().num_columns(),
+                      versions[i]->table->schema().num_columns());
+    versions[i]->layout.table_id = old.layout.table_id;
+    versions[i]->layout.version = old.layout.version + 1;
+    it->second = versions[i];
+  }
+  std::shared_ptr<const Catalog> superseded = std::move(catalog_);
+  catalog_ = std::move(next);
+  // Evict under the catalog lock, so two racing installs of one table
+  // evict in publication order and the live version's pages survive.
+  // The lock order catalog_mu_ -> storage is acyclic: storage never
+  // takes catalog_mu_.
+  for (const auto& version : versions) {
+    storage_->EvictTable(version->layout.table_id, version->layout.version);
+  }
+  return superseded;
 }
 
 void Database::SetRefreshHook(std::function<void()> hook) {
   refresh_hook_ = std::move(hook);
 }
 
-bool Database::HasTable(const std::string& name) const {
+std::shared_ptr<const Catalog> Database::catalog() const {
   std::lock_guard<std::mutex> lock(catalog_mu_);
-  return tables_.find(name) != tables_.end();
+  return catalog_;
+}
+
+bool Database::HasTable(const std::string& name) const {
+  return catalog()->Find(name) != nullptr;
 }
 
 const Table& Database::GetTable(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(catalog_mu_);
-  auto it = tables_.find(name);
-  PERFEVAL_CHECK(it != tables_.end()) << "no table named " << name;
-  return *it->second;
+  return *catalog()->Get(name).table;
 }
 
 std::shared_ptr<const Table> Database::GetTableShared(
     const std::string& name) const {
-  std::lock_guard<std::mutex> lock(catalog_mu_);
-  auto it = tables_.find(name);
-  PERFEVAL_CHECK(it != tables_.end()) << "no table named " << name;
-  return it->second;
+  return catalog()->Get(name).table;
 }
 
 uint32_t Database::TableId(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(catalog_mu_);
-  auto it = table_ids_.find(name);
-  PERFEVAL_CHECK(it != table_ids_.end()) << "no table named " << name;
-  return it->second;
+  return catalog()->Get(name).layout.table_id;
 }
 
 std::shared_ptr<const TableStats> Database::GetTableStats(
     const std::string& name) const {
-  std::lock_guard<std::mutex> lock(catalog_mu_);
-  auto it = stats_.find(name);
-  PERFEVAL_CHECK(it != stats_.end()) << "no table named " << name;
-  return it->second;
+  std::shared_ptr<const Catalog> pinned = catalog();
+  auto it = pinned->tables_.find(name);
+  PERFEVAL_CHECK(it != pinned->tables_.end()) << "no table named " << name;
+  // Aliasing: the stats share ownership of their whole table version.
+  return std::shared_ptr<const TableStats>(it->second, &it->second->stats);
 }
 
 std::vector<std::string> Database::TableNames() const {
-  std::lock_guard<std::mutex> lock(catalog_mu_);
-  return table_order_;
+  return catalog()->names();
 }
 
 QueryResult Database::Run(const PlanPtr& plan, ExecMode mode, SinkKind sink,
                           bool use_zone_maps) {
-  // Fold freshly committed write-path deltas into the catalog before
-  // executing, so every query observes the latest committed snapshot. The
-  // hook may call ReplaceTable, which takes the exec gate exclusively, so
-  // it must run before this query acquires the gate in shared mode.
+  // Fold freshly committed write-path deltas into the catalog, then pin
+  // the resulting version: the whole query reads that one snapshot, and
+  // an install that lands meanwhile neither waits for it nor disturbs it.
   if (refresh_hook_) {
     refresh_hook_();
   }
+  std::shared_ptr<const Catalog> pinned = catalog();
   QueryResult result;
   ExecContext ctx;
   ctx.mode = mode;
-  ctx.database = this;
+  ctx.catalog = pinned.get();
   ctx.storage = storage_.get();
   ctx.profiler = &result.profile;
   ctx.use_zone_maps = use_zone_maps;
@@ -118,13 +146,7 @@ QueryResult Database::Run(const PlanPtr& plan, ExecMode mode, SinkKind sink,
   StorageStats stats_before = storage_->StatsSnapshot();
   int64_t stall_before = storage_->total_stall_ns();
   Relation relation;
-  {
-    // Shared exec gate: storage metadata (zone maps, chunk counts) stays
-    // stable for the whole server phase even while the write path swaps
-    // tables between queries.
-    std::shared_lock<std::shared_mutex> gate(exec_gate_);
-    result.server = core::MeasureOnce([&] { relation = plan->Execute(ctx); });
-  }
+  result.server = core::MeasureOnce([&] { relation = plan->Execute(ctx); });
   result.server.simulated_stall_ns =
       storage_->total_stall_ns() - stall_before;
   StorageStats stats_after = storage_->StatsSnapshot();
@@ -137,17 +159,8 @@ QueryResult Database::Run(const PlanPtr& plan, ExecMode mode, SinkKind sink,
   // Plans can return a selection over a base table; materialize the final
   // result the way a server serializes it.
   if (relation.selection) {
-    std::vector<uint32_t> rows = relation.RowIds();
     auto materialized = std::make_shared<Table>(relation.table->schema());
-    materialized->ReserveRows(rows.size());
-    for (uint32_t r : rows) {
-      std::vector<Value> row;
-      row.reserve(relation.table->num_columns());
-      for (size_t c = 0; c < relation.table->num_columns(); ++c) {
-        row.push_back(relation.table->ValueAt(r, c));
-      }
-      materialized->AppendRow(row);
-    }
+    materialized->AppendGather(*relation.table, *relation.selection);
     result.table = materialized;
   } else {
     result.table = relation.table;

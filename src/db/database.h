@@ -4,13 +4,13 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/measurement.h"
 #include "db/backend_kind.h"
+#include "db/catalog.h"
 #include "db/plan.h"
 #include "db/profile.h"
 #include "db/sink.h"
@@ -105,6 +105,13 @@ struct QueryResult {
 /// The engine facade: a catalog of named tables over a StorageManager, and
 /// a Run() entry point that executes plans under a chosen ExecMode and
 /// result sink, with full timing.
+///
+/// The catalog is a sequence of immutable versions (db/catalog.h). Every
+/// RegisterTable / ReplaceTables publishes a new Catalog with one pointer
+/// swap; Run() pins the current one for the whole query, so scans read
+/// tables, zone maps and page geometry of one version and a writer never
+/// waits for readers. A replaced table version dies when the last query
+/// or GetTableShared holder drops it.
 class Database {
  public:
   explicit Database(DatabaseOptions options = DatabaseOptions());
@@ -112,27 +119,41 @@ class Database {
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
-  /// Adds a loaded table to the catalog and registers its pages with the
-  /// storage manager. Aborts on duplicate names.
+  /// Adds a loaded table to the catalog and computes its layout and
+  /// statistics. Aborts on duplicate names.
   void RegisterTable(const std::string& name, std::shared_ptr<Table> table);
 
-  /// Swaps the catalog entry of an existing table for new contents with
-  /// the same schema — the write path installing a freshly merged
-  /// base+delta snapshot. Keeps the table id, re-registers pages and zone
-  /// maps, and evicts the stale buffer-pool pages. Takes the exec gate
-  /// exclusively, so it waits for in-flight queries and blocks new ones
-  /// for the duration of the swap; the previous table object is kept
-  /// alive, so references handed out earlier stay valid (tables are
-  /// immutable once registered).
-  void ReplaceTable(const std::string& name, std::shared_ptr<Table> table);
+  /// One table of an install: its name and its new contents.
+  using TableInstall = std::pair<std::string, std::shared_ptr<const Table>>;
+
+  /// Installs new contents, with unchanged schemas, for existing tables —
+  /// the write path installing freshly merged base+delta snapshots. All
+  /// of `installs` become visible together in one new catalog version, so
+  /// no query sees one table of a commit without the others. Each table
+  /// keeps its id, gets a fresh layout and statistics (computed before
+  /// the swap, outside the catalog lock) and its pages go cold: pages of
+  /// older versions are evicted. Queries that pinned the previous version
+  /// finish on it undisturbed; it is returned so a caller that installs
+  /// under a lock of its own can release it after unlocking.
+  std::shared_ptr<const Catalog> ReplaceTables(
+      std::vector<TableInstall> installs);
 
   /// Installs a hook run at the top of every Run() call, before the query
-  /// executes — the write path uses it to fold freshly committed deltas
-  /// into the catalog so every query sees the latest committed snapshot.
-  /// The hook runs outside the exec gate and may call ReplaceTable.
+  /// pins its catalog version — the write path uses it to fold freshly
+  /// committed deltas into the catalog (ReplaceTables) so every query sees
+  /// the latest committed snapshot.
   void SetRefreshHook(std::function<void()> hook);
 
+  /// Pins the current catalog version: everything read through the
+  /// returned snapshot stays valid and mutually consistent for as long
+  /// as it is held.
+  std::shared_ptr<const Catalog> catalog() const;
+
   bool HasTable(const std::string& name) const;
+  /// The current version of a table. The reference is valid only until
+  /// the table's next install (ReplaceTables), which may free it; code
+  /// that can race with the write path must hold GetTableShared() or a
+  /// pinned catalog() instead.
   const Table& GetTable(const std::string& name) const;
   std::shared_ptr<const Table> GetTableShared(const std::string& name) const;
   uint32_t TableId(const std::string& name) const;
@@ -190,9 +211,9 @@ class Database {
     }
   }
 
-  /// Statistics of a catalog table, computed at RegisterTable and
-  /// refreshed on every ReplaceTable (write-path snapshot install).
-  /// Never null for a registered table.
+  /// Statistics of the current version of a catalog table, computed at
+  /// RegisterTable and again for every installed version. Never null for
+  /// a registered table; keeps its table version alive while held.
   std::shared_ptr<const TableStats> GetTableStats(
       const std::string& name) const;
 
@@ -208,25 +229,14 @@ class Database {
  private:
   DatabaseOptions options_;
   std::unique_ptr<StorageManager> storage_;
-
-  /// Guards the catalog maps (lookup vs. ReplaceTable swap). Distinct from
-  /// the exec gate: lookups are lock-then-copy and never block queries.
-  mutable std::mutex catalog_mu_;
-  /// Queries hold this shared for the server phase; ReplaceTable holds it
-  /// exclusively so storage metadata (zone maps, chunk counts) is never
-  /// swapped under a running scan.
-  mutable std::shared_mutex exec_gate_;
   std::function<void()> refresh_hook_;
 
-  std::unordered_map<std::string, std::shared_ptr<Table>> tables_;
-  std::unordered_map<std::string, uint32_t> table_ids_;
-  /// Optimizer statistics per table; replaced wholesale on refresh so
-  /// handed-out snapshots stay valid (like `retired_` for tables).
-  std::unordered_map<std::string, std::shared_ptr<const TableStats>> stats_;
-  std::vector<std::string> table_order_;
-  /// Replaced table versions, kept alive so GetTable() references handed
-  /// out before a swap never dangle (a handful of entries per session).
-  std::vector<std::shared_ptr<Table>> retired_;
+  /// Guards the `catalog_` pointer: readers copy it, writers swap it and
+  /// evict the superseded pages before releasing it. Never held while
+  /// building a version or while one is destroyed. Lock order:
+  /// catalog_mu_, then the StorageManager's pool lock.
+  mutable std::mutex catalog_mu_;
+  std::shared_ptr<const Catalog> catalog_;
 };
 
 }  // namespace db

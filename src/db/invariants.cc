@@ -46,7 +46,7 @@ void CheckSelectionSubsequence(const std::vector<uint32_t>& output,
 void CheckZoneMapConsistent(const Column& column, size_t begin, size_t end,
                             const ZoneMap& zone_map,
                             const std::string& context) {
-  // Mirrors the fold in StorageManager::RegisterTable: NaN and NULL rows
+  // Mirrors the fold in BuildTableLayout: NaN and NULL rows
   // are excluded from the bounds and flagged, everything else tightens
   // min/max exactly.
   ZoneMap expected;

@@ -62,7 +62,7 @@ void CheckSelectionSubsequence(const std::vector<uint32_t>& output,
 /// Recomputes the min/max/has_nan fold over rows [begin, end) of `column`
 /// and requires it to match the registered zone map exactly; a stale or
 /// corrupt zone map silently prunes live rows. NULL rows count like NaN
-/// (zone unusable), mirroring StorageManager::RegisterTable.
+/// (zone unusable), mirroring BuildTableLayout.
 void CheckZoneMapConsistent(const Column& column, size_t begin, size_t end,
                             const ZoneMap& zone_map,
                             const std::string& context);

@@ -9,7 +9,7 @@
 
 #include "common/string_util.h"
 #include "core/timer.h"
-#include "db/database.h"
+#include "db/catalog.h"
 #include "db/error.h"
 #include "db/invariants.h"
 #include "db/join.h"
@@ -163,10 +163,7 @@ class TraceScope {
 std::shared_ptr<Table> GatherRows(ExecContext& ctx, const Table& source,
                                   const std::vector<uint32_t>& rows) {
   auto out = std::make_shared<Table>(source.schema());
-  // The typed fast path copies raw payload vectors, which would silently
-  // turn NULLs into their placeholder values; nullable sources take the
-  // Value path, which preserves the null mask.
-  if (ctx.mode == ExecMode::kDebug || source.has_nulls()) {
+  if (ctx.mode == ExecMode::kDebug) {
     out->ReserveRows(rows.size());
     for (uint32_t r : rows) {
       PERFEVAL_CHECK_LT(r, source.num_rows());
@@ -177,6 +174,13 @@ std::shared_ptr<Table> GatherRows(ExecContext& ctx, const Table& source,
       }
       out->AppendRow(row);
     }
+    return out;
+  }
+  // The parallel typed path below copies raw payload vectors, which
+  // would silently turn NULLs into their placeholder values; nullable
+  // sources take the serial null-aware gather instead.
+  if (source.has_nulls()) {
+    out->AppendGather(source, rows);
     return out;
   }
   size_t n = rows.size();
@@ -344,15 +348,14 @@ void FilterRowRange(const ExecContext& ctx, const Table& table,
 /// Touches the buffer-pool pages of the named columns (all when empty).
 /// Delegates to the shared scan-I/O walk (db/scan_io.h) so the shard
 /// coordinator's logical replay issues identical touches by construction.
-void TouchColumns(ExecContext& ctx, const std::string& table_name,
-                  const Table& table,
+void TouchColumns(ExecContext& ctx, const TableVersion& version,
                   const std::vector<std::string>& columns) {
-  if (ctx.storage == nullptr || ctx.database == nullptr) {
+  if (ctx.storage == nullptr) {
     return;
   }
-  ScanTableInfo info{ctx.database->TableId(table_name), &table.schema(),
-                     table.num_rows()};
-  TouchScanColumns(ctx.storage, info, columns);
+  TouchScanColumns(ctx.storage, ScanTableInfo{&version.table->schema(),
+                                              &version.layout},
+                   columns);
 }
 
 class ScanNode : public PlanNode {
@@ -361,13 +364,13 @@ class ScanNode : public PlanNode {
       : table_name_(std::move(table_name)), columns_(std::move(columns)) {}
 
   Relation Execute(ExecContext& ctx) const override {
-    PERFEVAL_CHECK(ctx.database != nullptr);
-    std::shared_ptr<const Table> table =
-        ctx.database->GetTableShared(table_name_);
-    TraceScope trace(ctx, "Scan(" + table_name_ + ")", table->num_rows());
-    TouchColumns(ctx, table_name_, *table, columns_);
+    PERFEVAL_CHECK(ctx.catalog != nullptr);
+    const TableVersion& version = ctx.catalog->Get(table_name_);
+    TraceScope trace(ctx, "Scan(" + table_name_ + ")",
+                     version.table->num_rows());
+    TouchColumns(ctx, version, columns_);
     Relation out;
-    out.table = table;
+    out.table = version.table;
     trace.Finish(out.num_rows());
     return out;
   }
@@ -398,9 +401,9 @@ class FilterScanNode : public PlanNode {
         predicate_(std::move(predicate)) {}
 
   Relation Execute(ExecContext& ctx) const override {
-    PERFEVAL_CHECK(ctx.database != nullptr);
-    std::shared_ptr<const Table> table =
-        ctx.database->GetTableShared(table_name_);
+    PERFEVAL_CHECK(ctx.catalog != nullptr);
+    const TableVersion& version = ctx.catalog->Get(table_name_);
+    const std::shared_ptr<const Table>& table = version.table;
     TraceScope trace(ctx, "FilterScan(" + table_name_ + ")",
                      table->num_rows());
 
@@ -428,8 +431,6 @@ class FilterScanNode : public PlanNode {
     size_t compute_rows = std::max<size_t>(ctx.morsel.morsel_rows, 1);
     bool zone_maps = ctx.use_zone_maps && ctx.storage != nullptr &&
                      !simple.empty() && num_rows > 0;
-    uint32_t table_id =
-        ctx.storage != nullptr ? ctx.database->TableId(table_name_) : 0;
 
     struct Morsel {
       size_t begin = 0;
@@ -457,8 +458,8 @@ class FilterScanNode : public PlanNode {
           size_t begin = static_cast<size_t>(chunk) * page_rows;
           CheckZoneMapConsistent(
               column, begin, std::min(num_rows, begin + page_rows),
-              ctx.storage->GetZoneMap(
-                  table_id, static_cast<uint32_t>(sp.column), chunk),
+              version.layout.zone_map(static_cast<uint32_t>(sp.column),
+                                      chunk),
               "FilterScan " + table_name_ + "." +
                   table->schema().column(sp.column).name);
         }
@@ -474,10 +475,10 @@ class FilterScanNode : public PlanNode {
       // Prune, touch, and enumerate surviving chunks through the shared
       // walk (db/scan_io.h) — the same code the shard coordinator replays,
       // so sharded logical I/O matches this path by construction.
-      ScanTableInfo info{table_id, &table->schema(), num_rows};
+      ScanTableInfo info{&table->schema(), &version.layout};
       FilterScanChunkWalk(ctx.storage, info, column_ids, simple, add_range);
     } else {
-      TouchColumns(ctx, table_name_, *table, columns_);
+      TouchColumns(ctx, version, columns_);
       for (size_t begin = 0; begin < num_rows; begin += compute_rows) {
         morsels.push_back({begin, std::min(num_rows, begin + compute_rows)});
       }

@@ -15,7 +15,7 @@
 namespace perfeval {
 namespace db {
 
-class Database;
+class Catalog;
 
 /// How operators execute (paper, slides 37–45, "Of apples and oranges").
 /// kDebug interprets tuple-at-a-time with per-tuple virtual dispatch and
@@ -45,7 +45,9 @@ struct ParallelSim {
 /// Per-execution context handed down the plan tree.
 struct ExecContext {
   ExecMode mode = ExecMode::kOptimized;
-  Database* database = nullptr;        ///< catalog lookup (required).
+  /// The catalog version this query pinned (required): scans read their
+  /// table, zone maps and page geometry from it.
+  const Catalog* catalog = nullptr;
   StorageManager* storage = nullptr;   ///< optional: page I/O accounting.
   Profiler* profiler = nullptr;        ///< optional: operator traces.
   bool use_zone_maps = true;           ///< page skipping in FilterScan.

@@ -336,38 +336,38 @@ TablePtr SortRows(const TablePtr& in, const std::vector<SortKey>& keys,
   return GatherAll(*in, rows);
 }
 
-TablePtr Exec(const PlanNode& node, const Database& database) {
+TablePtr Exec(const PlanNode& node, const Catalog& catalog) {
   PlanSpec spec = node.Spec();
   std::vector<const PlanNode*> children = node.Children();
   switch (spec.kind) {
     case PlanKind::kScan:
-      return database.GetTableShared(spec.table_name);
+      return catalog.Get(spec.table_name).table;
     case PlanKind::kFilterScan:
-      return FilterRows(database.GetTableShared(spec.table_name),
+      return FilterRows(catalog.Get(spec.table_name).table,
                         *spec.predicate);
     case PlanKind::kFilter:
-      return FilterRows(Exec(*children[0], database), *spec.predicate);
+      return FilterRows(Exec(*children[0], catalog), *spec.predicate);
     case PlanKind::kProject:
-      return ProjectRows(Exec(*children[0], database), spec.exprs,
+      return ProjectRows(Exec(*children[0], catalog), spec.exprs,
                          spec.names);
     case PlanKind::kHashJoin:
     case PlanKind::kMergeJoin:
       // Equi-join semantics are algorithm-independent; one naive
       // implementation stands in for hash, radix and merge.
-      return JoinTables(Exec(*children[0], database),
-                        Exec(*children[1], database), spec.left_keys,
+      return JoinTables(Exec(*children[0], catalog),
+                        Exec(*children[1], catalog), spec.left_keys,
                         spec.right_keys);
     case PlanKind::kAggregate:
-      return AggregateRows(Exec(*children[0], database), spec.group_by,
+      return AggregateRows(Exec(*children[0], catalog), spec.group_by,
                            spec.aggregates);
     case PlanKind::kSort:
-      return SortRows(Exec(*children[0], database), spec.sort_keys,
+      return SortRows(Exec(*children[0], catalog), spec.sort_keys,
                       /*top_n=*/false, 0);
     case PlanKind::kTopN:
-      return SortRows(Exec(*children[0], database), spec.sort_keys,
+      return SortRows(Exec(*children[0], catalog), spec.sort_keys,
                       /*top_n=*/true, spec.limit);
     case PlanKind::kLimit: {
-      TablePtr in = Exec(*children[0], database);
+      TablePtr in = Exec(*children[0], catalog);
       std::vector<uint32_t> rows;
       for (size_t r = 0; r < std::min(in->num_rows(), spec.limit); ++r) {
         rows.push_back(static_cast<uint32_t>(r));
@@ -435,7 +435,9 @@ std::string DescribeCell(const Column& column, uint32_t row) {
 
 std::shared_ptr<const Table> ReferenceExecute(const PlanNode& plan,
                                               const Database& database) {
-  return Exec(plan, database);
+  // One pinned catalog version for the whole plan, as Database::Run does.
+  std::shared_ptr<const Catalog> catalog = database.catalog();
+  return Exec(plan, *catalog);
 }
 
 std::string DiffTables(const Table& actual, const Table& expected,

@@ -28,16 +28,16 @@ void TouchScanColumns(StorageManager* storage, const ScanTableInfo& table,
   if (storage == nullptr) {
     return;
   }
-  PERFEVAL_CHECK(table.schema != nullptr);
+  PERFEVAL_CHECK(table.schema != nullptr && table.layout != nullptr);
   if (columns.empty()) {
     for (size_t c = 0; c < table.schema->num_columns(); ++c) {
-      storage->TouchColumn(table.table_id, static_cast<uint32_t>(c));
+      storage->TouchColumn(*table.layout, static_cast<uint32_t>(c));
     }
     return;
   }
   for (const std::string& name : columns) {
     storage->TouchColumn(
-        table.table_id,
+        *table.layout,
         static_cast<uint32_t>(table.schema->MustIndexOf(name)));
   }
 }
@@ -47,15 +47,15 @@ void FilterScanChunkWalk(
     const std::vector<uint32_t>& column_ids,
     const std::vector<SimplePredicate>& simple,
     const std::function<void(size_t, size_t)>& on_chunk) {
-  PERFEVAL_CHECK(storage != nullptr);
+  PERFEVAL_CHECK(storage != nullptr && table.layout != nullptr);
+  const TableLayout& layout = *table.layout;
   size_t page_rows = std::max<size_t>(storage->rows_per_page(), 1);
-  size_t num_rows = table.num_rows;
-  size_t num_chunks = (num_rows + page_rows - 1) / page_rows;
-  for (uint32_t chunk = 0; chunk < num_chunks; ++chunk) {
+  size_t num_rows = layout.num_rows;
+  for (uint32_t chunk = 0; chunk < layout.num_chunks; ++chunk) {
     bool pruned = false;
     for (const SimplePredicate& sp : simple) {
-      const ZoneMap& zm = storage->GetZoneMap(
-          table.table_id, static_cast<uint32_t>(sp.column), chunk);
+      const ZoneMap& zm =
+          layout.zone_map(static_cast<uint32_t>(sp.column), chunk);
       if (zm.Prunable(sp.MightMatch(zm.min, zm.max))) {
         pruned = true;
         break;
@@ -69,7 +69,7 @@ void FilterScanChunkWalk(
     // I/O accounting happens here, on the coordinating thread, one page
     // at a time in chunk order — never from the workers — so
     // hits/misses/bytes/stall are identical at any thread count.
-    storage->TouchMorsel(table.table_id, column_ids, begin, end);
+    storage->TouchMorsel(layout, column_ids, begin, end);
     if (on_chunk) {
       on_chunk(begin, end);
     }
@@ -99,7 +99,7 @@ void ReplayScanIo(const PlanNode& plan, const ScanIoCatalog& catalog,
   // Same gate as FilterScanNode: zone maps only when there is a simple
   // conjunct to prune with and rows to scan; otherwise the node touches
   // the named columns in full.
-  if (!use_zone_maps || simple.empty() || table.num_rows == 0) {
+  if (!use_zone_maps || simple.empty() || table.layout->num_rows == 0) {
     TouchScanColumns(storage, table, spec.columns);
     return;
   }

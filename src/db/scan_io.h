@@ -20,18 +20,19 @@ namespace db {
 /// N databases, which changes the physical page geometry (ceil(rows/page)
 /// per shard, per-shard buffer pools, per-shard stream heads) — so summing
 /// per-shard StorageStats can never equal the single-node numbers. The
-/// shard coordinator instead keeps one StorageManager registered with the
-/// *global* (unpartitioned) layout and replays the logical scan I/O of each
-/// query against it, in the exact order the single-node engine would have
-/// issued it. Because both sides call the same functions below, the merged
-/// logical StorageStats are bit-identical to single-node by construction
-/// (DESIGN.md S16).
+/// shard coordinator instead keeps one StorageManager and the *global*
+/// (unpartitioned) layout of each table, and replays the logical scan I/O
+/// of each query against it, in the exact order the single-node engine
+/// would have issued it. Because both sides call the same functions
+/// below, the merged logical StorageStats are bit-identical to
+/// single-node by construction (DESIGN.md S16).
 
-/// Everything the scan I/O path needs to know about one base table.
+/// Everything the scan I/O path needs to know about one base table: its
+/// schema and the layout of the version being scanned (both outlive the
+/// call).
 struct ScanTableInfo {
-  uint32_t table_id = 0;
   const Schema* schema = nullptr;
-  size_t num_rows = 0;
+  const TableLayout* layout = nullptr;
 };
 
 /// Catalog abstraction for ReplayScanIo: the engine resolves tables through

@@ -30,6 +30,35 @@ size_t ChunkByteSize(const Column& column, size_t begin, size_t end) {
   return 0;
 }
 
+// Page key layout: table id | version | column | chunk. Versions wrap;
+// two versions of a table whose install counts differ by a multiple of
+// 2^12 could alias, but an install evicts every other version's pages,
+// so only a query spanning 4096 installs could observe it.
+constexpr int kChunkBits = 28;
+constexpr int kColumnBits = 12;
+constexpr int kVersionBits = 12;
+constexpr int kTableBits = 12;
+constexpr uint64_t kVersionMask = (uint64_t{1} << kVersionBits) - 1;
+static_assert(kMaxTableIds == uint32_t{1} << kTableBits);
+
+uint64_t PageKey(const TableLayout& table, uint32_t column_id,
+                 uint32_t chunk) {
+  return (static_cast<uint64_t>(table.table_id)
+          << (kVersionBits + kColumnBits + kChunkBits)) |
+         ((table.version & kVersionMask) << (kColumnBits + kChunkBits)) |
+         (static_cast<uint64_t>(column_id) << kChunkBits) | chunk;
+}
+
+uint32_t KeyTable(uint64_t key) {
+  return static_cast<uint32_t>(key >> (kVersionBits + kColumnBits +
+                                       kChunkBits));
+}
+
+uint32_t KeyVersion(uint64_t key) {
+  return static_cast<uint32_t>((key >> (kColumnBits + kChunkBits)) &
+                               kVersionMask);
+}
+
 }  // namespace
 
 std::string StorageStats::ToString() const {
@@ -45,29 +74,25 @@ std::string StorageStats::ToString() const {
   return out;
 }
 
-StorageManager::StorageManager(DiskModel disk, size_t buffer_pool_pages,
-                               size_t rows_per_page)
-    : disk_(disk),
-      buffer_pool_pages_(buffer_pool_pages),
-      rows_per_page_(rows_per_page) {
-  PERFEVAL_CHECK_GE(buffer_pool_pages_, 1u);
-  PERFEVAL_CHECK_GE(rows_per_page_, 1u);
-}
-
-void StorageManager::RegisterTable(uint32_t table_id, const Table& table) {
-  std::vector<ColumnMeta> metas;
-  metas.reserve(table.num_columns());
+TableLayout BuildTableLayout(const Table& table, size_t rows_per_page) {
+  PERFEVAL_CHECK_GE(rows_per_page, 1u);
+  TableLayout layout;
   size_t rows = table.num_rows();
-  size_t num_chunks = (rows + rows_per_page_ - 1) / rows_per_page_;
+  layout.num_rows = rows;
+  layout.num_chunks = (rows + rows_per_page - 1) / rows_per_page;
+  PERFEVAL_CHECK_LT(layout.num_chunks, size_t{1} << kChunkBits)
+      << "too many pages per column for the page key";
+  PERFEVAL_CHECK_LT(table.num_columns(), size_t{1} << kColumnBits)
+      << "too many columns for the page key";
+  layout.columns.reserve(table.num_columns());
   for (size_t c = 0; c < table.num_columns(); ++c) {
     const Column& column = table.column(c);
-    ColumnMeta meta;
-    meta.num_chunks = num_chunks;
-    meta.chunk_bytes.resize(num_chunks, 0);
-    meta.zone_maps.resize(num_chunks);
-    for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      size_t begin = chunk * rows_per_page_;
-      size_t end = std::min(rows, begin + rows_per_page_);
+    ColumnLayout meta;
+    meta.chunk_bytes.resize(layout.num_chunks, 0);
+    meta.zone_maps.resize(layout.num_chunks);
+    for (size_t chunk = 0; chunk < layout.num_chunks; ++chunk) {
+      size_t begin = chunk * rows_per_page;
+      size_t end = std::min(rows, begin + rows_per_page);
       meta.chunk_bytes[chunk] = ChunkByteSize(column, begin, end);
       if (!IsNumeric(column.type())) {
         continue;
@@ -101,20 +126,25 @@ void StorageManager::RegisterTable(uint32_t table_id, const Table& table) {
       }
       zm.valid = seen;
     }
-    metas.push_back(std::move(meta));
+    layout.columns.push_back(std::move(meta));
   }
-  tables_[table_id] = std::move(metas);
+  return layout;
 }
 
-void StorageManager::ReplaceTable(uint32_t table_id, const Table& table) {
-  PERFEVAL_CHECK(tables_.find(table_id) != tables_.end())
-      << "ReplaceTable on unregistered table " << table_id;
-  RegisterTable(table_id, table);
-  // Evict the stale pages: the page keys of the new version alias the old
-  // ones, and the old zone maps / byte counts no longer describe them.
+StorageManager::StorageManager(DiskModel disk, size_t buffer_pool_pages,
+                               size_t rows_per_page)
+    : disk_(disk),
+      buffer_pool_pages_(buffer_pool_pages),
+      rows_per_page_(rows_per_page) {
+  PERFEVAL_CHECK_GE(buffer_pool_pages_, 1u);
+  PERFEVAL_CHECK_GE(rows_per_page_, 1u);
+}
+
+void StorageManager::EvictTable(uint32_t table_id, uint32_t keep_version) {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto it = lru_.begin(); it != lru_.end();) {
-    if (static_cast<uint32_t>(*it >> 40) == table_id) {
+    if (KeyTable(*it) == table_id &&
+        KeyVersion(*it) != (keep_version & kVersionMask)) {
       resident_.erase(*it);
       it = lru_.erase(it);
     } else {
@@ -130,55 +160,36 @@ void StorageManager::ReplaceTable(uint32_t table_id, const Table& table) {
   }
 }
 
-const StorageManager::ColumnMeta& StorageManager::GetColumnMeta(
-    uint32_t table_id, uint32_t column_id) const {
-  auto it = tables_.find(table_id);
-  PERFEVAL_CHECK(it != tables_.end()) << "table " << table_id
-                                      << " not registered";
-  PERFEVAL_CHECK_LT(column_id, it->second.size());
-  return it->second[column_id];
-}
-
-size_t StorageManager::NumChunks(uint32_t table_id,
-                                 uint32_t column_id) const {
-  return GetColumnMeta(table_id, column_id).num_chunks;
-}
-
-const ZoneMap& StorageManager::GetZoneMap(uint32_t table_id,
-                                          uint32_t column_id,
-                                          uint32_t chunk) const {
-  const ColumnMeta& meta = GetColumnMeta(table_id, column_id);
-  PERFEVAL_CHECK_LT(chunk, meta.zone_maps.size());
-  return meta.zone_maps[chunk];
-}
-
-void StorageManager::TouchPageLocked(const PageId& page) {
-  uint64_t key = page.Key();
-  uint64_t stream = (static_cast<uint64_t>(page.table_id) << 32) |
-                    page.column_id;
+void StorageManager::TouchPageLocked(const TableLayout& table,
+                                     uint32_t column_id, uint32_t chunk) {
+  PERFEVAL_CHECK_LT(column_id, table.columns.size())
+      << "page outside the table layout";
+  PERFEVAL_CHECK_LT(chunk, table.num_chunks)
+      << "page outside the table layout";
+  uint64_t key = PageKey(table, column_id, chunk);
+  uint64_t stream = (static_cast<uint64_t>(table.table_id) << 32) |
+                    column_id;
   auto it = resident_.find(key);
   if (it != resident_.end()) {
     // Hit: move to MRU position. The stream head advances on hits too —
     // a warm page in the middle of a sequential scan must not make the
     // next miss look like a random access and pay a spurious seek.
     lru_.splice(lru_.begin(), lru_, it->second);
-    stream_heads_[stream] = page.chunk;
+    stream_heads_[stream] = chunk;
     ++stats_.page_hits;
     return;
   }
   // Miss: charge the disk model. Sequential pages of the same column skip
   // the seek (per-column stream heads model OS readahead per file).
-  const ColumnMeta& meta = GetColumnMeta(page.table_id, page.column_id);
-  PERFEVAL_CHECK_LT(page.chunk, meta.num_chunks);
-  size_t bytes = meta.chunk_bytes[page.chunk];
+  size_t bytes = table.columns[column_id].chunk_bytes[chunk];
   auto head = stream_heads_.find(stream);
   bool sequential = head != stream_heads_.end() &&
-                    page.chunk == head->second + 1;
+                    chunk == head->second + 1;
   int64_t stall = static_cast<int64_t>(bytes * disk_.ns_per_byte);
   if (!sequential) {
     stall += disk_.seek_ns;
   }
-  stream_heads_[stream] = page.chunk;
+  stream_heads_[stream] = chunk;
   ++stats_.page_misses;
   stats_.bytes_read += static_cast<int64_t>(bytes);
   stats_.stall_ns += stall;
@@ -194,27 +205,8 @@ void StorageManager::TouchPageLocked(const PageId& page) {
   }
 }
 
-void StorageManager::TouchPage(const PageId& page) {
-  std::lock_guard<std::mutex> lock(mu_);
-  TouchPageLocked(page);
-}
-
-void StorageManager::TouchColumnRange(uint32_t table_id, uint32_t column_id,
-                                      size_t row_begin, size_t row_end) {
-  if (row_end <= row_begin) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  uint32_t first_chunk = static_cast<uint32_t>(row_begin / rows_per_page_);
-  uint32_t last_chunk =
-      static_cast<uint32_t>((row_end - 1) / rows_per_page_);
-  for (uint32_t chunk = first_chunk; chunk <= last_chunk; ++chunk) {
-    TouchPageLocked(PageId{table_id, column_id, chunk});
-  }
-}
-
 StorageStats StorageManager::TouchMorsel(
-    uint32_t table_id, const std::vector<uint32_t>& column_ids,
+    const TableLayout& table, const std::vector<uint32_t>& column_ids,
     size_t row_begin, size_t row_end) {
   if (row_end <= row_begin || column_ids.empty()) {
     return StorageStats();
@@ -226,7 +218,7 @@ StorageStats StorageManager::TouchMorsel(
       static_cast<uint32_t>((row_end - 1) / rows_per_page_);
   for (uint32_t column_id : column_ids) {
     for (uint32_t chunk = first_chunk; chunk <= last_chunk; ++chunk) {
-      TouchPageLocked(PageId{table_id, column_id, chunk});
+      TouchPageLocked(table, column_id, chunk);
     }
   }
   StorageStats delta;
@@ -237,11 +229,11 @@ StorageStats StorageManager::TouchMorsel(
   return delta;
 }
 
-void StorageManager::TouchColumn(uint32_t table_id, uint32_t column_id) {
-  size_t chunks = NumChunks(table_id, column_id);
+void StorageManager::TouchColumn(const TableLayout& table,
+                                 uint32_t column_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (uint32_t chunk = 0; chunk < chunks; ++chunk) {
-    TouchPageLocked(PageId{table_id, column_id, chunk});
+  for (uint32_t chunk = 0; chunk < table.num_chunks; ++chunk) {
+    TouchPageLocked(table, column_id, chunk);
   }
 }
 

@@ -27,21 +27,6 @@ struct DiskModel {
   static DiskModel Ssd() { return DiskModel{80'000, 2.0}; }
 };
 
-/// Identifies one page: a fixed-size run of rows of one column of one table.
-struct PageId {
-  uint32_t table_id = 0;
-  uint32_t column_id = 0;
-  uint32_t chunk = 0;
-
-  uint64_t Key() const {
-    return (static_cast<uint64_t>(table_id) << 40) |
-           (static_cast<uint64_t>(column_id) << 28) | chunk;
-  }
-  bool operator==(const PageId& other) const {
-    return Key() == other.Key();
-  }
-};
-
 /// Min/max statistics of one numeric page — a zone map. Scans with simple
 /// range predicates skip pages whose [min, max] cannot match, avoiding both
 /// the I/O charge and the scan work. `min`/`max` cover the non-NaN values
@@ -61,6 +46,45 @@ struct ZoneMap {
     return valid && !has_nan && !might_match;
   }
 };
+
+/// Page geometry and zone maps of one column of a table version.
+struct ColumnLayout {
+  /// Exact bytes per chunk: fixed-width columns charge rows-in-chunk *
+  /// value width (the last chunk of a non-divisible row count is
+  /// smaller); string columns charge the actual footprint of the rows in
+  /// the chunk. Sums to Column::ByteSize().
+  std::vector<size_t> chunk_bytes;
+  std::vector<ZoneMap> zone_maps;  ///< invalid for string columns.
+};
+
+/// The storage layout of one immutable table version: how its rows split
+/// into pages, each page's byte size and zone map, and the identity its
+/// pages carry in the buffer pool. Built once per version and never
+/// mutated, so a query that pinned a version reads consistent metadata
+/// for as long as it runs, whatever the write path installs meanwhile.
+struct TableLayout {
+  uint32_t table_id = 0;
+  /// Install count of the table: 0 at registration, +1 per replacement.
+  /// Part of every page key, so pages of two versions never alias.
+  uint32_t version = 0;
+  size_t num_rows = 0;
+  size_t num_chunks = 0;  ///< identical for every column.
+  std::vector<ColumnLayout> columns;
+
+  const ZoneMap& zone_map(uint32_t column_id, uint32_t chunk) const {
+    PERFEVAL_CHECK_LT(column_id, columns.size());
+    PERFEVAL_CHECK_LT(chunk, num_chunks);
+    return columns[column_id].zone_maps[chunk];
+  }
+};
+
+/// Table ids a buffer pool can tell apart (the page key holds 12 bits).
+inline constexpr uint32_t kMaxTableIds = 4096;
+
+/// Computes the layout of `table` split into `rows_per_page`-row pages.
+/// A pure function of the table contents; the caller assigns the id and
+/// version.
+TableLayout BuildTableLayout(const Table& table, size_t rows_per_page);
 
 /// Buffer-pool and I/O statistics since the last ResetStats(). The write
 /// fields are accounted by the write path (txn::VirtualDisk charges WAL
@@ -105,6 +129,11 @@ struct StorageStats {
 /// through TouchMorsel from the coordinating thread in chunk order (one
 /// morsel at a time), so hits/misses/bytes/stall are independent of how
 /// the compute morsels interleave across workers.
+///
+/// The pool keeps no catalog of its own: every touch passes the
+/// TableLayout of the table version being read (a Database passes the
+/// one its query pinned), so a running scan never sees metadata change
+/// under it.
 class StorageManager {
  public:
   StorageManager(DiskModel disk, size_t buffer_pool_pages,
@@ -116,36 +145,8 @@ class StorageManager {
   size_t rows_per_page() const { return rows_per_page_; }
   size_t buffer_pool_pages() const { return buffer_pool_pages_; }
 
-  /// Registers a table's columns so page counts, byte sizes and zone maps
-  /// are known. Must be called after the table is loaded.
-  void RegisterTable(uint32_t table_id, const Table& table);
-
-  /// Re-registers an already-registered table id with new contents (the
-  /// write path's delta-merge refresh): page counts, byte sizes and zone
-  /// maps are recomputed and every resident page of the table is evicted —
-  /// the new version's pages are cold, exactly as a freshly written file
-  /// would be. Callers must exclude concurrent queries (Database holds its
-  /// exec gate exclusively around the call): NumChunks/GetZoneMap read the
-  /// metadata without taking `mu_`.
-  void ReplaceTable(uint32_t table_id, const Table& table);
-
-  /// Number of pages of a registered column.
-  size_t NumChunks(uint32_t table_id, uint32_t column_id) const;
-
-  /// Zone map of one page (invalid for string columns).
-  const ZoneMap& GetZoneMap(uint32_t table_id, uint32_t column_id,
-                            uint32_t chunk) const;
-
-  /// Marks a page accessed: buffer-pool hit (free) or miss (charges the
-  /// disk model and evicts LRU pages as needed).
-  void TouchPage(const PageId& page);
-
-  /// Touches every page overlapping rows [row_begin, row_end) of a column.
-  void TouchColumnRange(uint32_t table_id, uint32_t column_id,
-                        size_t row_begin, size_t row_end);
-
-  /// Touches all pages of a column (a full scan).
-  void TouchColumn(uint32_t table_id, uint32_t column_id);
+  /// Touches all pages of one column of a table version (a full scan).
+  void TouchColumn(const TableLayout& table, uint32_t column_id);
 
   /// One morsel's I/O, accounted as a unit: touches the pages of every
   /// column in `column_ids` overlapping rows [row_begin, row_end) — in
@@ -154,9 +155,14 @@ class StorageManager {
   /// invoke this per morsel in chunk order from the coordinator and reduce
   /// the returned deltas in that same order, which makes the aggregate
   /// StorageStats independent of worker interleaving.
-  StorageStats TouchMorsel(uint32_t table_id,
+  StorageStats TouchMorsel(const TableLayout& table,
                            const std::vector<uint32_t>& column_ids,
                            size_t row_begin, size_t row_end);
+
+  /// Evicts every resident page and stream head of `table_id` whose
+  /// version is not `keep_version`: after an install the new version's
+  /// pages are cold, exactly as a freshly written file would be.
+  void EvictTable(uint32_t table_id, uint32_t keep_version);
 
   /// Empties the buffer pool — the cold-run "reboot".
   void FlushCaches();
@@ -177,29 +183,14 @@ class StorageManager {
   }
 
  private:
-  struct ColumnMeta {
-    size_t num_chunks = 0;
-    /// Exact bytes per chunk: fixed-width columns charge rows-in-chunk *
-    /// value width (the last chunk of a non-divisible row count is
-    /// smaller); string columns charge the actual footprint of the rows in
-    /// the chunk. Sums to Column::ByteSize().
-    std::vector<size_t> chunk_bytes;
-    std::vector<ZoneMap> zone_maps;
-  };
-
-  const ColumnMeta& GetColumnMeta(uint32_t table_id,
-                                  uint32_t column_id) const;
-
-  /// TouchPage body; mu_ must be held.
-  void TouchPageLocked(const PageId& page);
+  /// Marks one page accessed: buffer-pool hit (free) or miss (charges
+  /// the disk model and evicts LRU pages as needed). mu_ must be held.
+  void TouchPageLocked(const TableLayout& table, uint32_t column_id,
+                       uint32_t chunk);
 
   DiskModel disk_;
   size_t buffer_pool_pages_;
   size_t rows_per_page_;
-
-  /// table_id -> per-column metadata. Written only by RegisterTable
-  /// (single-threaded load phase), read-only afterwards.
-  std::unordered_map<uint32_t, std::vector<ColumnMeta>> tables_;
 
   /// Guards the buffer pool, stream heads and stats_.
   mutable std::mutex mu_;

@@ -57,6 +57,18 @@ void Table::AppendTable(const Table& other) {
   num_rows_ += other.num_rows_;
 }
 
+void Table::AppendGather(const Table& other,
+                         const std::vector<uint32_t>& rows) {
+  PERFEVAL_CHECK_EQ(columns_.size(), other.columns_.size());
+  for (uint32_t r : rows) {
+    PERFEVAL_CHECK_LT(r, other.num_rows_);
+  }
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    columns_[i].AppendGather(other.columns_[i], rows);
+  }
+  num_rows_ += rows.size();
+}
+
 void Table::FinishBulkLoad() {
   if (columns_.empty()) {
     num_rows_ = 0;

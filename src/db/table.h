@@ -78,6 +78,10 @@ class Table {
   /// chunk-parallel data generator.
   void AppendTable(const Table& other);
 
+  /// Appends rows `rows` of `other`, in order (identical column count and
+  /// types required): a column-wise typed gather.
+  void AppendGather(const Table& other, const std::vector<uint32_t>& rows);
+
   void ReserveRows(size_t n);
 
   Value ValueAt(size_t row, size_t col) const {

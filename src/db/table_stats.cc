@@ -105,8 +105,7 @@ const ColumnStats* TableStats::Find(const std::string& name) const {
 }
 
 TableStats ComputeTableStats(const Table& table,
-                             const StorageManager* storage,
-                             uint32_t table_id) {
+                             const TableLayout* layout) {
   TableStats out;
   out.rows = table.num_rows();
   out.columns.reserve(table.num_columns());
@@ -128,16 +127,15 @@ TableStats ComputeTableStats(const Table& table,
     // at registration); otherwise scan the non-NULL, non-NaN values.
     bool have_minmax = false;
     if (s.numeric && s.non_null() > 0) {
-      if (storage != nullptr) {
-        size_t chunks = storage->NumChunks(
-            table_id, static_cast<uint32_t>(c));
+      if (layout != nullptr) {
+        size_t chunks = layout->num_chunks;
         bool all_valid = chunks > 0;
         double zmin = 0.0;
         double zmax = 0.0;
         bool first = true;
         for (size_t k = 0; all_valid && k < chunks; ++k) {
-          const ZoneMap& zm = storage->GetZoneMap(
-              table_id, static_cast<uint32_t>(c), k);
+          const ZoneMap& zm = layout->zone_map(static_cast<uint32_t>(c),
+                                               static_cast<uint32_t>(k));
           if (!zm.valid || zm.has_nan) {
             all_valid = false;
             break;

@@ -14,7 +14,7 @@
 namespace perfeval {
 namespace db {
 
-class StorageManager;
+struct TableLayout;
 
 /// Per-column statistics the cost-based optimizer estimates from: row and
 /// NULL counts, min/max (aggregated from the storage layer's zone maps
@@ -50,7 +50,7 @@ struct ColumnStats {
 };
 
 /// Statistics of one catalog table, refreshed at load and on every
-/// write-path snapshot install (Database::ReplaceTable).
+/// write-path snapshot install (Database::ReplaceTables).
 struct TableStats {
   size_t rows = 0;
   std::vector<ColumnStats> columns;  ///< one per schema column, in order.
@@ -61,14 +61,13 @@ struct TableStats {
 
 /// Computes statistics for `table` in one deterministic pass: exact row
 /// and NULL counts, min/max taken from the already-computed zone maps
-/// when `storage` is given (falling back to a column scan when any zone
+/// when `layout` is given (falling back to a column scan when any zone
 /// is invalid), NDV via EstimateDistinctKeys, and a histogram over an
 /// evenly strided sample (at most kStatsSampleRows values per column).
 /// Pure function of the table contents — thread counts, storage state,
 /// and call order never change the result.
 TableStats ComputeTableStats(const Table& table,
-                             const StorageManager* storage = nullptr,
-                             uint32_t table_id = 0);
+                             const TableLayout* layout = nullptr);
 
 /// Sample-size bound for the per-column histograms and double/string NDV.
 inline constexpr size_t kStatsSampleRows = 65536;

@@ -855,7 +855,7 @@ void RowStoreBackend::SyncFrom(db::Database* database) {
       tables_[name] = std::move(entry);
     } else if (it->second.source != source) {
       // The write path installed a new snapshot: re-pack; the new block's
-      // pages are cold, as with StorageManager::ReplaceTable.
+      // pages are cold, as after Database::ReplaceTables.
       it->second.block = std::make_shared<RowBlock>(PackTable(*source));
       it->second.source = std::move(source);
       pager_->ReplaceTable(it->second.table_id, *it->second.block);

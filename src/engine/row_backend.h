@@ -83,7 +83,7 @@ class RowStoreBackend : public Backend {
   /// Runs the database's refresh hook, then re-packs every table whose
   /// installed snapshot changed identity since the last sync (and imports
   /// tables this backend has not seen). Re-packed tables are cold in the
-  /// pager, mirroring StorageManager::ReplaceTable.
+  /// pager, mirroring the columnar install (Database::ReplaceTables).
   void SyncFrom(db::Database* database) override;
 
   BackendResult Execute(const db::PlanPtr& plan,

@@ -74,7 +74,7 @@ class RowPager {
   size_t rows_per_page_;
 
   /// table_id -> page metadata. Written by Register/ReplaceTable (no
-  /// concurrent queries, as with StorageManager::ReplaceTable).
+  /// concurrent queries: SyncFrom holds the backend catalog exclusively).
   std::unordered_map<uint32_t, TableMeta> tables_;
 
   mutable std::mutex mu_;

@@ -25,20 +25,20 @@ db::Schema ConcatSchemas(const db::Schema& a, const db::Schema& b) {
   return db::Schema(std::move(specs));
 }
 
-db::Schema SchemaOf(const db::PlanNode& node, const db::Database& database) {
+db::Schema SchemaOf(const db::PlanNode& node, const db::Catalog& catalog) {
   db::PlanSpec spec = node.Spec();
   std::vector<const db::PlanNode*> children = node.Children();
   switch (spec.kind) {
     case db::PlanKind::kScan:
     case db::PlanKind::kFilterScan:
-      return database.GetTable(spec.table_name).schema();
+      return catalog.Get(spec.table_name).table->schema();
     case db::PlanKind::kFilter:
     case db::PlanKind::kSort:
     case db::PlanKind::kLimit:
     case db::PlanKind::kTopN:
-      return SchemaOf(*children[0], database);
+      return SchemaOf(*children[0], catalog);
     case db::PlanKind::kProject: {
-      db::Schema child = SchemaOf(*children[0], database);
+      db::Schema child = SchemaOf(*children[0], catalog);
       std::vector<db::ColumnSpec> specs;
       specs.reserve(spec.exprs.size());
       for (size_t i = 0; i < spec.exprs.size(); ++i) {
@@ -48,10 +48,10 @@ db::Schema SchemaOf(const db::PlanNode& node, const db::Database& database) {
     }
     case db::PlanKind::kHashJoin:
     case db::PlanKind::kMergeJoin:
-      return ConcatSchemas(SchemaOf(*children[0], database),
-                           SchemaOf(*children[1], database));
+      return ConcatSchemas(SchemaOf(*children[0], catalog),
+                           SchemaOf(*children[1], catalog));
     case db::PlanKind::kAggregate: {
-      db::Schema child = SchemaOf(*children[0], database);
+      db::Schema child = SchemaOf(*children[0], catalog);
       std::vector<db::ColumnSpec> specs;
       for (const std::string& g : spec.group_by) {
         specs.push_back(child.column(child.MustIndexOf(g)));
@@ -94,21 +94,19 @@ const char* OpName(db::PlanKind kind) {
 }  // namespace
 
 db::Schema OutputSchema(const db::PlanNode& node,
-                        const db::Database& database) {
-  return SchemaOf(node, database);
+                        const db::Catalog& catalog) {
+  return SchemaOf(node, catalog);
 }
 
-StatsCatalog::StatsCatalog(const db::Database& database) {
-  for (const std::string& table : database.TableNames()) {
-    std::shared_ptr<const db::TableStats> stats =
-        database.GetTableStats(table);
-    for (const db::ColumnStats& column : stats->columns) {
+StatsCatalog::StatsCatalog(const db::Database& database)
+    : catalog_(database.catalog()) {
+  for (const std::string& table : catalog_->names()) {
+    for (const db::ColumnStats& column : catalog_->Get(table).stats.columns) {
       auto [it, inserted] = by_column_.try_emplace(column.name, &column);
       if (!inserted) {
         it->second = nullptr;  // ambiguous name: refuse to guess.
       }
     }
-    snapshots_.push_back(std::move(stats));
   }
 }
 
@@ -119,12 +117,8 @@ const db::ColumnStats* StatsCatalog::Column(const std::string& name) const {
 
 CardinalityEstimator::CardinalityEstimator(const StatsCatalog& stats,
                                            const CostModel& model,
-                                           const db::Database& database,
                                            db::JoinAlgo default_algo)
-    : stats_(stats),
-      model_(model),
-      database_(database),
-      default_algo_(default_algo) {}
+    : stats_(stats), model_(model), default_algo_(default_algo) {}
 
 double CardinalityEstimator::ColumnNdv(const std::string& name,
                                        double rows) const {
@@ -212,16 +206,16 @@ CardinalityEstimator::SubtreeInfo CardinalityEstimator::Walk(
   double cost = 0.0;
   switch (spec.kind) {
     case db::PlanKind::kScan: {
-      info.schema = database_.GetTable(spec.table_name).schema();
-      info.rows =
-          static_cast<double>(database_.GetTable(spec.table_name).num_rows());
+      const db::Table& table = *stats_.catalog().Get(spec.table_name).table;
+      info.schema = table.schema();
+      info.rows = static_cast<double>(table.num_rows());
       cost = info.rows * model_.cpu_tuple_ns;
       break;
     }
     case db::PlanKind::kFilterScan: {
-      info.schema = database_.GetTable(spec.table_name).schema();
-      double base =
-          static_cast<double>(database_.GetTable(spec.table_name).num_rows());
+      const db::Table& table = *stats_.catalog().Get(spec.table_name).table;
+      info.schema = table.schema();
+      double base = static_cast<double>(table.num_rows());
       std::vector<db::ExprPtr> conjuncts;
       if (spec.predicate != nullptr) {
         spec.predicate->CollectConjuncts(&conjuncts, spec.predicate);

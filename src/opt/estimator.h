@@ -15,9 +15,11 @@ namespace perfeval {
 namespace opt {
 
 /// A consistent snapshot of every catalog table's statistics, indexed by
-/// column name. Column names are globally unique across this engine's
-/// workloads (TPC-H; the SQL planner preserves base names); a name that
-/// does appear in two tables is treated as unknown rather than guessing.
+/// column name: it pins one catalog version of `database`, so stats,
+/// schemas and row counts all describe the same rows. Column names are
+/// globally unique across this engine's workloads (TPC-H; the SQL planner
+/// preserves base names); a name that does appear in two tables is
+/// treated as unknown rather than guessing.
 class StatsCatalog {
  public:
   explicit StatsCatalog(const db::Database& database);
@@ -26,8 +28,11 @@ class StatsCatalog {
   /// (derived/renamed columns, ambiguous names).
   const db::ColumnStats* Column(const std::string& name) const;
 
+  /// The pinned catalog version the stats were taken from.
+  const db::Catalog& catalog() const { return *catalog_; }
+
  private:
-  std::vector<std::shared_ptr<const db::TableStats>> snapshots_;
+  std::shared_ptr<const db::Catalog> catalog_;
   std::unordered_map<std::string, const db::ColumnStats*> by_column_;
 };
 
@@ -46,8 +51,8 @@ struct NodeEstimate {
 /// the plan and the statistics snapshot — deterministic by construction.
 class CardinalityEstimator {
  public:
+  /// Base tables resolve through the catalog version `stats` pinned.
   CardinalityEstimator(const StatsCatalog& stats, const CostModel& model,
-                       const db::Database& database,
                        db::JoinAlgo default_algo = db::JoinAlgo::kRadix);
 
   /// Estimated output rows of the subtree rooted at `node`; fills
@@ -90,14 +95,13 @@ class CardinalityEstimator {
 
   const StatsCatalog& stats_;
   CostModel model_;
-  const db::Database& database_;
   db::JoinAlgo default_algo_;
 };
 
 /// Output schema of a plan subtree, reconstructed from PlanSpec alone
 /// (the same contract the reference interpreter runs on).
 db::Schema OutputSchema(const db::PlanNode& node,
-                        const db::Database& database);
+                        const db::Catalog& catalog);
 
 }  // namespace opt
 }  // namespace perfeval

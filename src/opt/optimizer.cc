@@ -56,10 +56,8 @@ struct Emitted {
 class Rewriter {
  public:
   Rewriter(const db::Database& database, const CostModel& model)
-      : database_(database),
-        stats_(database),
-        estimator_(stats_, model, database,
-                   database.options().join_algo),
+      : stats_(database),
+        estimator_(stats_, model, database.options().join_algo),
         model_(model) {}
 
   PlanPtr Rewrite(const PlanPtr& node);
@@ -71,7 +69,6 @@ class Rewriter {
   void Gather(const PlanPtr& node, Region* region);
   PlanPtr OptimizeRegion(const PlanPtr& root);
 
-  const db::Database& database_;
   StatsCatalog stats_;
   CardinalityEstimator estimator_;
   CostModel model_;
@@ -169,7 +166,7 @@ void Rewriter::Gather(const PlanPtr& node, Region* region) {
     }
     if (all_equalities) {
       std::vector<PlanPtr> kids = node->SharedChildren();
-      db::Schema child_schema = OutputSchema(*kids[0], database_);
+      db::Schema child_schema = OutputSchema(*kids[0], stats_.catalog());
       bool indices_ok = true;
       for (const auto& [left, right] : equalities) {
         indices_ok &= left < child_schema.num_columns() &&
@@ -205,7 +202,7 @@ PlanPtr Rewriter::OptimizeRegion(const PlanPtr& root) {
   std::vector<double> leaf_rows(n);
   std::unordered_map<std::string, size_t> leaf_of;
   for (size_t i = 0; i < n; ++i) {
-    leaf_schemas[i] = OutputSchema(*region.leaves[i], database_);
+    leaf_schemas[i] = OutputSchema(*region.leaves[i], stats_.catalog());
     leaf_rows[i] =
         std::max(estimator_.EstimateRows(*region.leaves[i]), 1.0);
     for (const db::ColumnSpec& spec : leaf_schemas[i].columns()) {
@@ -443,7 +440,7 @@ PlanPtr Rewriter::OptimizeRegion(const PlanPtr& root) {
 
   // Restore the original column order when the reorder changed it, so
   // every downstream index-bound expression still resolves correctly.
-  db::Schema original = OutputSchema(*root, database_);
+  db::Schema original = OutputSchema(*root, stats_.catalog());
   bool same_order =
       original.num_columns() == emitted.schema.num_columns();
   if (same_order) {

@@ -54,12 +54,13 @@ void ShardCluster::AddTable(const std::string& name,
     }
   }
   CatalogEntry entry;
-  entry.id = next_table_id_++;
   entry.schema = table->schema();
-  entry.num_rows = table->num_rows();
-  // RegisterTable copies page/zone-map metadata; it does not retain the
+  // The entry copies page/zone-map metadata; it does not retain the
   // table, so the generator's full table can be dropped after this call.
-  replay_storage_->RegisterTable(entry.id, *table);
+  entry.layout =
+      db::BuildTableLayout(*table, replay_storage_->rows_per_page());
+  entry.layout.table_id = next_table_id_++;
+  PERFEVAL_CHECK_LT(entry.layout.table_id, db::kMaxTableIds);
   catalog_[name] = std::move(entry);
 }
 
@@ -81,8 +82,7 @@ db::ScanTableInfo ShardCluster::Lookup(const std::string& table_name) const {
   auto it = catalog_.find(table_name);
   PERFEVAL_CHECK(it != catalog_.end())
       << "unknown table in replay: " << table_name;
-  return db::ScanTableInfo{it->second.id, &it->second.schema,
-                           it->second.num_rows};
+  return db::ScanTableInfo{&it->second.schema, &it->second.layout};
 }
 
 ShardedResult ShardCluster::Execute(const db::PlanPtr& plan, db::ExecMode mode,

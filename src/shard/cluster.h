@@ -84,8 +84,8 @@ struct ShardedResult {
 /// (ceil(rows/page) per shard, split buffer pools), so summed shard stats
 /// can never equal single-node numbers. The cluster instead replays each
 /// query's logical scan I/O — same code path the engine's scan operators
-/// use (db/scan_io.h) — against one StorageManager registered with the
-/// global unpartitioned layout, making the merged logical StorageStats
+/// use (db/scan_io.h) — against one StorageManager, touching the global
+/// unpartitioned layout of each table, making the merged logical StorageStats
 /// bit-identical to single-node by construction. The replay is per-query
 /// atomic (a mutex), so deltas are meaningful exactly when queries are
 /// issued serially — the same caveat db::Database::Run's stats carry under
@@ -133,9 +133,8 @@ class ShardCluster : public db::ScanIoCatalog {
 
  private:
   struct CatalogEntry {
-    uint32_t id = 0;
     db::Schema schema;
-    size_t num_rows = 0;
+    db::TableLayout layout;  ///< global layout; layout.table_id is the id.
   };
 
   ShardClusterOptions options_;
@@ -146,7 +145,7 @@ class ShardCluster : public db::ScanIoCatalog {
   /// never interleave their logical-I/O sequences.
   std::mutex replay_mu_;
   /// Global-layout snapshot per table (std::map nodes are stable, so
-  /// Lookup can hand out schema pointers).
+  /// Lookup can hand out schema and layout pointers).
   std::map<std::string, CatalogEntry> catalog_;
   uint32_t next_table_id_ = 0;
 };

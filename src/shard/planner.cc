@@ -20,11 +20,11 @@ db::PlanPtr Alias(const db::PlanPtr& owner, const db::PlanNode* node) {
 /// selections don't reshape; joins concatenate left then right).
 db::Schema OutputSchema(const db::PlanSpec& spec,
                         const std::vector<const SiteAnnotation*>& children,
-                        const db::Database& catalog) {
+                        const db::Catalog& catalog) {
   switch (spec.kind) {
     case db::PlanKind::kScan:
     case db::PlanKind::kFilterScan:
-      return catalog.GetTable(spec.table_name).schema();
+      return catalog.Get(spec.table_name).table->schema();
     case db::PlanKind::kFilter:
     case db::PlanKind::kSort:
     case db::PlanKind::kLimit:
@@ -90,7 +90,7 @@ bool JoinColocated(const db::PlanSpec& spec, const SiteAnnotation& left,
 
 void AnnotateRecursive(const db::PlanPtr& owner, const db::PlanNode* node,
                        const PartitionScheme& scheme,
-                       const db::Database& catalog,
+                       const db::Catalog& catalog,
                        std::map<const db::PlanNode*, SiteAnnotation>* out) {
   std::vector<const db::PlanNode*> children = node->Children();
   std::vector<const SiteAnnotation*> child_annots;
@@ -323,7 +323,9 @@ std::map<const db::PlanNode*, SiteAnnotation> AnnotateSites(
     const db::Database& catalog) {
   PERFEVAL_CHECK(plan != nullptr);
   std::map<const db::PlanNode*, SiteAnnotation> out;
-  AnnotateRecursive(plan, plan.get(), scheme, catalog, &out);
+  // One pinned catalog version for the whole walk.
+  std::shared_ptr<const db::Catalog> pinned = catalog.catalog();
+  AnnotateRecursive(plan, plan.get(), scheme, *pinned, &out);
   return out;
 }
 

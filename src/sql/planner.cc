@@ -271,7 +271,7 @@ db::AggOp AggOpFor(const AstExpr& node) {
 class Planner {
  public:
   Planner(const SelectStatement& statement, const db::Database& database)
-      : stmt_(statement), database_(database) {}
+      : stmt_(statement), catalog_(database.catalog()) {}
 
   Result<PlannedQuery> Plan() {
     PERFEVAL_RETURN_IF_ERROR(ResolveTables());
@@ -303,10 +303,10 @@ class Planner {
     }
     for (size_t t = 0; t < tables_.size(); ++t) {
       const std::string& table = tables_[t];
-      if (!database_.HasTable(table)) {
+      if (catalog_->Find(table) == nullptr) {
         return Status::NotFound("no table named '" + table + "'");
       }
-      const Schema& schema = database_.GetTable(table).schema();
+      const Schema& schema = catalog_->Get(table).table->schema();
       for (const db::ColumnSpec& column : schema.columns()) {
         auto [it, inserted] = column_table_.try_emplace(column.name, t);
         if (!inserted && tables_[it->second] != table) {
@@ -391,7 +391,7 @@ class Planner {
 
     auto build_base = [&](size_t index) -> Result<Bound> {
       const std::string& name = tables_[index];
-      const Schema& schema = database_.GetTable(name).schema();
+      const Schema& schema = catalog_->Get(name).table->schema();
       std::vector<std::string> used = UsedColumnsOf(index);
       if (used.empty()) {
         // A table joined only for its existence still reads its keys via
@@ -736,7 +736,9 @@ class Planner {
   }
 
   const SelectStatement& stmt_;
-  const db::Database& database_;
+  /// One pinned catalog version for the whole statement, so schema
+  /// references stay valid across a concurrent install.
+  std::shared_ptr<const db::Catalog> catalog_;
   std::vector<std::string> tables_;
   std::map<std::string, size_t> column_table_;
   std::vector<AstExprPtr> residual_;

@@ -57,9 +57,13 @@ ConfidenceInterval BootstrapMeanCI(const std::vector<double>& samples,
   PERFEVAL_CHECK_GE(samples.size(), 2u);
   PERFEVAL_CHECK(confidence > 0.0 && confidence < 1.0);
   Pcg32 rng(SplitMix64(seed), SplitMix64(seed ^ 0x62e2ac0dULL));
+  // A mean of values in [lo, hi] lies in [lo, hi], but summing n copies
+  // of one value and dividing by n can overshoot it by an ulp; clamping
+  // keeps the interval inside the sample's support.
+  auto [lo, hi] = std::minmax_element(samples.begin(), samples.end());
   std::vector<double> resamples(kBootstrapResamples);
   for (double& stat : resamples) {
-    stat = ResampledMean(samples, &rng);
+    stat = std::clamp(ResampledMean(samples, &rng), *lo, *hi);
   }
   return FromResamples(&resamples, MeanOf(samples), confidence);
 }

@@ -83,33 +83,49 @@ Status TableDelta::ApplyDelete(const std::vector<uint32_t>& base_rows,
   return Status::OK();
 }
 
+namespace {
+
+/// Positions of the rows whose delete flag is clear.
+std::vector<uint32_t> LiveRows(const std::vector<uint8_t>& deleted) {
+  std::vector<uint32_t> rows;
+  rows.reserve(deleted.size());
+  for (size_t r = 0; r < deleted.size(); ++r) {
+    if (!deleted[r]) {
+      rows.push_back(static_cast<uint32_t>(r));
+    }
+  }
+  return rows;
+}
+
+}  // namespace
+
 MergedSnapshot TableDelta::BuildMerged() const {
+  // Column-wise: with no deletes, two bulk appends; otherwise a typed
+  // gather of the live rows of each side. Either way no row is boxed into
+  // Values, and the row order (live base rows, then live inserts) is the
+  // same.
   MergedSnapshot out;
   out.table = std::make_shared<db::Table>(base_->schema());
   out.table->ReserveRows(num_live_rows());
   out.origins.reserve(num_live_rows());
-  size_t cols = base_->num_columns();
-  std::vector<db::Value> row(cols);
-  for (size_t r = 0; r < base_->num_rows(); ++r) {
-    if (base_deleted_[r]) {
-      continue;
+  auto append_side = [&](const db::Table& side,
+                         const std::vector<uint8_t>& deleted,
+                         size_t deleted_count, bool from_insert) {
+    if (deleted_count == 0) {
+      out.table->AppendTable(side);
+      for (size_t r = 0; r < side.num_rows(); ++r) {
+        out.origins.push_back({from_insert, static_cast<uint32_t>(r)});
+      }
+      return;
     }
-    for (size_t c = 0; c < cols; ++c) {
-      row[c] = base_->ValueAt(r, c);
+    std::vector<uint32_t> live = LiveRows(deleted);
+    out.table->AppendGather(side, live);
+    for (uint32_t r : live) {
+      out.origins.push_back({from_insert, r});
     }
-    out.table->AppendRow(row);
-    out.origins.push_back({false, static_cast<uint32_t>(r)});
-  }
-  for (size_t r = 0; r < insert_table_.num_rows(); ++r) {
-    if (insert_deleted_[r]) {
-      continue;
-    }
-    for (size_t c = 0; c < cols; ++c) {
-      row[c] = insert_table_.ValueAt(r, c);
-    }
-    out.table->AppendRow(row);
-    out.origins.push_back({true, static_cast<uint32_t>(r)});
-  }
+  };
+  append_side(*base_, base_deleted_, base_deleted_count_, false);
+  append_side(insert_table_, insert_deleted_, insert_deleted_count_, true);
   return out;
 }
 
@@ -166,20 +182,12 @@ void TableDelta::Compact() {
   if (insert_deleted_count_ == 0) {
     return;
   }
+  std::vector<uint32_t> live = LiveRows(insert_deleted_);
   db::Table compacted(base_->schema());
-  compacted.ReserveRows(insert_table_.num_rows() - insert_deleted_count_);
+  compacted.AppendGather(insert_table_, live);
   std::vector<uint64_t> rowids;
-  rowids.reserve(insert_table_.num_rows() - insert_deleted_count_);
-  size_t cols = insert_table_.num_columns();
-  std::vector<db::Value> row(cols);
-  for (size_t r = 0; r < insert_table_.num_rows(); ++r) {
-    if (insert_deleted_[r]) {
-      continue;
-    }
-    for (size_t c = 0; c < cols; ++c) {
-      row[c] = insert_table_.ValueAt(r, c);
-    }
-    compacted.AppendRow(row);
+  rowids.reserve(live.size());
+  for (uint32_t r : live) {
     rowids.push_back(insert_rowids_[r]);
   }
   insert_table_ = std::move(compacted);

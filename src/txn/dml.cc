@@ -69,8 +69,10 @@ Result<DmlResult> ExecuteInsert(const sql::InsertStatement& statement,
   if (!database.HasTable(statement.table)) {
     return Status::NotFound("no table named " + statement.table);
   }
-  const db::Schema& schema =
-      database.GetTableShared(statement.table)->schema();
+  // Held, not borrowed: a concurrent install may free the version.
+  std::shared_ptr<const db::Table> table =
+      database.GetTableShared(statement.table);
+  const db::Schema& schema = table->schema();
   std::vector<std::vector<db::Value>> rows;
   rows.reserve(statement.rows.size());
   for (const auto& ast_row : statement.rows) {
@@ -112,10 +114,11 @@ Result<DmlResult> ExecuteDelete(const sql::DeleteStatement& statement,
   }
   RowPredicate pred;  // null predicate: delete every row.
   if (statement.where != nullptr) {
-    const db::Schema& schema =
-        database.GetTableShared(statement.table)->schema();
-    PERFEVAL_ASSIGN_OR_RETURN(db::ExprPtr bound,
-                              sql::BindWhereExpr(statement.where, schema));
+    std::shared_ptr<const db::Table> table =
+        database.GetTableShared(statement.table);
+    PERFEVAL_ASSIGN_OR_RETURN(
+        db::ExprPtr bound,
+        sql::BindWhereExpr(statement.where, table->schema()));
     pred = [bound](const db::Table& table, uint32_t row) {
       return bound->EvalBool(table, row);
     };

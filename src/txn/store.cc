@@ -392,6 +392,10 @@ Status DeltaStore::Checkpoint() {
 }
 
 void DeltaStore::RefreshCatalog() {
+  // Declared before the lock, so the catalog version this refresh
+  // supersedes is released after state_mu_ — freeing a table version
+  // never stalls commits.
+  std::shared_ptr<const db::Catalog> superseded;
   std::lock_guard<std::mutex> lock(state_mu_);
   if (db_->check()) {
     // Checked execution extends to the write path: refuse to serve from a
@@ -405,15 +409,17 @@ void DeltaStore::RefreshCatalog() {
     }
   }
   // Install under state_mu_ so concurrent refreshes cannot regress the
-  // catalog to an older snapshot. ReplaceTable takes the exec gate
-  // exclusively inside; commit threads never take the gate, so the lock
-  // order state_mu_ -> exec gate is cycle-free.
+  // catalog to an older snapshot, and install every stale table in one
+  // catalog version so a query sees all tables of a commit or none.
+  std::vector<db::Database::TableInstall> installs;
   for (auto& [name, stale] : catalog_stale_) {
-    if (!stale) {
-      continue;
+    if (stale) {
+      installs.emplace_back(name, MergedFor(name).table);
+      stale = false;
     }
-    db_->ReplaceTable(name, MergedFor(name).table);
-    stale = false;
+  }
+  if (!installs.empty()) {
+    superseded = db_->ReplaceTables(std::move(installs));
   }
 }
 

@@ -58,10 +58,16 @@ struct DeltaStoreStats {
 ///
 /// Readers never see un-hardened data: queries observe deltas only after
 /// apply, which happens after fsync. RefreshCatalog() — installed as the
-/// Database's refresh hook — folds applied deltas into the catalog by
-/// swapping in merged snapshots (Database::ReplaceTable), so every
-/// existing operator, zone map, checked-mode invariant and the reference
-/// oracle work unchanged on mutated tables.
+/// Database's refresh hook — folds applied deltas into the catalog: it
+/// merges each stale table column-wise (TableDelta::BuildMerged) and
+/// installs all of them as one new catalog version
+/// (Database::ReplaceTables), so every existing operator, zone map,
+/// checked-mode invariant and the reference oracle work unchanged on
+/// mutated tables. Installs never wait for queries: a running query keeps
+/// reading the catalog version it pinned, and a replaced version is freed
+/// when its last reader drops it. Per table, at most the pristine base
+/// (which the delta layers over), the current version and versions still
+/// pinned by running queries are alive.
 ///
 /// Checkpoint() compacts and serializes the deltas plus the WAL horizon
 /// to ckpt.tmp, fsyncs, atomically renames over the checkpoint file, then
@@ -132,9 +138,9 @@ class DeltaStore {
   /// Serializes against commits. May throw CrashException.
   Status Checkpoint();
 
-  /// Folds applied deltas into the database catalog (merged snapshots
-  /// via ReplaceTable). Installed as the Database refresh hook; cheap
-  /// when nothing changed. In checked execution mode, runs
+  /// Folds applied deltas into the database catalog (merged snapshots,
+  /// one ReplaceTables per call). Installed as the Database refresh hook;
+  /// cheap when nothing changed. In checked execution mode, runs
   /// CheckIntegrity first and throws QueryError on violation.
   void RefreshCatalog();
 
@@ -192,8 +198,8 @@ class DeltaStore {
   std::unordered_map<uint64_t, PendingTxn> pending_;
 
   /// Guards deltas, merged cache, apply sequencing and stats. Lock order:
-  /// state_mu_ before the exec gate inside ReplaceTable (RefreshCatalog);
-  /// commit threads never take the exec gate.
+  /// state_mu_ before the Database's catalog lock (RefreshCatalog's
+  /// install); queries never wait on state_mu_ while executing.
   mutable std::mutex state_mu_;
   std::condition_variable apply_cv_;
   uint64_t next_apply_lsn_ = 1;

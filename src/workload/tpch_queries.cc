@@ -9,7 +9,7 @@ namespace {
 using db::AggOp;
 using db::AggSpec;
 using db::Col;
-using db::Database;
+using db::Catalog;
 using db::ExprPtr;
 using db::PlanPtr;
 using db::Schema;
@@ -22,15 +22,20 @@ struct Bound {
   Schema schema;
 };
 
-Bound BScan(const Database& d, const std::string& table,
-            std::vector<std::string> cols) {
-  return {db::Scan(table, std::move(cols)), d.GetTable(table).schema()};
+/// Schema of a base table in the pinned catalog version `d`.
+const Schema& SchemaOf(const Catalog& d, const std::string& table) {
+  return d.Get(table).table->schema();
 }
 
-Bound BFilterScan(const Database& d, const std::string& table,
+Bound BScan(const Catalog& d, const std::string& table,
+            std::vector<std::string> cols) {
+  return {db::Scan(table, std::move(cols)), SchemaOf(d, table)};
+}
+
+Bound BFilterScan(const Catalog& d, const std::string& table,
                   std::vector<std::string> cols, ExprPtr pred) {
   return {db::FilterScan(table, std::move(cols), std::move(pred)),
-          d.GetTable(table).schema()};
+          SchemaOf(d, table)};
 }
 
 // The helpers take Bound by const reference (plans are shared_ptrs, schemas
@@ -109,8 +114,8 @@ ExprPtr Revenue(const Schema& s) {
 
 // ---- The 22 queries ----
 
-PlanPtr BuildQ1(const Database& d) {
-  const Schema& li = d.GetTable("lineitem").schema();
+PlanPtr BuildQ1(const Catalog& d) {
+  const Schema& li = SchemaOf(d, "lineitem");
   Bound b = BFilterScan(
       d, "lineitem",
       {"l_quantity", "l_extendedprice", "l_discount", "l_tax",
@@ -132,9 +137,9 @@ PlanPtr BuildQ1(const Database& d) {
   return b.plan;
 }
 
-PlanPtr BuildQ2(const Database& d) {
-  const Schema& part = d.GetTable("part").schema();
-  const Schema& region = d.GetTable("region").schema();
+PlanPtr BuildQ2(const Catalog& d) {
+  const Schema& part = SchemaOf(d, "part");
+  const Schema& region = SchemaOf(d, "region");
   Bound p = BFilterScan(
       d, "part", {"p_partkey", "p_mfgr", "p_size", "p_type"},
       db::And(db::Eq(Col(part, "p_size"), db::LitInt(15)),
@@ -167,10 +172,10 @@ PlanPtr BuildQ2(const Database& d) {
   return BLimit(b, 100).plan;
 }
 
-PlanPtr BuildQ3(const Database& d) {
-  const Schema& cust = d.GetTable("customer").schema();
-  const Schema& ord = d.GetTable("orders").schema();
-  const Schema& li = d.GetTable("lineitem").schema();
+PlanPtr BuildQ3(const Catalog& d) {
+  const Schema& cust = SchemaOf(d, "customer");
+  const Schema& ord = SchemaOf(d, "orders");
+  const Schema& li = SchemaOf(d, "lineitem");
   Bound c = BFilterScan(d, "customer", {"c_custkey", "c_mktsegment"},
                         db::Eq(Col(cust, "c_mktsegment"),
                                db::LitString("BUILDING")));
@@ -191,9 +196,9 @@ PlanPtr BuildQ3(const Database& d) {
   return BLimit(b, 10).plan;
 }
 
-PlanPtr BuildQ4(const Database& d) {
-  const Schema& ord = d.GetTable("orders").schema();
-  const Schema& li = d.GetTable("lineitem").schema();
+PlanPtr BuildQ4(const Catalog& d) {
+  const Schema& ord = SchemaOf(d, "orders");
+  const Schema& li = SchemaOf(d, "lineitem");
   Bound o = BFilterScan(
       d, "orders", {"o_orderkey", "o_orderdate", "o_orderpriority"},
       db::And(db::Ge(Col(ord, "o_orderdate"), db::LitDate("1993-07-01")),
@@ -208,9 +213,9 @@ PlanPtr BuildQ4(const Database& d) {
   return BSort(b, {{"o_orderpriority", true}}).plan;
 }
 
-PlanPtr BuildQ5(const Database& d) {
-  const Schema& ord = d.GetTable("orders").schema();
-  const Schema& region = d.GetTable("region").schema();
+PlanPtr BuildQ5(const Catalog& d) {
+  const Schema& ord = SchemaOf(d, "orders");
+  const Schema& region = SchemaOf(d, "region");
   Bound o = BFilterScan(
       d, "orders", {"o_orderkey", "o_custkey", "o_orderdate"},
       db::And(db::Ge(Col(ord, "o_orderdate"), db::LitDate("1994-01-01")),
@@ -236,8 +241,8 @@ PlanPtr BuildQ5(const Database& d) {
   return BSort(b, {{"revenue", false}}).plan;
 }
 
-PlanPtr BuildQ6(const Database& d) {
-  const Schema& li = d.GetTable("lineitem").schema();
+PlanPtr BuildQ6(const Catalog& d) {
+  const Schema& li = SchemaOf(d, "lineitem");
   Bound b = BFilterScan(
       d, "lineitem",
       {"l_shipdate", "l_discount", "l_quantity", "l_extendedprice"},
@@ -253,9 +258,9 @@ PlanPtr BuildQ6(const Database& d) {
   return BAgg(b, {}, {{AggOp::kSum, revenue, "revenue"}}).plan;
 }
 
-PlanPtr BuildQ7(const Database& d) {
-  const Schema& li = d.GetTable("lineitem").schema();
-  const Schema& nation = d.GetTable("nation").schema();
+PlanPtr BuildQ7(const Catalog& d) {
+  const Schema& li = SchemaOf(d, "lineitem");
+  const Schema& nation = SchemaOf(d, "nation");
   Bound supp_nation =
       BProject(BScan(d, "nation", {"n_nationkey", "n_name"}),
                {{"n1_key", Col(nation, "n_nationkey")},
@@ -301,11 +306,11 @@ PlanPtr BuildQ7(const Database& d) {
       .plan;
 }
 
-PlanPtr BuildQ8(const Database& d) {
-  const Schema& part = d.GetTable("part").schema();
-  const Schema& ord = d.GetTable("orders").schema();
-  const Schema& nation = d.GetTable("nation").schema();
-  const Schema& region = d.GetTable("region").schema();
+PlanPtr BuildQ8(const Catalog& d) {
+  const Schema& part = SchemaOf(d, "part");
+  const Schema& ord = SchemaOf(d, "orders");
+  const Schema& nation = SchemaOf(d, "nation");
+  const Schema& region = SchemaOf(d, "region");
   Bound p = BFilterScan(d, "part", {"p_partkey", "p_type"},
                         db::Eq(Col(part, "p_type"),
                                db::LitString("ECONOMY ANODIZED STEEL")));
@@ -351,8 +356,8 @@ PlanPtr BuildQ8(const Database& d) {
   return BSort(b, {{"o_year", true}}).plan;
 }
 
-PlanPtr BuildQ9(const Database& d) {
-  const Schema& part = d.GetTable("part").schema();
+PlanPtr BuildQ9(const Catalog& d) {
+  const Schema& part = SchemaOf(d, "part");
   Bound p = BFilterScan(d, "part", {"p_partkey", "p_name"},
                         db::Contains(Col(part, "p_name"), "green"));
   Bound l = BScan(d, "lineitem",
@@ -381,9 +386,9 @@ PlanPtr BuildQ9(const Database& d) {
   return BSort(b, {{"nation", true}, {"o_year", false}}).plan;
 }
 
-PlanPtr BuildQ10(const Database& d) {
-  const Schema& ord = d.GetTable("orders").schema();
-  const Schema& li = d.GetTable("lineitem").schema();
+PlanPtr BuildQ10(const Catalog& d) {
+  const Schema& ord = SchemaOf(d, "orders");
+  const Schema& li = SchemaOf(d, "lineitem");
   Bound o = BFilterScan(
       d, "orders", {"o_orderkey", "o_custkey", "o_orderdate"},
       db::And(db::Ge(Col(ord, "o_orderdate"), db::LitDate("1993-10-01")),
@@ -408,8 +413,8 @@ PlanPtr BuildQ10(const Database& d) {
   return BLimit(b, 20).plan;
 }
 
-PlanPtr BuildQ11(const Database& d) {
-  const Schema& nation = d.GetTable("nation").schema();
+PlanPtr BuildQ11(const Catalog& d) {
+  const Schema& nation = SchemaOf(d, "nation");
   Bound ps = BScan(d, "partsupp",
                    {"ps_partkey", "ps_suppkey", "ps_availqty",
                     "ps_supplycost"});
@@ -426,8 +431,8 @@ PlanPtr BuildQ11(const Database& d) {
   return BLimit(b, 100).plan;
 }
 
-PlanPtr BuildQ12(const Database& d) {
-  const Schema& li = d.GetTable("lineitem").schema();
+PlanPtr BuildQ12(const Catalog& d) {
+  const Schema& li = SchemaOf(d, "lineitem");
   Bound l = BFilterScan(
       d, "lineitem",
       {"l_orderkey", "l_shipmode", "l_commitdate", "l_receiptdate",
@@ -455,8 +460,8 @@ PlanPtr BuildQ12(const Database& d) {
   return BSort(b, {{"l_shipmode", true}}).plan;
 }
 
-PlanPtr BuildQ13(const Database& d) {
-  const Schema& ord = d.GetTable("orders").schema();
+PlanPtr BuildQ13(const Catalog& d) {
+  const Schema& ord = SchemaOf(d, "orders");
   Bound o = BFilterScan(
       d, "orders", {"o_orderkey", "o_custkey", "o_comment"},
       db::Not(db::Like(Col(ord, "o_comment"), "%special%requests%")));
@@ -467,8 +472,8 @@ PlanPtr BuildQ13(const Database& d) {
   return BSort(b, {{"custdist", false}, {"c_count", false}}).plan;
 }
 
-PlanPtr BuildQ14(const Database& d) {
-  const Schema& li = d.GetTable("lineitem").schema();
+PlanPtr BuildQ14(const Catalog& d) {
+  const Schema& li = SchemaOf(d, "lineitem");
   Bound l = BFilterScan(
       d, "lineitem",
       {"l_partkey", "l_shipdate", "l_extendedprice", "l_discount"},
@@ -491,8 +496,8 @@ PlanPtr BuildQ14(const Database& d) {
   return b.plan;
 }
 
-PlanPtr BuildQ15(const Database& d) {
-  const Schema& li = d.GetTable("lineitem").schema();
+PlanPtr BuildQ15(const Catalog& d) {
+  const Schema& li = SchemaOf(d, "lineitem");
   Bound l = BFilterScan(
       d, "lineitem",
       {"l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"},
@@ -514,8 +519,8 @@ PlanPtr BuildQ15(const Database& d) {
   return b.plan;
 }
 
-PlanPtr BuildQ16(const Database& d) {
-  const Schema& part = d.GetTable("part").schema();
+PlanPtr BuildQ16(const Catalog& d) {
+  const Schema& part = SchemaOf(d, "part");
   Bound p = BFilterScan(
       d, "part", {"p_partkey", "p_brand", "p_type", "p_size"},
       db::And(db::And(db::Ne(Col(part, "p_brand"),
@@ -536,9 +541,9 @@ PlanPtr BuildQ16(const Database& d) {
       .plan;
 }
 
-PlanPtr BuildQ17(const Database& d) {
-  const Schema& part = d.GetTable("part").schema();
-  const Schema& li = d.GetTable("lineitem").schema();
+PlanPtr BuildQ17(const Catalog& d) {
+  const Schema& part = SchemaOf(d, "part");
+  const Schema& li = SchemaOf(d, "lineitem");
   Bound p = BFilterScan(
       d, "part", {"p_partkey", "p_brand", "p_container"},
       db::And(db::Eq(Col(part, "p_brand"), db::LitString("Brand#23")),
@@ -556,7 +561,7 @@ PlanPtr BuildQ17(const Database& d) {
   return b.plan;
 }
 
-PlanPtr BuildQ18(const Database& d) {
+PlanPtr BuildQ18(const Catalog& d) {
   Bound l = BScan(d, "lineitem", {"l_orderkey", "l_quantity"});
   Bound big = BAgg(l, {"l_orderkey"},
                    {{AggOp::kSum, Col(l.schema, "l_quantity"), "sum_qty"}});
@@ -579,7 +584,7 @@ PlanPtr BuildQ18(const Database& d) {
   return BLimit(b, 100).plan;
 }
 
-PlanPtr BuildQ19(const Database& d) {
+PlanPtr BuildQ19(const Catalog& d) {
   Bound l = BScan(d, "lineitem",
                   {"l_partkey", "l_quantity", "l_extendedprice",
                    "l_discount", "l_shipmode", "l_shipinstruct"});
@@ -617,10 +622,10 @@ PlanPtr BuildQ19(const Database& d) {
       .plan;
 }
 
-PlanPtr BuildQ20(const Database& d) {
-  const Schema& part = d.GetTable("part").schema();
-  const Schema& ps_schema = d.GetTable("partsupp").schema();
-  const Schema& nation = d.GetTable("nation").schema();
+PlanPtr BuildQ20(const Catalog& d) {
+  const Schema& part = SchemaOf(d, "part");
+  const Schema& ps_schema = SchemaOf(d, "partsupp");
+  const Schema& nation = SchemaOf(d, "nation");
   Bound p = BFilterScan(d, "part", {"p_partkey", "p_name"},
                         db::Like(Col(part, "p_name"), "forest%"));
   Bound ps = BFilterScan(
@@ -639,10 +644,10 @@ PlanPtr BuildQ20(const Database& d) {
   return BSort(b, {{"s_name", true}}).plan;
 }
 
-PlanPtr BuildQ21(const Database& d) {
-  const Schema& li = d.GetTable("lineitem").schema();
-  const Schema& ord = d.GetTable("orders").schema();
-  const Schema& nation = d.GetTable("nation").schema();
+PlanPtr BuildQ21(const Catalog& d) {
+  const Schema& li = SchemaOf(d, "lineitem");
+  const Schema& ord = SchemaOf(d, "orders");
+  const Schema& nation = SchemaOf(d, "nation");
   Bound l = BFilterScan(
       d, "lineitem", {"l_orderkey", "l_suppkey", "l_receiptdate",
                       "l_commitdate"},
@@ -662,8 +667,8 @@ PlanPtr BuildQ21(const Database& d) {
   return BLimit(b, 100).plan;
 }
 
-PlanPtr BuildQ22(const Database& d) {
-  const Schema& cust = d.GetTable("customer").schema();
+PlanPtr BuildQ22(const Catalog& d) {
+  const Schema& cust = SchemaOf(d, "customer");
   Bound c = BFilterScan(
       d, "customer", {"c_phone", "c_acctbal"},
       db::And(db::InStrings(db::Substr(Col(cust, "c_phone"), 1, 2),
@@ -682,7 +687,7 @@ struct QueryEntry {
   int number;
   const char* name;
   const char* simplification;
-  PlanPtr (*build)(const Database&);
+  PlanPtr (*build)(const Catalog&);
 };
 
 const QueryEntry kQueries[] = {
@@ -732,7 +737,10 @@ const QueryEntry kQueries[] = {
 }  // namespace
 
 db::PlanPtr TpchQuery::Build(const db::Database& database) const {
-  return kQueries[number - 1].build(database);
+  // Schemas are bound against one pinned catalog version, so they stay
+  // valid while the write path installs new table versions.
+  std::shared_ptr<const db::Catalog> catalog = database.catalog();
+  return kQueries[number - 1].build(*catalog);
 }
 
 const std::vector<TpchQuery>& AllTpchQueries() {

@@ -95,6 +95,51 @@ TEST(ColumnTest, LeadingNullIsNotDropped) {
   EXPECT_EQ(col.GetInt64(1), 7);
 }
 
+TEST(ColumnTest, AppendGatherCopiesRowsAndNulls) {
+  Column src(DataType::kString);
+  src.AppendString("a");
+  src.AppendNull();
+  src.AppendString("c");
+  Column dst(DataType::kString);
+  dst.AppendString("x");
+  dst.AppendGather(src, {2, 1, 2});
+  ASSERT_EQ(dst.size(), 4u);
+  ASSERT_TRUE(dst.has_nulls());
+  EXPECT_EQ(dst.GetString(0), "x");
+  EXPECT_FALSE(dst.IsNull(0));  // backfilled row stays non-NULL.
+  EXPECT_EQ(dst.GetString(1), "c");
+  EXPECT_TRUE(dst.IsNull(2));
+  EXPECT_EQ(dst.GetString(3), "c");
+  EXPECT_FALSE(dst.IsNull(3));
+}
+
+TEST(ColumnTest, AppendGatherOfNonNullRowsKeepsMaskLazy) {
+  // Same as appending the rows one value at a time: no NULL gathered, no
+  // mask, so null-free fast paths downstream stay available.
+  Column src(DataType::kInt64);
+  src.AppendInt64(1);
+  src.AppendNull();
+  src.AppendInt64(3);
+  Column leading(DataType::kInt64);  // first gathered row is the NULL.
+  leading.AppendGather(src, {1, 0});
+  ASSERT_TRUE(leading.has_nulls());
+  EXPECT_TRUE(leading.IsNull(0));
+  EXPECT_FALSE(leading.IsNull(1));
+
+  Column dst(DataType::kInt64);
+  dst.AppendGather(src, {0, 2});
+  EXPECT_FALSE(dst.has_nulls());
+  ASSERT_EQ(dst.size(), 2u);
+  EXPECT_EQ(dst.GetInt64(0), 1);
+  EXPECT_EQ(dst.GetInt64(1), 3);
+  // Once a NULL exists, later gathers extend the mask row for row.
+  dst.AppendGather(src, {1, 0});
+  ASSERT_TRUE(dst.has_nulls());
+  EXPECT_FALSE(dst.IsNull(1));
+  EXPECT_TRUE(dst.IsNull(2));
+  EXPECT_FALSE(dst.IsNull(3));
+}
+
 TEST(ColumnDeathTest, TypeMismatchAborts) {
   Column col(DataType::kInt64);
   EXPECT_DEATH(col.AppendDouble(1.0), "CHECK failed");

@@ -1,5 +1,9 @@
 #include "db/database.h"
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace perfeval {
@@ -133,6 +137,128 @@ TEST(DatabaseTest, ProfileAccompaniesEveryRun) {
   database.RegisterTable("t", MakeTable(100));
   QueryResult result = database.Run(Scan("t"));
   EXPECT_FALSE(result.profile.traces().empty());
+}
+
+// ---- Catalog versions: pinned snapshots and version lifetime ----
+
+TEST(CatalogVersionTest, PinnedVersionIsUndisturbedByInstall) {
+  Database database;
+  database.RegisterTable("t", MakeTable(10));
+  std::shared_ptr<const Catalog> pinned = database.catalog();
+  database.ReplaceTables({{"t", MakeTable(25)}});
+
+  // The pinned snapshot still sees version 0 whole: rows, stats, layout.
+  const TableVersion& old = pinned->Get("t");
+  EXPECT_EQ(old.table->num_rows(), 10u);
+  EXPECT_EQ(old.stats.rows, 10u);
+  EXPECT_EQ(old.layout.num_rows, 10u);
+  EXPECT_EQ(old.layout.version, 0u);
+  // The live catalog moved on, keeping the table id.
+  const TableVersion& now = database.catalog()->Get("t");
+  EXPECT_EQ(now.table->num_rows(), 25u);
+  EXPECT_EQ(now.stats.rows, 25u);
+  EXPECT_EQ(now.layout.version, 1u);
+  EXPECT_EQ(now.layout.table_id, old.layout.table_id);
+  EXPECT_EQ(database.GetTableStats("t")->rows, 25u);
+  EXPECT_EQ(database.Run(Scan("t")).table->num_rows(), 25u);
+}
+
+TEST(CatalogVersionTest, ReplacedVersionDiesWithItsLastHolder) {
+  Database database;
+  database.RegisterTable("t", MakeTable(10));
+  std::weak_ptr<const Table> first = database.GetTableShared("t");
+  std::shared_ptr<const Table> holder = database.GetTableShared("t");
+  std::shared_ptr<const Catalog> pinned = database.catalog();
+  database.ReplaceTables({{"t", MakeTable(11)}});
+  EXPECT_FALSE(first.expired());
+  holder.reset();
+  EXPECT_FALSE(first.expired());  // the pinned catalog still reads it.
+  pinned.reset();
+  EXPECT_TRUE(first.expired());
+}
+
+TEST(CatalogVersionTest, AtMostTheLiveVersionSurvivesManyInstalls) {
+  Database database;
+  database.RegisterTable("t", MakeTable(4));
+  std::vector<std::weak_ptr<const Table>> versions;
+  versions.push_back(database.GetTableShared("t"));
+  for (int i = 0; i < 100; ++i) {
+    database.ReplaceTables(
+        {{"t", MakeTable(5 + static_cast<size_t>(i % 3))}});
+    versions.push_back(database.GetTableShared("t"));
+  }
+  size_t alive = 0;
+  for (const auto& version : versions) {
+    alive += version.expired() ? 0 : 1;
+  }
+  EXPECT_EQ(alive, 1u);
+  EXPECT_FALSE(versions.back().expired());
+  EXPECT_EQ(database.catalog()->Get("t").layout.version, 100u);
+}
+
+TEST(CatalogVersionTest, InstallsOfSeveralTablesLandTogether) {
+  Database database;
+  database.RegisterTable("a", MakeTable(1));
+  database.RegisterTable("b", MakeTable(1));
+  std::shared_ptr<const Catalog> before = database.catalog();
+  std::shared_ptr<const Catalog> superseded =
+      database.ReplaceTables({{"a", MakeTable(2)}, {"b", MakeTable(3)}});
+  EXPECT_EQ(superseded, before);
+  std::shared_ptr<const Catalog> after = database.catalog();
+  EXPECT_EQ(after->Get("a").table->num_rows(), 2u);
+  EXPECT_EQ(after->Get("b").table->num_rows(), 3u);
+  EXPECT_EQ(after->names(), before->names());
+}
+
+TEST(CatalogVersionTest, OldVersionPagesNeverWarmTheNewVersion) {
+  StorageManager storage(DiskModel(), 64, 4);
+  TableLayout v0 = BuildTableLayout(*MakeTable(8), 4);  // 2 pages/column.
+  TableLayout v1 = v0;
+  v1.version = 1;
+  storage.TouchColumn(v0, 0);
+  EXPECT_EQ(storage.stats().page_misses, 2);
+  // Same table id, column and chunks, but another version: cold.
+  storage.TouchColumn(v1, 0);
+  EXPECT_EQ(storage.stats().page_misses, 4);
+  EXPECT_EQ(storage.stats().page_hits, 0);
+  // Installing v1 evicts every other version; v1's own pages stay warm.
+  storage.EvictTable(v1.table_id, v1.version);
+  storage.ResetStats();
+  storage.TouchColumn(v1, 0);
+  EXPECT_EQ(storage.stats().page_hits, 2);
+  storage.TouchColumn(v0, 0);
+  EXPECT_EQ(storage.stats().page_misses, 2);
+}
+
+TEST(CatalogVersionTest, ConcurrentQueriesAndInstallsAreClean) {
+  // Readers scan while a writer installs new versions; every result is
+  // one whole version (row count from the set installed), never a mix.
+  Database database;
+  database.set_threads(2);
+  database.RegisterTable("t", MakeTable(64));
+  PlanPtr plan =
+      FilterScan("t", {"k"}, Ge(Col(MakeTable(0)->schema(), "k"), LitInt(0)));
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        size_t rows = database.Run(plan).table->num_rows();
+        if (rows != 64 && rows != 128) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (int i = 0; i < 50; ++i) {
+    database.ReplaceTables({{"t", MakeTable(i % 2 == 0 ? 128 : 64)}});
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& reader : readers) {
+    reader.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
 }
 
 }  // namespace

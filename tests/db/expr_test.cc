@@ -142,6 +142,14 @@ struct LikeCase {
   bool expected;
 };
 
+// Prints a case by its content. Without it gtest dumps the struct's raw
+// bytes, i.e. the literals' load addresses, and the test names that ctest
+// derives from the parameter change with every build and run.
+void PrintTo(const LikeCase& c, std::ostream* os) {
+  *os << "'" << c.text << "' LIKE '" << c.pattern << "' is "
+      << (c.expected ? "true" : "false");
+}
+
 class LikeTest : public ::testing::TestWithParam<LikeCase> {};
 
 TEST_P(LikeTest, Matches) {

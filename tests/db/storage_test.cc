@@ -23,23 +23,40 @@ std::shared_ptr<Table> MakeIntTable(size_t rows) {
   return table;
 }
 
+/// The layout of `table` under `table_id`, paged the way `storage` pages.
+TableLayout LayoutOf(const StorageManager& storage, uint32_t table_id,
+                     const Table& table) {
+  TableLayout layout = BuildTableLayout(table, storage.rows_per_page());
+  layout.table_id = table_id;
+  return layout;
+}
+
+/// Touches exactly one page: `chunk` of column `column_id`.
+void TouchPage(StorageManager* storage, const TableLayout& layout,
+               uint32_t column_id, uint32_t chunk) {
+  size_t begin = chunk * storage->rows_per_page();
+  storage->TouchMorsel(layout, {column_id}, begin, begin + 1);
+}
+
 TEST(StorageTest, RegistrationComputesChunks) {
   StorageManager storage(DiskModel(), 16, 100);
   auto table = MakeIntTable(250);
-  storage.RegisterTable(1, *table);
-  EXPECT_EQ(storage.NumChunks(1, 0), 3u);  // 100+100+50.
-  EXPECT_EQ(storage.NumChunks(1, 1), 3u);
+  TableLayout layout = LayoutOf(storage, 1, *table);
+  EXPECT_EQ(layout.num_chunks, 3u);  // 100+100+50.
+  ASSERT_EQ(layout.columns.size(), 2u);
+  EXPECT_EQ(layout.columns[0].chunk_bytes.size(), 3u);
+  EXPECT_EQ(layout.columns[1].chunk_bytes.size(), 3u);
 }
 
 TEST(StorageTest, ZoneMapsTrackMinMax) {
   StorageManager storage(DiskModel(), 16, 100);
   auto table = MakeIntTable(250);
-  storage.RegisterTable(1, *table);
-  const ZoneMap& zm0 = storage.GetZoneMap(1, 0, 0);
+  TableLayout layout = LayoutOf(storage, 1, *table);
+  const ZoneMap& zm0 = layout.zone_map(0, 0);
   EXPECT_TRUE(zm0.valid);
   EXPECT_DOUBLE_EQ(zm0.min, 0.0);
   EXPECT_DOUBLE_EQ(zm0.max, 99.0);
-  const ZoneMap& zm2 = storage.GetZoneMap(1, 0, 2);
+  const ZoneMap& zm2 = layout.zone_map(0, 2);
   EXPECT_DOUBLE_EQ(zm2.min, 200.0);
   EXPECT_DOUBLE_EQ(zm2.max, 249.0);
 }
@@ -47,11 +64,11 @@ TEST(StorageTest, ZoneMapsTrackMinMax) {
 TEST(StorageTest, FirstTouchMissesSecondHits) {
   StorageManager storage(DiskModel(), 16, 100);
   auto table = MakeIntTable(250);
-  storage.RegisterTable(1, *table);
-  storage.TouchColumn(1, 0);
+  TableLayout layout = LayoutOf(storage, 1, *table);
+  storage.TouchColumn(layout, 0);
   EXPECT_EQ(storage.stats().page_misses, 3);
   EXPECT_EQ(storage.stats().page_hits, 0);
-  storage.TouchColumn(1, 0);
+  storage.TouchColumn(layout, 0);
   EXPECT_EQ(storage.stats().page_misses, 3);
   EXPECT_EQ(storage.stats().page_hits, 3);
 }
@@ -59,11 +76,11 @@ TEST(StorageTest, FirstTouchMissesSecondHits) {
 TEST(StorageTest, FlushMakesPagesColdAgain) {
   StorageManager storage(DiskModel(), 16, 100);
   auto table = MakeIntTable(250);
-  storage.RegisterTable(1, *table);
-  storage.TouchColumn(1, 0);
+  TableLayout layout = LayoutOf(storage, 1, *table);
+  storage.TouchColumn(layout, 0);
   storage.FlushCaches();
   storage.ResetStats();
-  storage.TouchColumn(1, 0);
+  storage.TouchColumn(layout, 0);
   EXPECT_EQ(storage.stats().page_misses, 3);
 }
 
@@ -73,13 +90,13 @@ TEST(StorageTest, MissesChargeStallTime) {
   slow.ns_per_byte = 100.0;
   StorageManager storage(slow, 16, 100);
   auto table = MakeIntTable(100);
-  storage.RegisterTable(1, *table);
+  TableLayout layout = LayoutOf(storage, 1, *table);
   EXPECT_EQ(storage.total_stall_ns(), 0);
-  storage.TouchColumn(1, 0);
+  storage.TouchColumn(layout, 0);
   // One page: seek + 800 bytes * 100 ns.
   EXPECT_EQ(storage.total_stall_ns(), 1'000'000 + 80'000);
   int64_t after_miss = storage.total_stall_ns();
-  storage.TouchColumn(1, 0);  // hit: no extra charge.
+  storage.TouchColumn(layout, 0);  // hit: no extra charge.
   EXPECT_EQ(storage.total_stall_ns(), after_miss);
 }
 
@@ -89,8 +106,8 @@ TEST(StorageTest, SequentialReadsSkipSeek) {
   model.ns_per_byte = 0.0;
   StorageManager storage(model, 16, 10);
   auto table = MakeIntTable(40);  // 4 chunks per column.
-  storage.RegisterTable(1, *table);
-  storage.TouchColumn(1, 0);
+  TableLayout layout = LayoutOf(storage, 1, *table);
+  storage.TouchColumn(layout, 0);
   // First page seeks, the following three are sequential.
   EXPECT_EQ(storage.total_stall_ns(), 1'000'000);
 }
@@ -99,36 +116,36 @@ TEST(StorageTest, LruEvictionUnderPressure) {
   // Pool holds 2 pages; touching 3 pages cycles them out.
   StorageManager storage(DiskModel(), 2, 10);
   auto table = MakeIntTable(30);  // 3 chunks.
-  storage.RegisterTable(1, *table);
-  storage.TouchColumn(1, 0);  // pages 0,1,2: page 0 evicted.
+  TableLayout layout = LayoutOf(storage, 1, *table);
+  storage.TouchColumn(layout, 0);  // pages 0,1,2: page 0 evicted.
   storage.ResetStats();
-  storage.TouchPage(PageId{1, 0, 0});
+  TouchPage(&storage, layout, 0, 0);
   EXPECT_EQ(storage.stats().page_misses, 1);  // evicted earlier.
   storage.ResetStats();
-  storage.TouchPage(PageId{1, 0, 0});
+  TouchPage(&storage, layout, 0, 0);
   EXPECT_EQ(storage.stats().page_hits, 1);
 }
 
 TEST(StorageTest, LruKeepsRecentlyUsedPage) {
   StorageManager storage(DiskModel(), 2, 10);
   auto table = MakeIntTable(30);
-  storage.RegisterTable(1, *table);
-  storage.TouchPage(PageId{1, 0, 0});
-  storage.TouchPage(PageId{1, 0, 1});
-  storage.TouchPage(PageId{1, 0, 0});  // refresh page 0.
-  storage.TouchPage(PageId{1, 0, 2});  // evicts page 1, not page 0.
+  TableLayout layout = LayoutOf(storage, 1, *table);
+  TouchPage(&storage, layout, 0, 0);
+  TouchPage(&storage, layout, 0, 1);
+  TouchPage(&storage, layout, 0, 0);  // refresh page 0.
+  TouchPage(&storage, layout, 0, 2);  // evicts page 1, not page 0.
   storage.ResetStats();
-  storage.TouchPage(PageId{1, 0, 0});
+  TouchPage(&storage, layout, 0, 0);
   EXPECT_EQ(storage.stats().page_hits, 1);
-  storage.TouchPage(PageId{1, 0, 1});
+  TouchPage(&storage, layout, 0, 1);
   EXPECT_EQ(storage.stats().page_misses, 1);
 }
 
 TEST(StorageTest, TouchColumnRangeOnlyTouchesOverlappingPages) {
   StorageManager storage(DiskModel(), 16, 100);
   auto table = MakeIntTable(1000);  // 10 chunks.
-  storage.RegisterTable(1, *table);
-  storage.TouchColumnRange(1, 0, 250, 451);  // chunks 2, 3, 4.
+  TableLayout layout = LayoutOf(storage, 1, *table);
+  storage.TouchMorsel(layout, {0}, 250, 451);  // chunks 2, 3, 4.
   EXPECT_EQ(storage.stats().page_misses, 3);
 }
 
@@ -136,15 +153,15 @@ TEST(StorageTest, StringColumnsHaveInvalidZoneMaps) {
   StorageManager storage(DiskModel(), 16, 100);
   Table table(Schema({{"s", DataType::kString}}));
   table.AppendRow({Value::String("a")});
-  storage.RegisterTable(2, table);
-  EXPECT_FALSE(storage.GetZoneMap(2, 0, 0).valid);
+  TableLayout layout = LayoutOf(storage, 2, table);
+  EXPECT_FALSE(layout.zone_map(0, 0).valid);
 }
 
 TEST(StorageTest, StatsToStringMentionsPages) {
   StorageManager storage(DiskModel(), 4, 10);
   auto table = MakeIntTable(10);
-  storage.RegisterTable(1, *table);
-  storage.TouchColumn(1, 0);
+  TableLayout layout = LayoutOf(storage, 1, *table);
+  storage.TouchColumn(layout, 0);
   EXPECT_NE(storage.stats().ToString().find("misses"), std::string::npos);
 }
 
@@ -158,14 +175,14 @@ TEST(StorageTest, PartialLastChunkChargesActualBytes) {
   model.ns_per_byte = 1.0;
   StorageManager storage(model, 16, 100);
   auto table = MakeIntTable(250);
-  storage.RegisterTable(1, *table);
-  storage.TouchColumn(1, 0);
+  TableLayout layout = LayoutOf(storage, 1, *table);
+  storage.TouchColumn(layout, 0);
   EXPECT_EQ(storage.stats().bytes_read, 2000);
   EXPECT_EQ(storage.stats().stall_ns, 2000);
   // A range touching only the short last chunk charges exactly its bytes.
   storage.FlushCaches();
   storage.ResetStats();
-  storage.TouchColumnRange(1, 0, 200, 250);
+  storage.TouchMorsel(layout, {0}, 200, 250);
   EXPECT_EQ(storage.stats().bytes_read, 400);
 }
 
@@ -175,13 +192,13 @@ TEST(StorageTest, HitAdvancesStreamHead) {
   model.ns_per_byte = 0.0;
   StorageManager storage(model, 16, 10);
   auto table = MakeIntTable(40);  // 4 chunks per column.
-  storage.RegisterTable(1, *table);
+  TableLayout layout = LayoutOf(storage, 1, *table);
   // Warm chunk 1 (one seek), then scan 0..3. Chunk 0 misses with a seek,
   // chunk 1 hits — and must advance the stream head — so chunks 2 and 3
   // continue the sequential stream seek-free. The old code left the head
   // at 0 across the hit and charged a third, spurious seek on chunk 2.
-  storage.TouchPage(PageId{1, 0, 1});
-  storage.TouchColumn(1, 0);
+  TouchPage(&storage, layout, 0, 1);
+  storage.TouchColumn(layout, 0);
   EXPECT_EQ(storage.total_stall_ns(), 2'000'000);
 }
 
@@ -197,9 +214,9 @@ TEST(StorageTest, ZoneMapsAreNanSafe) {
   // Page 1: all NaN.
   table.AppendRow({Value::Double(nan)});
   table.AppendRow({Value::Double(nan)});
-  storage.RegisterTable(3, table);
+  TableLayout layout = LayoutOf(storage, 3, table);
 
-  const ZoneMap& zm0 = storage.GetZoneMap(3, 0, 0);
+  const ZoneMap& zm0 = layout.zone_map(0, 0);
   EXPECT_TRUE(zm0.valid);
   EXPECT_TRUE(zm0.has_nan);
   EXPECT_DOUBLE_EQ(zm0.min, 3.0);
@@ -208,7 +225,7 @@ TEST(StorageTest, ZoneMapsAreNanSafe) {
   SimplePredicate gt{0, CmpOp::kGt, 10.0};
   EXPECT_FALSE(zm0.Prunable(gt.MightMatch(zm0.min, zm0.max)));
 
-  const ZoneMap& zm1 = storage.GetZoneMap(3, 0, 1);
+  const ZoneMap& zm1 = layout.zone_map(0, 1);
   EXPECT_FALSE(zm1.valid);
   EXPECT_TRUE(zm1.has_nan);
   EXPECT_FALSE(zm1.Prunable(false));
@@ -217,8 +234,8 @@ TEST(StorageTest, ZoneMapsAreNanSafe) {
 TEST(StorageTest, NanFreeZonesStayPrunable) {
   StorageManager storage(DiskModel(), 16, 100);
   auto table = MakeIntTable(250);
-  storage.RegisterTable(1, *table);
-  const ZoneMap& zm = storage.GetZoneMap(1, 0, 0);  // [0, 99].
+  TableLayout layout = LayoutOf(storage, 1, *table);
+  const ZoneMap& zm = layout.zone_map(0, 0);  // [0, 99].
   SimplePredicate gt{0, CmpOp::kGt, 1000.0};
   EXPECT_TRUE(zm.Prunable(gt.MightMatch(zm.min, zm.max)));
 }
@@ -229,14 +246,14 @@ TEST(StorageTest, TouchMorselReturnsPerCallDelta) {
   model.ns_per_byte = 1.0;
   StorageManager storage(model, 16, 100);
   auto table = MakeIntTable(250);
-  storage.RegisterTable(1, *table);
+  TableLayout layout = LayoutOf(storage, 1, *table);
 
   std::vector<uint32_t> cols = {0, 1};
-  StorageStats first = storage.TouchMorsel(1, cols, 0, 100);
+  StorageStats first = storage.TouchMorsel(layout, cols, 0, 100);
   EXPECT_EQ(first.page_misses, 2);  // chunk 0 of both columns.
   EXPECT_EQ(first.page_hits, 0);
   EXPECT_EQ(first.bytes_read, 1600);
-  StorageStats again = storage.TouchMorsel(1, cols, 0, 100);
+  StorageStats again = storage.TouchMorsel(layout, cols, 0, 100);
   EXPECT_EQ(again.page_misses, 0);
   EXPECT_EQ(again.page_hits, 2);
   EXPECT_EQ(again.bytes_read, 0);
@@ -256,12 +273,12 @@ TEST(StorageTest, ConcurrentTouchesKeepCountersConsistent) {
   // PERFEVAL_SANITIZE=thread this also proves the locking is complete.
   StorageManager storage(DiskModel(), 64, 100);
   auto table = MakeIntTable(1000);  // 10 chunks per column.
-  storage.RegisterTable(1, *table);
+  TableLayout layout = LayoutOf(storage, 1, *table);
   std::thread t0([&] {
-    for (int pass = 0; pass < 4; ++pass) storage.TouchColumn(1, 0);
+    for (int pass = 0; pass < 4; ++pass) storage.TouchColumn(layout, 0);
   });
   std::thread t1([&] {
-    for (int pass = 0; pass < 4; ++pass) storage.TouchColumn(1, 1);
+    for (int pass = 0; pass < 4; ++pass) storage.TouchColumn(layout, 1);
   });
   t0.join();
   t1.join();
@@ -286,8 +303,13 @@ TEST(SimplePredicateTest, ZoneMapPruning) {
 }
 
 TEST(StorageDeathTest, UnregisteredTableAborts) {
+  // The pool keeps no registry: a layout no table was built into has no
+  // pages, and touching one aborts instead of charging garbage.
   StorageManager storage(DiskModel(), 4, 10);
-  EXPECT_DEATH(storage.TouchPage(PageId{9, 0, 0}), "not registered");
+  TableLayout unregistered;
+  unregistered.table_id = 9;
+  EXPECT_DEATH(TouchPage(&storage, unregistered, 0, 0),
+               "page outside the table layout");
 }
 
 }  // namespace

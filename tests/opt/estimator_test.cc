@@ -34,7 +34,7 @@ class EstimatorTest : public ::testing::Test {
   EstimatorTest()
       : stats_(*Db()),
         model_(CostModel::Default()),
-        estimator_(stats_, model_, *Db()) {}
+        estimator_(stats_, model_) {}
 
   StatsCatalog stats_;
   CostModel model_;

@@ -47,8 +47,8 @@ TEST_P(TpchOptimizeTest, OptimizedPlanIsEquivalent) {
 
   // Downstream consumers were compiled against the rule plan's schema:
   // the optimizer must reproduce it exactly (names, order, types).
-  db::Schema before = OutputSchema(*plan, *database);
-  db::Schema after = OutputSchema(*optimized.plan, *database);
+  db::Schema before = OutputSchema(*plan, *database->catalog());
+  db::Schema after = OutputSchema(*optimized.plan, *database->catalog());
   ASSERT_EQ(before.columns().size(), after.columns().size());
   for (size_t i = 0; i < before.columns().size(); ++i) {
     EXPECT_EQ(before.columns()[i].name, after.columns()[i].name);
@@ -116,7 +116,7 @@ TEST(OptimizerTest, AbsorbsColumnEqualityFilterAsJoinEdge) {
       db::HashJoin(db::Scan("supplier"), db::Scan("nation"), "s_nationkey",
                    "n_nationkey"),
       db::Scan("customer"), "s_nationkey", "c_nationkey");
-  db::Schema schema = OutputSchema(*join, *database);
+  db::Schema schema = OutputSchema(*join, *database->catalog());
   db::PlanPtr plan = db::Aggregate(
       db::Filter(join, db::Eq(db::Col(schema, "s_nationkey"),
                               db::Col(schema, "c_nationkey"))),

@@ -113,7 +113,7 @@ TEST(TableStatsTest, DatabaseRefreshesStatsOnRegisterAndReplace) {
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(first->rows, 100u);
 
-  database.ReplaceTable("t", MakeInts(300));
+  database.ReplaceTables({{"t", MakeInts(300)}});
   std::shared_ptr<const TableStats> second = database.GetTableStats("t");
   ASSERT_NE(second, nullptr);
   EXPECT_EQ(second->rows, 300u);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "common/random.h"
@@ -22,6 +24,34 @@ TEST(BootstrapMeanCI, BracketsTheSampleMean) {
   // The data spans [9, 11]; resampled means cannot leave that range.
   EXPECT_GE(ci.lower, 9.0);
   EXPECT_LE(ci.upper, 11.0);
+}
+
+TEST(BootstrapMeanCI, IntervalStaysWithinSampleSupport) {
+  // Property: every resampled mean lies in [min, max] of the sample, so
+  // the interval does too — for any size, skew and seed. A Student-t
+  // interval on three positive timings can reach below zero; this one
+  // cannot.
+  Pcg32 rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    size_t n = 2 + rng.Next() % 12;
+    std::vector<double> samples;
+    for (size_t i = 0; i < n; ++i) {
+      // Log-normal-ish positive values with occasional heavy outliers.
+      double x = std::exp(rng.NextGaussian());
+      samples.push_back(rng.Next() % 5 == 0 ? x * 40.0 : x);
+    }
+    ConfidenceInterval ci =
+        BootstrapMeanCI(samples, 0.95, static_cast<uint64_t>(trial));
+    double lo = *std::min_element(samples.begin(), samples.end());
+    double hi = *std::max_element(samples.begin(), samples.end());
+    EXPECT_GE(ci.lower, lo) << "trial " << trial << " n=" << n;
+    EXPECT_LE(ci.upper, hi) << "trial " << trial << " n=" << n;
+    EXPECT_LE(ci.lower, ci.upper);
+  }
+  // The shape that motivated the test: three positive recovery times.
+  ConfidenceInterval three = BootstrapMeanCI({0.021, 0.034, 0.118}, 0.95, 1);
+  EXPECT_GE(three.lower, 0.021);
+  EXPECT_LE(three.upper, 0.118);
 }
 
 TEST(BootstrapMeanCI, DeterministicForFixedSeed) {

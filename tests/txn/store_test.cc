@@ -498,6 +498,108 @@ TEST(DeltaStoreTest, ConcurrentIngestAndScanIsCleanAndMonotone) {
             uint64_t{kWriters} * kCommitsPerWriter * kRowsPerCommit);
 }
 
+TEST(DeltaStoreTest, ConcurrentReadersSeeCommitsWholeAcrossTables) {
+  // Each commit inserts one row into `t` and one into `u`; readers run one
+  // plan that reads both tables (their row counts, joined on a constant
+  // key). A catalog install lands every stale table in one version, so a
+  // result holds both tables' rows of a commit or neither.
+  auto database = MakeDb();
+  VirtualDisk disk;
+  DeltaStore store(database.get(), &disk);
+  ASSERT_TRUE(store.Open().ok());
+  auto count_of = [](const std::string& table, const std::string& key,
+                     const std::string& count) {
+    db::PlanPtr keyed = db::Project(db::Scan(table), {db::LitInt(1)}, {key});
+    return db::Aggregate(keyed, {key},
+                         {{db::AggOp::kCount, nullptr, count}});
+  };
+  db::PlanPtr both = db::HashJoin(count_of("t", "one_t", "rows_t"),
+                                  count_of("u", "one_u", "rows_u"), "one_t",
+                                  "one_u");
+  constexpr int64_t kBaseT = 8;
+  constexpr int64_t kBaseU = 1;
+
+  constexpr int kWriters = 2;
+  constexpr int kCommitsPerWriter = 40;
+  std::atomic<bool> done{false};
+  std::atomic<int> torn{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        std::shared_ptr<const db::Table> result = database->Run(both).table;
+        if (result->num_rows() != 1) {
+          failures.fetch_add(1);
+          continue;
+        }
+        int64_t commits_t = result->ValueAt(0, 1).AsInt64() - kBaseT;
+        int64_t commits_u = result->ValueAt(0, 3).AsInt64() - kBaseU;
+        if (commits_t != commits_u) {
+          torn.fetch_add(1);
+        }
+      }
+    });
+  }
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&store, &failures, w] {
+      for (int i = 0; i < kCommitsPerWriter; ++i) {
+        int64_t id = 1000 + w * 1000 + i;
+        uint64_t txn = store.Begin();
+        if (!store.BufferInsert(txn, "t", IntRows({id})).ok() ||
+            !store
+                 .BufferInsert(txn, "u",
+                               {{db::Value::Int64(id),
+                                 db::Value::String("row")}})
+                 .ok() ||
+            !store.Commit(txn).ok()) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : writers) {
+    t.join();
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) {
+    t.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(torn.load(), 0);
+  std::shared_ptr<const db::Table> final_counts = database->Run(both).table;
+  EXPECT_EQ(final_counts->ValueAt(0, 1).AsInt64(),
+            kBaseT + kWriters * kCommitsPerWriter);
+  EXPECT_EQ(final_counts->ValueAt(0, 3).AsInt64(),
+            kBaseU + kWriters * kCommitsPerWriter);
+}
+
+TEST(DeltaStoreTest, ReplacedTableVersionsAreFreed) {
+  // After 100 installs of `t`, only the pristine base (which the delta
+  // layers over) and the live version may be alive; every replaced
+  // merged version died with its last reader.
+  auto database = MakeDb();
+  VirtualDisk disk;
+  DeltaStore store(database.get(), &disk);
+  ASSERT_TRUE(store.Open().ok());
+  std::vector<std::weak_ptr<const db::Table>> versions;
+  versions.push_back(database->GetTableShared("t"));
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(CommitInsert(store, "t", IntRows({100 + i})).ok());
+    database->Refresh();
+    versions.push_back(database->GetTableShared("t"));
+  }
+  size_t alive = 0;
+  for (const auto& version : versions) {
+    alive += version.expired() ? 0 : 1;
+  }
+  EXPECT_LE(alive, 2u);
+  EXPECT_FALSE(versions.front().expired());  // the pristine base.
+  EXPECT_FALSE(versions.back().expired());   // the live version.
+  EXPECT_EQ(database->GetTable("t").num_rows(), 108u);
+}
+
 }  // namespace
 }  // namespace txn
 }  // namespace perfeval

@@ -109,7 +109,9 @@ txn() {
   # crash-point fuzz sweep and the A9 bench's fast path in Release, then
   # the crash fuzzer again under ASan+UBSan (recovery code paths shuffle
   # buffers around torn/corrupt frames — exactly where an OOB hides), and
-  # the concurrent ingest+scan test under ThreadSanitizer.
+  # the concurrent ingest+scan tests and the catalog-version tests
+  # (pinned snapshots, version lifetime, installs racing queries) under
+  # ThreadSanitizer.
   cmake -B build -S .
   cmake --build build "$jobs_flag" --target txn_test bench_write_path
   ctest --test-dir build --output-on-failure -L txn
@@ -117,10 +119,10 @@ txn() {
   cmake --build build-asan "$jobs_flag" --target txn_test
   ctest --test-dir build-asan --output-on-failure -R 'CrashFuzz|Wal|VirtualDisk|TableDelta'
   cmake -B build-tsan -S . -DPERFEVAL_SANITIZE=thread
-  cmake --build build-tsan "$jobs_flag" --target txn_test
-  # -R keeps the TSan pass to the txn_test cases (the bench smoke under
-  # the same label is built only in the Release tree).
-  ctest --test-dir build-tsan --output-on-failure -L txn -R 'DeltaStore'
+  cmake --build build-tsan "$jobs_flag" --target txn_test db_test
+  # -R keeps the TSan pass to the named txn_test and db_test cases (the
+  # bench smoke under the txn label is built only in the Release tree).
+  ctest --test-dir build-tsan --output-on-failure -R 'DeltaStore|CatalogVersion'
 }
 
 engine() {
