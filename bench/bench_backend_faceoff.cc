@@ -54,6 +54,11 @@ namespace {
 
 constexpr double kDoubleTol = 1e-9;
 
+/// The sweep's hypothesis, declared before any cell runs. The outcome is
+/// reported as confirmed or refuted; only a result diff between the
+/// backends fails the run.
+constexpr char kH1[] = "the row store wins at least one cold crossover cell";
+
 /// Operator kind of a trace label: "HashJoin(l_orderkey=o_orderkey)"
 /// attributes to "HashJoin", "Scan(lineitem)" to "Scan".
 std::string OpKind(const std::string& op) {
@@ -101,6 +106,7 @@ int main(int argc, char** argv) {
   if (smoke) {
     std::printf("[smoke mode: tiny scale factor, few runs]\n\n");
   }
+  std::printf("declared before the run: H1: %s\n\n", kH1);
   double sf = ctx.properties().GetDouble("scaleFactor", 0.02);
   int runs = static_cast<int>(ctx.properties().GetInt("runs", 5));
 
@@ -316,12 +322,9 @@ int main(int argc, char** argv) {
       "narrow projections trade seeks for far fewer bytes and win, wide "
       "projections read the same bytes plus the extra seeks and lose.\n\n",
       crossover_row_wins, static_cast<int>(3 * 4));
-  if (crossover_row_wins == 0) {
-    std::fprintf(stderr,
-                 "expected at least one row-store win in the cold "
-                 "crossover sweep\n");
-    return 2;
-  }
+  const char* h1_outcome = crossover_row_wins > 0 ? "confirmed" : "refuted";
+  std::printf("H1: %s: %s (row store won %d/12 cold cells)\n\n", kH1,
+              h1_outcome, crossover_row_wins);
 
   report::ChartSpec sweep_chart;
   sweep_chart.title = "Cold scan: columnar vs row store vs projected width";
@@ -348,6 +351,10 @@ int main(int argc, char** argv) {
   json += "  \"op_attribution\": [\n" + op_json + "\n  ],\n";
   json += "  \"cold_crossover\": [\n" + sweep_json + "\n  ],\n";
   json += StrFormat("  \"crossover_row_wins\": %d,\n", crossover_row_wins);
+  json += StrFormat(
+      "  \"hypotheses\": [{\"id\": \"H1\", \"statement\": \"%s\", "
+      "\"outcome\": \"%s\"}],\n",
+      kH1, h1_outcome);
   json += "  \"queries\": 22\n";
   json += "}\n";
 
@@ -363,8 +370,9 @@ int main(int argc, char** argv) {
   ctx.AddNote(StrFormat(
       "hot TPC-H: columnar %d/22, row %d/22 (%d distinguishable at 95%%); "
       "cold crossover: row store wins %d/12 cells, winning where "
-      "projections are wide enough that equal bytes meet fewer seeks",
-      col_wins, row_wins, distinct, crossover_row_wins));
+      "projections are wide enough that equal bytes meet fewer seeks; "
+      "H1 (%s): %s",
+      col_wins, row_wins, distinct, crossover_row_wins, kH1, h1_outcome));
   ctx.Finish();
   return 0;
 }

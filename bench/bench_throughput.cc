@@ -27,7 +27,12 @@ int main(int argc, char** argv) {
   int max_streams =
       static_cast<int>(ctx.properties().GetInt("maxStreams", 4));
   db::Database database;
-  database.set_threads(ctx.DbThreads());
+  Result<int> threads = ctx.DbThreads();
+  if (!threads.ok()) {
+    std::fprintf(stderr, "%s\n", threads.status().ToString().c_str());
+    return 2;
+  }
+  database.set_threads(threads.value());
   workload::TpchGenerator gen(sf);
   gen.LoadAll(&database);
   std::printf("TPC-H scale factor %.3g, all 22 queries, dbThreads=%d\n\n",

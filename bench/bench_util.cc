@@ -1,5 +1,6 @@
 #include "bench_util.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -27,7 +28,6 @@ bool ConsumeScheduleFlag(const std::string& arg,
       {"--dbJoin=", "dbJoin"},
       {"--radixBits=", "radixBits"},
       {"--dbOpt=", "dbOpt"},
-      {"--dbBackend=", "dbBackend"},
   };
   for (const auto& flag : kFlags) {
     std::string prefix = flag.prefix;
@@ -64,7 +64,6 @@ BenchContext::BenchContext(const std::string& experiment_id,
   properties_.SetDefault("dbThreads", "1");
   properties_.SetDefault("dbJoin", "radix");
   properties_.SetDefault("dbOpt", "off");
-  properties_.SetDefault("dbBackend", "col");
   properties_.SetDefault("smoke", "false");
   std::vector<std::string> rest = properties_.OverrideFromArgs(argc, argv);
   for (const std::string& arg : rest) {
@@ -104,9 +103,15 @@ sched::Options BenchContext::ScheduleOptions() const {
   return options;
 }
 
-int BenchContext::DbThreads() const {
-  int threads = static_cast<int>(properties_.GetInt("dbThreads", 1));
-  return threads < 1 ? 1 : threads;
+Result<int> BenchContext::DbThreads() const {
+  // Unparsable text reads as 0, so it is rejected with the same message.
+  int64_t threads = properties_.GetInt("dbThreads", 0);
+  if (threads < 1 || threads > INT32_MAX) {
+    return Status::InvalidArgument(StrFormat(
+        "usage: --dbThreads=N with N >= 1 (got \"%s\")",
+        properties_.GetOr("dbThreads", "1").c_str()));
+  }
+  return static_cast<int>(threads);
 }
 
 Result<db::JoinAlgo> BenchContext::DbJoin() const {
@@ -132,18 +137,12 @@ Result<bool> BenchContext::DbOpt() const {
       StrFormat("usage: --dbOpt=on|off (got \"%s\")", text.c_str()));
 }
 
-Result<db::BackendKind> BenchContext::DbBackend() const {
-  const std::string text = properties_.GetOr("dbBackend", "col");
-  Result<db::BackendKind> kind = db::ParseBackendKind(text);
-  if (!kind.ok()) {
-    return Status::InvalidArgument(StrFormat(
-        "usage: --dbBackend=<col|row> (got \"%s\")", text.c_str()));
-  }
-  return kind;
-}
-
 Status BenchContext::ApplyDbKnobs(db::Database* database) const {
-  database->set_threads(DbThreads());
+  Result<int> threads = DbThreads();
+  if (!threads.ok()) {
+    return threads.status();
+  }
+  database->set_threads(threads.value());
   Result<db::JoinAlgo> join = DbJoin();
   if (!join.ok()) {
     return join.status();
@@ -156,11 +155,6 @@ Status BenchContext::ApplyDbKnobs(db::Database* database) const {
     return optimize.status();
   }
   database->set_optimize(optimize.value());
-  Result<db::BackendKind> backend = DbBackend();
-  if (!backend.ok()) {
-    return backend.status();
-  }
-  database->set_backend(backend.value());
   return Status::OK();
 }
 
@@ -179,8 +173,7 @@ void BenchContext::PrintHeader(const std::string& title) const {
   // 149–156): echo them in every header so a report can never be read
   // without knowing which engine configuration produced it.
   std::printf(
-      "db knobs: backend=%s threads=%s join=%s opt=%s\n",
-      properties_.GetOr("dbBackend", "col").c_str(),
+      "db knobs: threads=%s join=%s opt=%s\n",
       properties_.GetOr("dbThreads", "1").c_str(),
       properties_.GetOr("dbJoin", "radix").c_str(),
       properties_.GetOr("dbOpt", "off").c_str());

@@ -5,7 +5,6 @@
 
 #include "common/result.h"
 #include "core/environment.h"
-#include "db/backend_kind.h"
 #include "db/join.h"
 #include "repro/manifest.h"
 #include "repro/properties.h"
@@ -47,10 +46,11 @@ class BenchContext {
   sched::Options ScheduleOptions() const;
 
   /// Worker threads for morsel-driven intra-query parallelism
-  /// (`--dbThreads=N`, equivalently the `dbThreads` property). A pure
-  /// concurrency knob: query results and storage stats are identical at
-  /// any setting, only wall-clock time changes. Clamped to >= 1.
-  int DbThreads() const;
+  /// (`--dbThreads=N`, equivalently the `dbThreads` property; default 1).
+  /// A pure concurrency knob: query results and storage stats are
+  /// identical at any setting, only wall-clock time changes. A value
+  /// below 1 is a usage error, not silently clamped to 1.
+  Result<int> DbThreads() const;
 
   /// Join algorithm knob (`--dbJoin=<legacy|hash|radix|merge>`,
   /// equivalently the `dbJoin` property; default radix). Unlike the
@@ -64,14 +64,8 @@ class BenchContext {
   /// value other than on/off/true/false is a usage error.
   Result<bool> DbOpt() const;
 
-  /// Execution-backend knob (`--dbBackend=<col|row>`, equivalently the
-  /// `dbBackend` property; default col). A treatment knob with DbJoin()'s
-  /// strictness — an unrecognized backend name is a hard usage error,
-  /// never a silent fallback to the columnar engine.
-  Result<db::BackendKind> DbBackend() const;
-
   /// Applies the validated database knobs (`--dbThreads`, `--dbJoin`,
-  /// `--radixBits`, `--dbOpt`, `--dbBackend`) to `database`, returning the
+  /// `--radixBits`, `--dbOpt`) to `database`, returning the
   /// first usage error. Benches call this once after constructing their
   /// Database so every binary honours the uniform flags identically.
   Status ApplyDbKnobs(db::Database* database) const;

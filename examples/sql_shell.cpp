@@ -200,8 +200,10 @@ int main(int argc, char** argv) {
   // its execution mode at construction).
   std::unique_ptr<serve::QueryService> timing_service;
   bool timing_on = false;
-  // Created lazily on the first \backend row; kept across switches so its
-  // buffer pool stays warm (SyncFrom re-packs only changed tables).
+  // The shell's execution backend (\backend col|row). The row store is
+  // created lazily on the first \backend row and kept across switches so
+  // its buffer pool stays warm (SyncFrom re-packs only changed tables).
+  db::BackendKind backend = db::BackendKind::kColumnar;
   std::unique_ptr<engine::RowStoreBackend> row_backend;
 
   std::printf("perfeval SQL shell — TPC-H sf %.3g loaded. \\q to quit.\n",
@@ -318,7 +320,7 @@ int main(int argc, char** argv) {
                         kind.status().message().c_str());
             continue;
           }
-          database.set_backend(*kind);
+          backend = *kind;
           if (*kind == db::BackendKind::kRowStore &&
               row_backend == nullptr) {
             row_backend = engine::RowStoreBackend::Over(&database);
@@ -328,7 +330,7 @@ int main(int argc, char** argv) {
           continue;
         }
         std::printf("execution backend: %s\n",
-                    db::BackendKindName(database.backend()));
+                    db::BackendKindName(backend));
         continue;
       }
       if (StartsWith(trimmed, "\\check") && trimmed != "\\checkpoint") {
@@ -396,7 +398,7 @@ int main(int argc, char** argv) {
         continue;
       }
       if (StartsWith(trimmed, "\\trace ")) {
-        if (database.backend() == db::BackendKind::kRowStore) {
+        if (backend == db::BackendKind::kRowStore) {
           RunRowBackend(database, *row_backend, trimmed.substr(7), mode,
                         /*with_trace=*/true);
         } else {
@@ -429,7 +431,7 @@ int main(int argc, char** argv) {
       statement.clear();
       continue;
     }
-    if (database.backend() == db::BackendKind::kRowStore) {
+    if (backend == db::BackendKind::kRowStore) {
       // \timing routes through the columnar-bound QueryService; the row
       // backend prints its own server/finish split instead.
       RunRowBackend(database, *row_backend, statement, mode,

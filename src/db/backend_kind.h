@@ -8,11 +8,11 @@
 namespace perfeval {
 namespace db {
 
-/// Which execution backend serves queries. The knob travels
-/// DatabaseOptions -> SQL shell (`\backend col|row`) -> bench
-/// (`--dbBackend=`), so the same logical plan can be raced through two
-/// genuinely different physical designs under one harness — the paper's
-/// hamsterdb-vs-berkeleydb shape reproduced internally.
+/// Which execution backend serves queries: engine::CreateBackend builds
+/// either one over a db::Database (A12 races both; the SQL shell switches
+/// with `\backend col|row`), so the same logical plan can be raced through
+/// two genuinely different physical designs under one harness — the
+/// paper's hamsterdb-vs-berkeleydb shape reproduced internally.
 ///
 ///  - kColumnar: the operator-at-a-time vectorized executor over columnar
 ///    storage with selection vectors (src/db/plan.cc) — the engine every

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/measurement.h"
-#include "db/backend_kind.h"
 #include "db/catalog.h"
 #include "db/plan.h"
 #include "db/profile.h"
@@ -54,12 +53,6 @@ struct DatabaseOptions {
   /// (SQL shell `\opt on`, bench `--dbOpt=on`); results are oracle-diffed
   /// identical to the rule-only plans.
   bool optimize = false;
-  /// Which execution backend serves queries (see db/backend_kind.h). The
-  /// Database itself always runs the columnar executor; the knob is
-  /// carried here so the shell, benches, and engine::CreateBackend agree
-  /// on one treatment setting per experiment (SQL shell `\backend`, bench
-  /// `--dbBackend=`).
-  BackendKind backend = BackendKind::kColumnar;
 };
 
 /// A query's complete outcome: the result table, server-side timing split
@@ -193,13 +186,6 @@ class Database {
   /// `\opt on|off`, bench `--dbOpt=on|off`).
   bool optimize() const { return options_.optimize; }
   void set_optimize(bool optimize) { options_.optimize = optimize; }
-
-  /// Execution-backend knob; adjustable at runtime (SQL shell
-  /// `\backend col|row`, bench `--dbBackend=`). Run() itself always
-  /// executes columnar; callers that honor the knob route through
-  /// engine::Backend (see src/engine/backend.h).
-  BackendKind backend() const { return options_.backend; }
-  void set_backend(BackendKind backend) { options_.backend = backend; }
 
   /// Runs the refresh hook (if any) without executing a query: folds
   /// freshly committed write-path deltas into the catalog. Secondary

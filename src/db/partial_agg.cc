@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "db/expr.h"
+#include "db/semantics.h"
 
 namespace perfeval {
 namespace db {
@@ -135,22 +136,28 @@ std::shared_ptr<Table> FinalizeMergedAggregates(
         dst.AppendValue(src.GetValue(r));
         continue;
       }
-      // AVG = merged SUM / merged COUNT, replicating AggregateNode's
-      // emission exactly: NULL when no rows accumulated; the int64 path
-      // divides the exact integer sum, so it is bit-identical to
-      // single-node; the double path re-adds per-shard sums, which the
-      // comparison discipline covers with its relative tolerance.
-      const Column& cnt = merged.column(step.count_index);
-      int64_t count = cnt.GetInt64(r);
-      if (count == 0) {
-        dst.AppendNull();
-        continue;
+      // AVG = merged SUM / merged COUNT through AggState::Result, the
+      // rule AggregateNode emits with: the int64 path divides the exact
+      // integer sum, so it is bit-identical to single-node; the double
+      // path re-adds per-shard sums, which the comparison discipline
+      // covers with its relative tolerance.
+      AggState state;
+      state.count = merged.column(step.count_index).GetInt64(r);
+      bool is_int = src.type() == DataType::kInt64;
+      if (state.count > 0) {
+        PERFEVAL_CHECK(!src.IsNull(r));
+        if (is_int) {
+          state.isum = src.GetInt64(r);
+        } else {
+          state.sum = src.GetDouble(r);
+        }
       }
-      PERFEVAL_CHECK(!src.IsNull(r));
-      double sum = src.type() == DataType::kInt64
-                       ? static_cast<double>(src.GetInt64(r))
-                       : src.GetDouble(r);
-      dst.AppendDouble(sum / static_cast<double>(count));
+      AggResult avg = state.Result(AggOp::kAvg, is_int);
+      if (avg.kind == AggResult::Kind::kNull) {
+        dst.AppendNull();
+      } else {
+        dst.AppendDouble(avg.d);
+      }
     }
   }
   out->FinishBulkLoad();

@@ -1,7 +1,6 @@
 #include "db/plan.h"
 
 #include <algorithm>
-#include <charconv>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -14,6 +13,7 @@
 #include "db/invariants.h"
 #include "db/join.h"
 #include "db/scan_io.h"
+#include "db/semantics.h"
 #include "db/sort.h"
 #include "sched/parallel_for.h"
 
@@ -687,6 +687,23 @@ class ProjectNode : public PlanNode {
   std::vector<std::string> names_;
 };
 
+/// Rejects a NULL in any visible row of join key column `name`. The base
+/// column's null mask covers rows a selection vector may already have
+/// filtered out; only a NULL in a visible row is an error (rejecting on
+/// has_nulls() alone refused inputs like Filter(k >= 0) -> MergeJoin,
+/// which the reference interpreter accepts).
+void RejectNullJoinKeys(const Relation& rel, const std::string& name) {
+  const Column& column = rel.table->ColumnByName(name);
+  if (!column.has_nulls()) {
+    return;
+  }
+  for (size_t i = 0; i < rel.num_rows(); ++i) {
+    if (column.IsNull(rel.RowAt(i))) {
+      RejectNullJoinKey(name, rel.RowAt(i));
+    }
+  }
+}
+
 /// Extracts the (possibly composite) int64 join key for every row in
 /// `rows`. Composite keys pack two 31-bit non-negative columns as
 /// (k1 << 32) | k2 — order-preserving, so the same packing serves hash,
@@ -697,21 +714,8 @@ std::vector<int64_t> ExtractKeys(ExecContext& ctx, const Relation& rel,
                                  const std::vector<std::string>& names,
                                  const std::vector<uint32_t>& rows) {
   PERFEVAL_CHECK(names.size() == 1 || names.size() == 2);
-  // The key kernels read raw int64 vectors, where a NULL is
-  // indistinguishable from its placeholder value; rather than silently
-  // joining on placeholders, NULL join keys are rejected up front.
   for (const std::string& name : names) {
-    const Column& column = rel.table->ColumnByName(name);
-    if (column.has_nulls()) {
-      for (uint32_t r : rows) {
-        if (column.IsNull(r)) {
-          throw QueryError(
-              StatusCode::kInvalidArgument,
-              "join key column " + name + " contains NULL (row " +
-                  StrFormat("%u", r) + "); NULL join keys are unsupported");
-        }
-      }
-    }
+    RejectNullJoinKeys(rel, name);
   }
   std::vector<int64_t> keys(rows.size());
   if (ctx.mode == ExecMode::kDebug) {
@@ -922,23 +926,7 @@ class MergeJoinNode : public PlanNode {
       const Column& column = rel.table->ColumnByName(name);
       PERFEVAL_CHECK(column.type() == DataType::kInt64)
           << "merge join requires int64 keys (" << name << ")";
-      if (column.has_nulls()) {
-        // The base column's null mask covers rows a selection vector may
-        // have already filtered out; only a NULL in a *visible* row is an
-        // error. (Rejecting on has_nulls() alone made the merge join
-        // refuse inputs like Filter(k >= 0) -> MergeJoin, which the hash
-        // join and the reference interpreter accept.)
-        for (size_t i = 0; i < rel.num_rows(); ++i) {
-          uint32_t r = rel.RowAt(i);
-          if (column.IsNull(r)) {
-            throw QueryError(
-                StatusCode::kInvalidArgument,
-                "join key column " + name + " contains NULL (row " +
-                    StrFormat("%u", r) +
-                    "); NULL join keys are unsupported");
-          }
-        }
-      }
+      RejectNullJoinKeys(rel, name);
       Keyed keyed;
       keyed.reserve(rel.num_rows());
       bool sorted = true;
@@ -1065,69 +1053,6 @@ class MergeJoinNode : public PlanNode {
   std::string right_key_;
 };
 
-/// Accumulator state for one (group, aggregate) pair. Doubles accumulate
-/// in `sum`/`min`/`max`; int64-typed aggregates use the exact integer
-/// accumulators `isum`/`imin`/`imax` with checked addition — summing
-/// int64 through a double silently loses precision past 2^53 and a bare
-/// int64 sum silently wraps, both of which turn benchmark output into
-/// plausible-looking garbage.
-struct AggState {
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  int64_t isum = 0;
-  int64_t imin = 0;
-  int64_t imax = 0;
-  int64_t count = 0;
-  std::unordered_map<std::string, bool> distinct;
-
-  void AddNumeric(double v) {
-    if (count == 0) {
-      min = v;
-      max = v;
-    } else {
-      min = std::min(min, v);
-      max = std::max(max, v);
-    }
-    sum += v;
-    ++count;
-  }
-
-  void AddInt(int64_t v) {
-    if (count == 0) {
-      imin = v;
-      imax = v;
-    } else {
-      imin = std::min(imin, v);
-      imax = std::max(imax, v);
-    }
-    isum = CheckedAdd(isum, v, "SUM accumulator");
-    ++count;
-  }
-
-  /// Folds another partial state in. Callers merge partials in morsel
-  /// order, so `sum` accumulates in a fixed order at any thread count.
-  void MergeFrom(const AggState& other) {
-    if (other.count > 0) {
-      if (count == 0) {
-        min = other.min;
-        max = other.max;
-        imin = other.imin;
-        imax = other.imax;
-      } else {
-        min = std::min(min, other.min);
-        max = std::max(max, other.max);
-        imin = std::min(imin, other.imin);
-        imax = std::max(imax, other.imax);
-      }
-    }
-    sum += other.sum;
-    isum = CheckedAdd(isum, other.isum, "SUM accumulator");
-    count += other.count;
-    distinct.insert(other.distinct.begin(), other.distinct.end());
-  }
-};
-
 /// One morsel's partial aggregation: local groups in first-occurrence
 /// order (int keys on the single-int-key fast path, composite string keys
 /// otherwise) plus one accumulator per (aggregate, local group). Built by
@@ -1138,37 +1063,6 @@ struct MorselAggState {
   std::vector<uint32_t> first_rows;
   std::vector<std::vector<AggState>> states;  ///< [aggregate][local group].
 };
-
-/// Appends row `r`'s composite group key (one '\x1f'-terminated field per
-/// group column) to `*key`. Byte-identical to concatenating
-/// `GetValue(r).ToString()` per column — Value renders int64 as plain
-/// decimal and strings verbatim — but the common null-free string/int64
-/// fields skip the Value round trip. Shared by the morsel accumulator and
-/// the checked-mode recompute so both sides always agree on group
-/// identity.
-void AppendGroupKey(const Table& table, const std::vector<size_t>& group_cols,
-                    uint32_t r, std::string* key) {
-  for (size_t c : group_cols) {
-    const Column& column = table.column(c);
-    if (!column.IsNull(r)) {
-      if (column.type() == DataType::kString) {
-        *key += column.strings()[r];
-        *key += '\x1f';
-        continue;
-      }
-      if (column.type() == DataType::kInt64) {
-        char buf[24];
-        auto [end, ec] =
-            std::to_chars(buf, buf + sizeof(buf), column.ints()[r]);
-        key->append(buf, end);
-        *key += '\x1f';
-        continue;
-      }
-    }
-    *key += column.GetValue(r).ToString();
-    *key += '\x1f';
-  }
-}
 
 class AggregateNode : public PlanNode {
  public:
@@ -1198,14 +1092,7 @@ class AggregateNode : public PlanNode {
     // Which aggregates run on the exact int64 accumulators.
     std::vector<uint8_t> int_agg(aggregates_.size(), 0);
     for (size_t a = 0; a < aggregates_.size(); ++a) {
-      const AggSpec& spec = aggregates_[a];
-      int_agg[a] = (spec.op == AggOp::kSum || spec.op == AggOp::kAvg ||
-                    spec.op == AggOp::kMin || spec.op == AggOp::kMax) &&
-                           spec.expr != nullptr &&
-                           spec.expr->ResultType(table.schema()) ==
-                               DataType::kInt64
-                       ? 1
-                       : 0;
+      int_agg[a] = UsesIntAccumulator(aggregates_[a], table.schema()) ? 1 : 0;
     }
     // Aggregates over a bare column reference can read the raw payload
     // vector in their tight loops; -1 means "go through the expression".
@@ -1325,56 +1212,18 @@ class AggregateNode : public PlanNode {
             table.column(group_cols[gc]).GetValue(first_row_of_group[g]));
       }
       for (size_t a = 0; a < aggregates_.size(); ++a) {
-        const AggState& state = states[a][g];
+        AggResult v =
+            states[a][g].Result(aggregates_[a].op, int_agg[a] != 0);
         Column& dst = out_table->column(group_cols.size() + a);
-        bool is_int = int_agg[a] != 0;
-        switch (aggregates_[a].op) {
-          case AggOp::kSum:
-            // SUM/AVG/MIN/MAX over zero accumulated rows is NULL, not a
-            // fabricated 0 / 0.0 — the old behaviour made empty groups
-            // indistinguishable from groups summing to zero.
-            if (state.count == 0) {
-              dst.AppendValue(Value::Null(dst.type()));
-            } else if (is_int) {
-              dst.AppendInt64(state.isum);
-            } else {
-              dst.AppendDouble(state.sum);
-            }
+        switch (v.kind) {
+          case AggResult::Kind::kNull:
+            dst.AppendNull();
             break;
-          case AggOp::kAvg:
-            if (state.count == 0) {
-              dst.AppendValue(Value::Null(dst.type()));
-            } else if (is_int) {
-              dst.AppendDouble(static_cast<double>(state.isum) /
-                               static_cast<double>(state.count));
-            } else {
-              dst.AppendDouble(state.sum /
-                               static_cast<double>(state.count));
-            }
+          case AggResult::Kind::kInt64:
+            dst.AppendInt64(v.i);
             break;
-          case AggOp::kMin:
-            if (state.count == 0) {
-              dst.AppendValue(Value::Null(dst.type()));
-            } else if (is_int) {
-              dst.AppendInt64(state.imin);
-            } else {
-              dst.AppendDouble(state.min);
-            }
-            break;
-          case AggOp::kMax:
-            if (state.count == 0) {
-              dst.AppendValue(Value::Null(dst.type()));
-            } else if (is_int) {
-              dst.AppendInt64(state.imax);
-            } else {
-              dst.AppendDouble(state.max);
-            }
-            break;
-          case AggOp::kCount:
-            dst.AppendInt64(state.count);
-            break;
-          case AggOp::kCountDistinct:
-            dst.AppendInt64(static_cast<int64_t>(state.distinct.size()));
+          case AggResult::Kind::kDouble:
+            dst.AppendDouble(v.d);
             break;
         }
       }
@@ -1518,7 +1367,7 @@ class AggregateNode : public PlanNode {
           if (v.is_null()) {
             continue;  // NULL contributes no distinct value.
           }
-          agg_states[gid(i)].distinct[v.ToString()] = true;
+          agg_states[gid(i)].distinct.insert(v.ToString());
         }
       } else if (int_agg[a] != 0) {
         if (single_group && int_data != nullptr && n > 0) {
@@ -1849,15 +1698,18 @@ DataType AggOutputType(const AggSpec& spec, const Schema& input_schema) {
     case AggOp::kSum:
     case AggOp::kMin:
     case AggOp::kMax:
-      if (spec.expr != nullptr &&
-          spec.expr->ResultType(input_schema) == DataType::kInt64) {
-        return DataType::kInt64;
-      }
-      return DataType::kDouble;
+      return UsesIntAccumulator(spec, input_schema) ? DataType::kInt64
+                                                    : DataType::kDouble;
     case AggOp::kAvg:
       return DataType::kDouble;
   }
   return DataType::kDouble;
+}
+
+bool UsesIntAccumulator(const AggSpec& spec, const Schema& input_schema) {
+  return spec.op != AggOp::kCount && spec.op != AggOp::kCountDistinct &&
+         spec.expr != nullptr &&
+         spec.expr->ResultType(input_schema) == DataType::kInt64;
 }
 
 PlanPtr Scan(const std::string& table_name,

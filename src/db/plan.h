@@ -191,6 +191,10 @@ using PlanPtr = std::shared_ptr<const PlanNode>;
 /// the planned output schema always matches execution.
 DataType AggOutputType(const AggSpec& spec, const Schema& input_schema);
 
+/// Whether the aggregate accumulates on the exact int64 accumulators
+/// (AggState::AddInt): SUM/AVG/MIN/MAX of an int64-typed expression.
+bool UsesIntAccumulator(const AggSpec& spec, const Schema& input_schema);
+
 // ---- Plan factories ----
 
 /// Scans base table `table_name`, touching the pages of `columns_used`

@@ -1,9 +1,9 @@
 #include "db/sort.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
+#include "db/semantics.h"
 #include "sched/parallel_for.h"
 
 namespace perfeval {
@@ -50,38 +50,17 @@ int RowComparator::CompareOne(const Key& key, uint32_t a, uint32_t b) {
     bool a_null = key.nulls[a] != 0;
     bool b_null = key.nulls[b] != 0;
     if (a_null || b_null) {
-      return a_null == b_null ? 0 : (a_null ? -1 : 1);
+      return CompareNulls(a_null, b_null);
     }
   }
   switch (key.type) {
     case DataType::kInt64:
-    case DataType::kDate: {
-      int64_t x = key.ints[a];
-      int64_t y = key.ints[b];
-      return x < y ? -1 : (x == y ? 0 : 1);
-    }
-    case DataType::kDouble: {
-      // NaN is ordered explicitly — greater than every number, tying with
-      // itself — because the raw `<`/`==` fallthrough answered "greater"
-      // for BOTH Compare(NaN, x) and Compare(x, NaN). That asymmetry
-      // breaks strict weak ordering the moment a descending key direction
-      // flips the sign, which is undefined behaviour for std::stable_sort
-      // and made the checked-mode "output ordered" invariant fire on
-      // correct permutations.
-      double x = key.doubles[a];
-      double y = key.doubles[b];
-      bool x_nan = std::isnan(x);
-      bool y_nan = std::isnan(y);
-      if (x_nan || y_nan) {
-        return x_nan == y_nan ? 0 : (x_nan ? 1 : -1);
-      }
-      return x < y ? -1 : (x == y ? 0 : 1);
-    }
-    case DataType::kString: {
-      const std::string& x = key.strings[a];
-      const std::string& y = key.strings[b];
-      return x < y ? -1 : (x == y ? 0 : 1);
-    }
+    case DataType::kDate:
+      return CompareKeys(key.ints[a], key.ints[b]);
+    case DataType::kDouble:
+      return CompareKeys(key.doubles[a], key.doubles[b]);
+    case DataType::kString:
+      return CompareKeys(key.strings[a], key.strings[b]);
   }
   return 0;
 }

@@ -17,15 +17,10 @@ namespace db {
 /// per-comparison allocation churn of the old Sort path). Shared by Sort,
 /// TopN and the parallel merge sort.
 ///
-/// Ordering semantics: doubles by `<`/`==` with NaN ordered as the
-/// greatest double and tying with itself (a proper total order — the raw
-/// `<`/`==` fallthrough is asymmetric for NaN, which violates the strict
-/// weak ordering std::stable_sort requires once a descending key flips
-/// the sign), strings lexicographically. Int64/date keys compare
-/// natively instead of through the double cast, which is identical for
-/// every value below 2^53. NULL sorts as the smallest value of its type
-/// (before the key's direction flip, so NULLs come first ascending and
-/// last descending); two NULLs tie.
+/// Ordering semantics are db/semantics.h's CompareNulls / CompareKeys:
+/// NULL smallest (first ascending, last descending), NaN the greatest
+/// double and tying with itself, int64/date natively, strings
+/// lexicographically.
 class RowComparator {
  public:
   RowComparator(const Table& table, const std::vector<SortKey>& keys);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -15,6 +14,7 @@
 #include "db/expr.h"
 #include "db/invariants.h"
 #include "db/plan.h"
+#include "db/semantics.h"
 #include "sched/parallel_for.h"
 
 namespace perfeval {
@@ -219,10 +219,7 @@ int64_t JoinKeyAt(const RowBlock& block, size_t col, size_t row,
                          "join key column " + name + " is not int64");
   }
   if (block.IsNull(row, col)) {
-    throw db::QueryError(StatusCode::kInvalidArgument,
-                         "join key column " + name + " contains NULL (row " +
-                             std::to_string(row) +
-                             "); NULL join keys are unsupported");
+    db::RejectNullJoinKey(name, row);
   }
   return block.Int64At(row, col);
 }
@@ -417,20 +414,6 @@ RowBlockPtr ExecProject(const db::PlanSpec& spec, const RowBlockPtr& input,
   return out;
 }
 
-/// Flat accumulator for one (group, aggregate) pair — the reference
-/// interpreter's state shape, reproduced so both backends and the
-/// interpreter agree bit-for-bit on int64 paths and to 1e-9 on doubles.
-struct AggState {
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  int64_t isum = 0;
-  int64_t imin = 0;
-  int64_t imax = 0;
-  int64_t count = 0;
-  std::map<std::string, bool> distinct;
-};
-
 RowBlockPtr ExecAggregate(const db::PlanSpec& spec, const RowBlockPtr& input,
                           RowExecCtx& ctx, const char* op) {
   const db::Schema& schema = input->schema();
@@ -441,13 +424,7 @@ RowBlockPtr ExecAggregate(const db::PlanSpec& spec, const RowBlockPtr& input,
   const std::vector<db::AggSpec>& aggregates = spec.aggregates;
   std::vector<uint8_t> int_agg(aggregates.size(), 0);
   for (size_t a = 0; a < aggregates.size(); ++a) {
-    const db::AggSpec& as = aggregates[a];
-    int_agg[a] = (as.op == db::AggOp::kSum || as.op == db::AggOp::kAvg ||
-                  as.op == db::AggOp::kMin || as.op == db::AggOp::kMax) &&
-                         as.expr != nullptr &&
-                         as.expr->ResultType(schema) == db::DataType::kInt64
-                     ? 1
-                     : 0;
+    int_agg[a] = db::UsesIntAccumulator(aggregates[a], schema) ? 1 : 0;
   }
 
   // One serial pass in row order (batched unpack for expression input):
@@ -457,7 +434,7 @@ RowBlockPtr ExecAggregate(const db::PlanSpec& spec, const RowBlockPtr& input,
   // reassociation.
   std::unordered_map<std::string, size_t> group_index;
   std::vector<uint32_t> first_rows;
-  std::vector<std::vector<AggState>> states(aggregates.size());
+  std::vector<std::vector<db::AggState>> states(aggregates.size());
   size_t n = input->num_rows();
   size_t batch = ctx.batch_rows;
   std::string key;
@@ -467,10 +444,8 @@ RowBlockPtr ExecAggregate(const db::PlanSpec& spec, const RowBlockPtr& input,
     for (size_t r = begin; r < end; ++r) {
       size_t sr = r - begin;
       key.clear();
-      for (size_t c : group_cols) {
-        key += scratch.column(c).GetValue(sr).ToString();
-        key += '\x1f';
-      }
+      db::AppendGroupKey(scratch, group_cols, static_cast<uint32_t>(sr),
+                         &key);
       auto [it, inserted] = group_index.try_emplace(key, group_index.size());
       if (inserted) {
         first_rows.push_back(static_cast<uint32_t>(r));
@@ -481,7 +456,7 @@ RowBlockPtr ExecAggregate(const db::PlanSpec& spec, const RowBlockPtr& input,
       size_t g = it->second;
       for (size_t a = 0; a < aggregates.size(); ++a) {
         const db::AggSpec& as = aggregates[a];
-        AggState& state = states[a][g];
+        db::AggState& state = states[a][g];
         if (as.op == db::AggOp::kCount && as.expr == nullptr) {
           ++state.count;
           continue;
@@ -490,37 +465,14 @@ RowBlockPtr ExecAggregate(const db::PlanSpec& spec, const RowBlockPtr& input,
         if (v.is_null()) {
           continue;  // SQL aggregates skip NULL inputs.
         }
-        switch (as.op) {
-          case db::AggOp::kCount:
-            ++state.count;
-            break;
-          case db::AggOp::kCountDistinct:
-            state.distinct[v.ToString()] = true;
-            break;
-          default:
-            if (int_agg[a] != 0) {
-              int64_t i = v.AsInt64();
-              if (state.count == 0) {
-                state.imin = i;
-                state.imax = i;
-              } else {
-                state.imin = std::min(state.imin, i);
-                state.imax = std::max(state.imax, i);
-              }
-              state.isum = db::CheckedAdd(state.isum, i, "SUM accumulator");
-            } else {
-              double d = v.AsDouble();
-              if (state.count == 0) {
-                state.min = d;
-                state.max = d;
-              } else {
-                state.min = std::min(state.min, d);
-                state.max = std::max(state.max, d);
-              }
-              state.sum += d;
-            }
-            ++state.count;
-            break;
+        if (as.op == db::AggOp::kCount) {
+          ++state.count;
+        } else if (as.op == db::AggOp::kCountDistinct) {
+          state.distinct.insert(v.ToString());
+        } else if (int_agg[a] != 0) {
+          state.AddInt(v.AsInt64());
+        } else {
+          state.AddNumeric(v.AsDouble());
         }
       }
     }
@@ -561,54 +513,18 @@ RowBlockPtr ExecAggregate(const db::PlanSpec& spec, const RowBlockPtr& input,
       }
     }
     for (size_t a = 0; a < aggregates.size(); ++a) {
-      const AggState& state = states[a][g];
+      db::AggResult v =
+          states[a][g].Result(aggregates[a].op, int_agg[a] != 0);
       size_t oc = group_cols.size() + a;
-      bool is_int = int_agg[a] != 0;
-      switch (aggregates[a].op) {
-        case db::AggOp::kSum:
-          if (state.count == 0) {
-            out->SetNull(row, oc);
-          } else if (is_int) {
-            out->SetInt64(row, oc, state.isum);
-          } else {
-            out->SetDouble(row, oc, state.sum);
-          }
+      switch (v.kind) {
+        case db::AggResult::Kind::kNull:
+          out->SetNull(row, oc);
           break;
-        case db::AggOp::kAvg:
-          if (state.count == 0) {
-            out->SetNull(row, oc);
-          } else if (is_int) {
-            out->SetDouble(row, oc, static_cast<double>(state.isum) /
-                                        static_cast<double>(state.count));
-          } else {
-            out->SetDouble(row, oc,
-                           state.sum / static_cast<double>(state.count));
-          }
+        case db::AggResult::Kind::kInt64:
+          out->SetInt64(row, oc, v.i);
           break;
-        case db::AggOp::kMin:
-          if (state.count == 0) {
-            out->SetNull(row, oc);
-          } else if (is_int) {
-            out->SetInt64(row, oc, state.imin);
-          } else {
-            out->SetDouble(row, oc, state.min);
-          }
-          break;
-        case db::AggOp::kMax:
-          if (state.count == 0) {
-            out->SetNull(row, oc);
-          } else if (is_int) {
-            out->SetInt64(row, oc, state.imax);
-          } else {
-            out->SetDouble(row, oc, state.max);
-          }
-          break;
-        case db::AggOp::kCount:
-          out->SetInt64(row, oc, state.count);
-          break;
-        case db::AggOp::kCountDistinct:
-          out->SetInt64(row, oc,
-                        static_cast<int64_t>(state.distinct.size()));
+        case db::AggResult::Kind::kDouble:
+          out->SetDouble(row, oc, v.d);
           break;
       }
     }
@@ -616,11 +532,8 @@ RowBlockPtr ExecAggregate(const db::PlanSpec& spec, const RowBlockPtr& input,
   return out;
 }
 
-/// Typed comparator over packed rows; ordering semantics mirror
-/// db::RowComparator exactly (NULL smallest before the direction flip,
-/// int64/date native, doubles with NaN ordered greatest and tying with
-/// itself — the explicit NaN branch keeps the strict weak ordering valid
-/// under descending keys — strings lexicographic).
+/// Typed comparator over packed rows, ordering by db/semantics.h's
+/// CompareNulls / CompareKeys — the rules db::RowComparator uses.
 class BlockComparator {
  public:
   BlockComparator(const RowBlock& block, const std::vector<db::SortKey>& keys)
@@ -655,30 +568,19 @@ class BlockComparator {
     bool a_null = block_.IsNull(a, key.col);
     bool b_null = block_.IsNull(b, key.col);
     if (a_null || b_null) {
-      return a_null == b_null ? 0 : (a_null ? -1 : 1);
+      return db::CompareNulls(a_null, b_null);
     }
     switch (key.type) {
       case db::DataType::kInt64:
-      case db::DataType::kDate: {
-        int64_t x = block_.Int64At(a, key.col);
-        int64_t y = block_.Int64At(b, key.col);
-        return x < y ? -1 : (x == y ? 0 : 1);
-      }
-      case db::DataType::kDouble: {
-        double x = block_.DoubleAt(a, key.col);
-        double y = block_.DoubleAt(b, key.col);
-        bool x_nan = std::isnan(x);
-        bool y_nan = std::isnan(y);
-        if (x_nan || y_nan) {
-          return x_nan == y_nan ? 0 : (x_nan ? 1 : -1);
-        }
-        return x < y ? -1 : (x == y ? 0 : 1);
-      }
-      case db::DataType::kString: {
-        std::string_view x = block_.StringAt(a, key.col);
-        std::string_view y = block_.StringAt(b, key.col);
-        return x < y ? -1 : (x == y ? 0 : 1);
-      }
+      case db::DataType::kDate:
+        return db::CompareKeys(block_.Int64At(a, key.col),
+                               block_.Int64At(b, key.col));
+      case db::DataType::kDouble:
+        return db::CompareKeys(block_.DoubleAt(a, key.col),
+                               block_.DoubleAt(b, key.col));
+      case db::DataType::kString:
+        return db::CompareKeys(block_.StringAt(a, key.col),
+                               block_.StringAt(b, key.col));
     }
     return 0;
   }

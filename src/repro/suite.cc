@@ -166,8 +166,9 @@ const ExperimentSuite& PerfevalSuite() {
         "(non-overlap with 1.0 flagged), per-operator TRACE attribution "
         "per backend, and a cold layout-crossover sweep (selectivity x "
         "projected-column count) locating where one seek + full tuples "
-        "beats per-column streams; results diffed row-vs-col on every "
-        "sample pair",
+        "beats per-column streams, reporting the pre-declared H1 (the "
+        "row store wins at least one cold cell) as confirmed or refuted; "
+        "results diffed row-vs-col on every sample pair",
         "build/bench/bench_backend_faceoff",
         "stdout + bench_results/BENCH_backend_faceoff.json + "
         "bench_results/a12_crossover.{csv,gnu,svg}",
@@ -311,9 +312,14 @@ const ExperimentSuite& PerfevalSuite() {
         "time). Legitimately different: page shape (per-column pages vs "
         "per-table tuple pages), bytes per scan, seeks per scan (one "
         "stream per column vs one per table), and per-operator CPU. "
-        "Select a backend with `--dbBackend=col|row` in any bench, "
-        "`\\backend col|row` in the SQL shell, or "
-        "`db::Database::set_backend`; typos are hard usage errors. The "
+        "A12 races both backends itself; interactively, "
+        "`\\backend col|row` in the SQL shell switches between them "
+        "(typos are usage errors), and in code "
+        "`engine::CreateBackend` builds either over one `db::Database`. "
+        "Both executors share one set of SQL rules (`db/semantics.h`: "
+        "aggregate accumulation and emission, NULL/NaN sort order, NULL "
+        "join keys) while keeping their own algorithms; the reference "
+        "interpreter keeps its own copy as the oracle. The "
         "differential oracle extends to backend-vs-backend: all 22 "
         "TPC-H plans plus fuzzed queries run on both backends across "
         "execution modes, thread counts and checked execution, and must "

@@ -1,6 +1,6 @@
 // BenchContext's database-knob parsing. The scheduler flags degrade
 // gracefully (a typo must not abort an overnight run), but the treatment
-// knobs --dbJoin/--dbOpt/--dbBackend are the experiment itself: an
+// knobs --dbJoin/--dbOpt/--dbThreads are the experiment itself: an
 // unrecognized value must surface as a usage error, never as a silent
 // fallback that quietly measures the wrong engine.
 
@@ -66,35 +66,24 @@ TEST(BenchUtilTest, InvalidDbOptIsAUsageErrorNotAFallback) {
   EXPECT_NE(opt.status().message().find("maybe"), std::string::npos);
 }
 
-TEST(BenchUtilTest, DbBackendDefaultsToColumnar) {
-  BenchContext ctx = MakeContext({});
-  Result<db::BackendKind> backend = ctx.DbBackend();
-  ASSERT_TRUE(backend.ok());
-  EXPECT_EQ(backend.value(), db::BackendKind::kColumnar);
-}
-
-TEST(BenchUtilTest, ValidDbBackendValuesParse) {
-  for (const char* text : {"row", "rowstore"}) {
-    BenchContext ctx = MakeContext({std::string("--dbBackend=") + text});
-    Result<db::BackendKind> backend = ctx.DbBackend();
-    ASSERT_TRUE(backend.ok()) << text;
-    EXPECT_EQ(backend.value(), db::BackendKind::kRowStore) << text;
+TEST(BenchUtilTest, InvalidDbThreadsIsAUsageErrorNotAClamp) {
+  for (const char* text : {"0", "-2", "four"}) {
+    BenchContext ctx = MakeContext({std::string("--dbThreads=") + text});
+    Result<int> threads = ctx.DbThreads();
+    ASSERT_FALSE(threads.ok()) << text;
+    EXPECT_NE(threads.status().message().find("usage: --dbThreads"),
+              std::string::npos)
+        << text;
+    db::Database database;
+    database.set_threads(2);
+    EXPECT_FALSE(ctx.ApplyDbKnobs(&database).ok()) << text;
+    EXPECT_EQ(database.threads(), 2) << text;
   }
-}
-
-TEST(BenchUtilTest, InvalidDbBackendIsAUsageErrorNotAFallback) {
-  BenchContext ctx = MakeContext({"--dbBackend=clo"});
-  Result<db::BackendKind> backend = ctx.DbBackend();
-  ASSERT_FALSE(backend.ok());
-  EXPECT_NE(backend.status().message().find("usage: --dbBackend"),
-            std::string::npos);
-  EXPECT_NE(backend.status().message().find("clo"), std::string::npos);
 }
 
 TEST(BenchUtilTest, ApplyDbKnobsConfiguresTheDatabase) {
   BenchContext ctx = MakeContext({"--dbJoin=hash", "--dbOpt=on",
-                                  "--dbThreads=3", "--radixBits=6",
-                                  "--dbBackend=row"});
+                                  "--dbThreads=3", "--radixBits=6"});
   db::Database database;
   Status status = ctx.ApplyDbKnobs(&database);
   ASSERT_TRUE(status.ok()) << status.ToString();
@@ -102,17 +91,6 @@ TEST(BenchUtilTest, ApplyDbKnobsConfiguresTheDatabase) {
   EXPECT_TRUE(database.optimize());
   EXPECT_EQ(database.threads(), 3);
   EXPECT_EQ(database.radix_bits(), 6);
-  EXPECT_EQ(database.backend(), db::BackendKind::kRowStore);
-}
-
-TEST(BenchUtilTest, ApplyDbKnobsRejectsBadBackend) {
-  BenchContext ctx = MakeContext({"--dbBackend=vector"});
-  db::Database database;
-  Status status = ctx.ApplyDbKnobs(&database);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("usage: --dbBackend"), std::string::npos);
-  // The default must be untouched after a rejected apply.
-  EXPECT_EQ(database.backend(), db::BackendKind::kColumnar);
 }
 
 TEST(BenchUtilTest, ApplyDbKnobsPropagatesTheFirstError) {

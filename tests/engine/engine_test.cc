@@ -7,6 +7,7 @@
 // (the TSan surface), and the backend-kind knob parsing.
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -294,6 +295,98 @@ TEST(RowBackendTest, SumOverflowThrowsOutOfRange) {
   } catch (const db::QueryError& e) {
     EXPECT_EQ(e.code(), StatusCode::kOutOfRange);
   }
+}
+
+/// The aggregate and ordering rules the row store shares with the
+/// columnar engine (db/semantics.h), run through the row store and diffed
+/// exactly against the reference interpreter, which keeps its own copy.
+TEST(RowBackendTest, SharedSemanticsMatchReference) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr int64_t k2To53 = int64_t{1} << 53;
+  struct Case {
+    const char* name;
+    std::shared_ptr<db::Table> table;
+    std::function<db::PlanPtr(const db::Schema&)> plan;
+  };
+  std::vector<Case> cases;
+
+  // Descending sort over NaN and NULL keys: NaN greatest, NULL smallest.
+  auto messy = std::make_shared<db::Table>(
+      db::Schema({{"k", DataType::kInt64}, {"v", DataType::kDouble}}));
+  int64_t k = 0;
+  for (double v : {3.5, kNaN, -1.0, 0.0, kNaN, 7.25, -0.0, 2.0}) {
+    messy->AppendRow({Value::Int64(k++), Value::Double(v)});
+  }
+  messy->AppendRow({Value::Int64(k++), Value::Null(DataType::kDouble)});
+  messy->AppendRow({Value::Int64(k++), Value::Double(1.5)});
+  messy->AppendRow({Value::Int64(k++), Value::Null(DataType::kDouble)});
+  cases.push_back({"nan_null_descending_sort", messy,
+                   [](const db::Schema&) {
+                     return db::Sort(db::Scan("t"),
+                                     {{"v", false}, {"k", true}});
+                   }});
+
+  // Group 2 sees only NULL inputs: SUM/AVG/MIN/MAX are NULL, COUNT is 0.
+  auto nulls = std::make_shared<db::Table>(
+      db::Schema({{"g", DataType::kInt64}, {"x", DataType::kDouble}}));
+  nulls->AppendRow({Value::Int64(1), Value::Double(3.0)});
+  nulls->AppendRow({Value::Int64(1), Value::Null(DataType::kDouble)});
+  nulls->AppendRow({Value::Int64(2), Value::Null(DataType::kDouble)});
+  cases.push_back({"all_null_group", nulls, [](const db::Schema& s) {
+                     db::ExprPtr x = db::Col(s, "x");
+                     return db::Sort(
+                         db::Aggregate(db::Scan("t"), {"g"},
+                                       {{db::AggOp::kAvg, x, "a"},
+                                        {db::AggOp::kSum, x, "s"},
+                                        {db::AggOp::kMin, x, "lo"},
+                                        {db::AggOp::kMax, x, "hi"},
+                                        {db::AggOp::kCount, x, "nx"}}),
+                         {{"g", true}});
+                   }});
+
+  // Group 1's int64 sum passes 2^53, where a double accumulator would
+  // round every input; AVG must divide the exact integer sum.
+  auto wide = std::make_shared<db::Table>(
+      db::Schema({{"g", DataType::kInt64}, {"v", DataType::kInt64}}));
+  for (int i = 0; i < 3; ++i) {
+    wide->AppendRow({Value::Int64(1), Value::Int64(k2To53 + 1)});
+    wide->AppendRow({Value::Int64(2), Value::Int64(i)});
+  }
+  cases.push_back({"int_avg_past_2^53", wide, [](const db::Schema& s) {
+                     db::ExprPtr v = db::Col(s, "v");
+                     return db::Aggregate(db::Scan("t"), {"g"},
+                                          {{db::AggOp::kAvg, v, "a"},
+                                           {db::AggOp::kSum, v, "s"}});
+                   }});
+
+  for (const Case& c : cases) {
+    db::Database database;
+    database.RegisterTable("t", c.table);
+    db::PlanPtr plan = c.plan(c.table->schema());
+    std::shared_ptr<const db::Table> expected =
+        db::ReferenceExecute(plan, database);
+    std::unique_ptr<RowStoreBackend> backend =
+        RowStoreBackend::Over(&database);
+    for (int threads : {1, 4}) {
+      ExecOptions exec;
+      exec.threads = threads;
+      exec.check = true;
+      BackendResult result = backend->Execute(plan, exec);
+      EXPECT_EQ(db::DiffTables(*result.table, *expected, 0.0,
+                               /*ignore_row_order=*/false),
+                "")
+          << c.name << " threads=" << threads;
+    }
+  }
+  // The exact-sum AVG differs from one accumulated in doubles.
+  db::Database database;
+  database.RegisterTable("t", wide);
+  std::shared_ptr<const db::Table> avg = db::ReferenceExecute(
+      cases.back().plan(wide->schema()), database);
+  EXPECT_EQ(avg->column(1).GetDouble(0),
+            static_cast<double>(3 * (k2To53 + 1)) / 3.0);
+  EXPECT_NE(avg->column(1).GetDouble(0),
+            3 * static_cast<double>(k2To53 + 1) / 3.0);
 }
 
 /// Concurrent executions over one backend share immutable blocks and a
