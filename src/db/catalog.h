@@ -4,8 +4,10 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "db/storage.h"
 #include "db/table.h"
 #include "db/table_stats.h"
@@ -45,6 +47,21 @@ class Catalog {
 
   /// Table names in registration order (= table id order).
   const std::vector<std::string>& names() const { return order_; }
+
+  /// Binds `table` under `name` as a bare version: no statistics and an
+  /// empty layout (no pages, no zone maps). Only for a query-local
+  /// catalog that is never published and is executed with
+  /// ExecContext::storage == nullptr, such as the shard coordinator's
+  /// gathered intermediates. Aborts on a duplicate name.
+  void BindUnlaid(const std::string& name,
+                  std::shared_ptr<const Table> table) {
+    PERFEVAL_CHECK(table != nullptr);
+    auto version = std::make_shared<TableVersion>();
+    version->table = std::move(table);
+    PERFEVAL_CHECK(tables_.emplace(name, std::move(version)).second)
+        << "table " << name << " already bound";
+    order_.push_back(name);
+  }
 
  private:
   friend class Database;

@@ -116,6 +116,16 @@ std::vector<std::string> Database::TableNames() const {
   return catalog()->names();
 }
 
+ExecContext Database::ExecSettings() const {
+  ExecContext ctx;
+  ctx.threads = options_.threads;
+  ctx.morsel = options_.morsel;
+  ctx.join_algo = options_.join_algo;
+  ctx.radix_bits = options_.radix_bits;
+  ctx.check = options_.check;
+  return ctx;
+}
+
 QueryResult Database::Run(const PlanPtr& plan, ExecMode mode, SinkKind sink,
                           bool use_zone_maps) {
   // Fold freshly committed write-path deltas into the catalog, then pin
@@ -126,18 +136,13 @@ QueryResult Database::Run(const PlanPtr& plan, ExecMode mode, SinkKind sink,
   }
   std::shared_ptr<const Catalog> pinned = catalog();
   QueryResult result;
-  ExecContext ctx;
+  ExecContext ctx = ExecSettings();
   ctx.mode = mode;
   ctx.catalog = pinned.get();
   ctx.storage = storage_.get();
   ctx.profiler = &result.profile;
   ctx.use_zone_maps = use_zone_maps;
-  ctx.threads = threads();
-  ctx.morsel = options_.morsel;
   ctx.parallel_sim = &result.parallel;
-  ctx.join_algo = options_.join_algo;
-  ctx.radix_bits = options_.radix_bits;
-  ctx.check = options_.check;
 
   // Server phase: execute the plan. Stats are read through the
   // thread-safe snapshot so concurrent query streams never race on the
@@ -156,15 +161,8 @@ QueryResult Database::Run(const PlanPtr& plan, ExecMode mode, SinkKind sink,
   result.storage.bytes_read = stats_after.bytes_read - stats_before.bytes_read;
   result.storage.stall_ns = stats_after.stall_ns - stats_before.stall_ns;
 
-  // Plans can return a selection over a base table; materialize the final
-  // result the way a server serializes it.
-  if (relation.selection) {
-    auto materialized = std::make_shared<Table>(relation.table->schema());
-    materialized->AppendGather(*relation.table, *relation.selection);
-    result.table = materialized;
-  } else {
-    result.table = relation.table;
-  }
+  // Plans can return a selection over a base table.
+  result.table = relation.Materialize();
 
   // Client phase: render the result into the sink.
   core::Measurement render = core::MeasureOnce(

@@ -187,6 +187,11 @@ class Database {
   bool optimize() const { return options_.optimize; }
   void set_optimize(bool optimize) { options_.optimize = optimize; }
 
+  /// A context carrying this database's live execution settings
+  /// (threads, morsel, join_algo, radix_bits, check). The caller supplies
+  /// the rest: mode, catalog, storage, profiler.
+  ExecContext ExecSettings() const;
+
   /// Runs the refresh hook (if any) without executing a query: folds
   /// freshly committed write-path deltas into the catalog. Secondary
   /// backends call this before re-syncing their own copies of the

@@ -59,6 +59,15 @@ std::vector<uint32_t> Relation::RowIds() const {
   return ids;
 }
 
+std::shared_ptr<const Table> Relation::Materialize() const {
+  if (!selection) {
+    return table;
+  }
+  auto materialized = std::make_shared<Table>(table->schema());
+  materialized->AppendGather(*table, *selection);
+  return materialized;
+}
+
 namespace {
 
 /// Dispatches `count` morsels for an operator over `input_rows` input

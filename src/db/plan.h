@@ -101,6 +101,10 @@ struct Relation {
   }
   /// The selection as an explicit vector (identity when selection is null).
   std::vector<uint32_t> RowIds() const;
+  /// The relation as a table of its own, the way a server serializes a
+  /// final result: `table` itself without a selection, else a fresh table
+  /// of the selected rows.
+  std::shared_ptr<const Table> Materialize() const;
 };
 
 /// Aggregate functions.

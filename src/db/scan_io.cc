@@ -7,6 +7,19 @@
 namespace perfeval {
 namespace db {
 
+namespace {
+
+/// A layout that pages `table` must describe every schema column. A bare
+/// version (Catalog::BindUnlaid) has no column layouts and must never
+/// reach a StorageManager.
+void CheckLaidOut(const ScanTableInfo& table) {
+  PERFEVAL_CHECK(table.schema != nullptr && table.layout != nullptr);
+  PERFEVAL_CHECK_EQ(table.layout->columns.size(), table.schema->num_columns())
+      << "scan over a table without a storage layout";
+}
+
+}  // namespace
+
 std::vector<SimplePredicate> SimpleConjuncts(const ExprPtr& predicate) {
   std::vector<SimplePredicate> simple;
   if (predicate == nullptr) {
@@ -28,7 +41,7 @@ void TouchScanColumns(StorageManager* storage, const ScanTableInfo& table,
   if (storage == nullptr) {
     return;
   }
-  PERFEVAL_CHECK(table.schema != nullptr && table.layout != nullptr);
+  CheckLaidOut(table);
   if (columns.empty()) {
     for (size_t c = 0; c < table.schema->num_columns(); ++c) {
       storage->TouchColumn(*table.layout, static_cast<uint32_t>(c));
@@ -47,7 +60,8 @@ void FilterScanChunkWalk(
     const std::vector<uint32_t>& column_ids,
     const std::vector<SimplePredicate>& simple,
     const std::function<void(size_t, size_t)>& on_chunk) {
-  PERFEVAL_CHECK(storage != nullptr && table.layout != nullptr);
+  PERFEVAL_CHECK(storage != nullptr);
+  CheckLaidOut(table);
   const TableLayout& layout = *table.layout;
   size_t page_rows = std::max<size_t>(storage->rows_per_page(), 1);
   size_t num_rows = layout.num_rows;

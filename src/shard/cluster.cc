@@ -93,15 +93,17 @@ ShardedResult ShardCluster::Execute(const db::PlanPtr& plan, db::ExecMode mode,
   out.shards.resize(static_cast<size_t>(options_.num_shards));
   out.num_fragments = dp.fragments.size();
 
-  // Coordinator scratch engine for gathered fragments, partial-aggregate
-  // merging and the residual plan. Zero-cost disk: fragment tables are
-  // in-memory intermediates, not base data, so they must not charge I/O.
-  db::DatabaseOptions scratch_options;
-  scratch_options.disk = db::DiskModel{0, 0.0};
-  scratch_options.check = options_.shard_db.check;
-  db::Database scratch(scratch_options);
+  // Query-local catalog of the gathered fragment and partial-aggregate
+  // tables, never published. The intermediates are bound bare (no
+  // statistics, no layout: nothing optimizes them) and read without a
+  // StorageManager, so they charge no I/O; the reported StorageStats come
+  // from the replay below. Operators run with shard 0's live execution
+  // settings, the database PlanDistributed planned against.
+  db::Catalog local;
+  db::ExecContext ctx = dbs_[0]->ExecSettings();
+  ctx.mode = mode;
+  ctx.catalog = &local;
 
-  db::QueryResult residual_result;
   out.result.server = core::MeasureOnce([&] {
     // Scatter: every fragment to every shard (replicated fragments to
     // shard 0 only — running them everywhere would duplicate rows).
@@ -156,31 +158,30 @@ ShardedResult ShardCluster::Execute(const db::PlanPtr& plan, db::ExecMode mode,
           partials->AppendTable(*r->table);
         }
         std::string partial_name = FragmentTableName(k) + "_partial";
-        scratch.RegisterTable(partial_name, std::move(partials));
-        db::QueryResult merged = scratch.Run(
+        local.BindUnlaid(partial_name, std::move(partials));
+        std::shared_ptr<const db::Table> merged =
             db::Aggregate(db::Scan(partial_name), frag.group_by,
-                          frag.agg_split->merge),
-            mode, db::SinkKind::kDiscard);
-        scratch.RegisterTable(
+                          frag.agg_split->merge)
+                ->Execute(ctx)
+                .Materialize();
+        local.BindUnlaid(
             FragmentTableName(k),
-            db::FinalizeMergedAggregates(*merged.table, frag.group_by.size(),
+            db::FinalizeMergedAggregates(*merged, frag.group_by.size(),
                                          frag.agg_split->finalize));
       } else {
         auto gathered = std::make_shared<db::Table>(frag.output_schema);
         for (const serve::Response* r : responses) {
           gathered->AppendTable(*r->table);
         }
-        scratch.RegisterTable(FragmentTableName(k), std::move(gathered));
+        local.BindUnlaid(FragmentTableName(k), std::move(gathered));
       }
     }
 
     // Residual: the coordinator-side remainder over the gathered
-    // fragment tables ("__frag<k>" scans).
-    residual_result = scratch.Run(dp.residual, mode, db::SinkKind::kDiscard);
+    // fragment tables ("__frag<k>" scans), traced into the result.
+    ctx.profiler = &out.result.profile;
+    out.result.table = dp.residual->Execute(ctx).Materialize();
   });
-
-  out.result.table = residual_result.table;
-  out.result.profile = residual_result.profile;
 
   // Logical-I/O replay against the reference (single-node) layout — the
   // exact page-touch sequence the undistributed plan would have issued,

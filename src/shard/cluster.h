@@ -74,7 +74,15 @@ struct ShardedResult {
 /// serve::QueryService instances, gathers fragment results in fixed
 /// (fragment, then shard, then shard-local first-occurrence) order, merges
 /// partial aggregates at the coordinator, and runs the residual plan over
-/// the gathered fragment tables. Because gather order is fixed and every
+/// the gathered fragment tables.
+///
+/// The coordinator keeps no database of its own: each query binds its
+/// gathered tables into a query-local db::Catalog as bare versions (no
+/// statistics, no layout) and runs the merge aggregates and the residual
+/// plan straight through PlanNode::Execute with no StorageManager, under
+/// shard 0's live execution settings (threads, morsel policy, join
+/// algorithm, radix bits, checked mode; db::Database::ExecSettings).
+/// Because gather order is fixed and every
 /// shard engine is deterministic at any thread count, the merged result is
 /// bit-identical at any per-shard thread count; at different shard counts
 /// the result relation is equal as a multiset of rows (double aggregates

@@ -55,7 +55,7 @@ struct FragmentPlan {
   /// duplicate rows).
   bool replicated_only = false;
   /// Schema of the gathered fragment table the residual scans ("__frag<k>"
-  /// in the coordinator's scratch catalog). For a split aggregate this is
+  /// in the coordinator's query-local catalog). For a split aggregate this is
   /// the ORIGINAL aggregate's output schema (post-merge, post-finalize).
   db::Schema output_schema;
   /// Engaged when the fragment is a decomposed aggregate: each shard runs
@@ -78,7 +78,7 @@ struct DistributedPlan {
   db::PlanPtr original;
 };
 
-/// The scratch-catalog name of fragment `k`.
+/// The coordinator-catalog name of fragment `k`.
 std::string FragmentTableName(size_t k);
 
 /// Decomposes `plan` into shard fragments plus a coordinator residual.

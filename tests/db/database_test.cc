@@ -196,6 +196,33 @@ TEST(CatalogVersionTest, AtMostTheLiveVersionSurvivesManyInstalls) {
   EXPECT_EQ(database.catalog()->Get("t").layout.version, 100u);
 }
 
+TEST(CatalogVersionTest, UnlaidBindingExecutesWithoutStorage) {
+  // A bare version carries no statistics and no layout; scans over it run
+  // with no StorageManager, so no page or zone map is ever consulted.
+  std::shared_ptr<Table> table = MakeTable(5000);
+  Catalog local;
+  local.BindUnlaid("t", table);
+  EXPECT_EQ(local.names(), (std::vector<std::string>{"t"}));
+  EXPECT_TRUE(local.Get("t").layout.columns.empty());
+  EXPECT_EQ(local.Get("t").stats.rows, 0u);
+
+  Database database;
+  ExecContext ctx = database.ExecSettings();
+  ctx.catalog = &local;
+  EXPECT_EQ(Scan("t")->Execute(ctx).Materialize(), table);
+  std::shared_ptr<const Table> filtered =
+      FilterScan("t", {"k", "v"}, Lt(Col(table->schema(), "k"), LitInt(10)))
+          ->Execute(ctx)
+          .Materialize();
+  EXPECT_EQ(filtered->num_rows(), 10u);
+}
+
+TEST(CatalogDeathTest, DuplicateUnlaidBindingAborts) {
+  Catalog local;
+  local.BindUnlaid("t", MakeTable(1));
+  EXPECT_DEATH(local.BindUnlaid("t", MakeTable(1)), "already bound");
+}
+
 TEST(CatalogVersionTest, InstallsOfSeveralTablesLandTogether) {
   Database database;
   database.RegisterTable("a", MakeTable(1));

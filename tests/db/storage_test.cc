@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "db/catalog.h"
 #include "db/expr.h"
+#include "db/scan_io.h"
 
 namespace perfeval {
 namespace db {
@@ -310,6 +312,22 @@ TEST(StorageDeathTest, UnregisteredTableAborts) {
   unregistered.table_id = 9;
   EXPECT_DEATH(TouchPage(&storage, unregistered, 0, 0),
                "page outside the table layout");
+}
+
+TEST(StorageDeathTest, UnlaidVersionAbortsAtTheScanIoPath) {
+  // A bare catalog version (no layout) is for storage-free execution only;
+  // handing it to the scan I/O path with a pool aborts instead of indexing
+  // past its empty column layouts.
+  Catalog catalog;
+  catalog.BindUnlaid("bare", MakeIntTable(25));
+  const TableVersion& version = catalog.Get("bare");
+  ScanTableInfo info{&version.table->schema(), &version.layout};
+  StorageManager storage(DiskModel(), 4, 10);
+  EXPECT_DEATH(TouchScanColumns(&storage, info, {"w"}),
+               "scan over a table without a storage layout");
+  SimplePredicate le{0, CmpOp::kLe, 5.0};
+  EXPECT_DEATH(FilterScanChunkWalk(&storage, info, {0}, {le}, nullptr),
+               "scan over a table without a storage layout");
 }
 
 }  // namespace

@@ -140,6 +140,29 @@ TEST(ShardClusterTest, FingerprintBitIdenticalAcrossShardThreads) {
   }
 }
 
+TEST(ShardClusterTest, CoordinatorJoinsRunShardZerosAlgorithm) {
+  // Q3's residual plan joins gathered fragments at the coordinator
+  // (o_custkey=c_custkey); that join must run the configured algorithm,
+  // not a default of the coordinator's own.
+  ShardCluster* cluster = Cluster(2);
+  for (int s = 0; s < cluster->num_shards(); ++s) {
+    cluster->shard_db(s).set_join_algo(db::JoinAlgo::kHash);
+  }
+  db::PlanPtr plan = workload::GetTpchQuery(3).Build(*SingleNode());
+  ShardedResult result = cluster->Execute(plan);
+  for (int s = 0; s < cluster->num_shards(); ++s) {
+    cluster->shard_db(s).set_join_algo(db::JoinAlgo::kRadix);
+  }
+  bool traced = false;
+  for (const db::OpTrace& trace : result.result.profile.traces()) {
+    if (trace.op.rfind("HashJoin(", 0) == 0) {
+      traced = true;
+      EXPECT_NE(trace.op.find(", hash)"), std::string::npos) << trace.op;
+    }
+  }
+  EXPECT_TRUE(traced) << "Q3's residual plan has no coordinator join";
+}
+
 TEST(ShardClusterTest, StragglerShardIsAttributed) {
   ShardClusterOptions options;
   options.num_shards = 4;

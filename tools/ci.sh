@@ -75,17 +75,25 @@ shard() {
   # Scale-out job: the shard-cluster suite (planner site annotation, all
   # 22 queries sharded-vs-single-node with bit-identical stats at shard
   # counts {1,2,4,8}, straggler attribution, front-end quotas) plus the
-  # A10 bench's fast path in Release, then the concurrent scatter-gather
-  # test under ThreadSanitizer — fragment fan-out over the per-shard
-  # services is the newest concurrency surface in the tree.
+  # A10 bench's fast path and the sharded differential oracle (exec modes
+  # x join algorithms, coordinator included) in Release, then the
+  # concurrent scatter-gather test under ThreadSanitizer — fragment
+  # fan-out over the per-shard services is the newest concurrency surface
+  # in the tree — and the cluster and sharded-oracle cases under
+  # ASan+UBSan: a residual result may alias a gathered fragment table
+  # owned only through the coordinator's query-local catalog.
   cmake -B build -S .
-  cmake --build build "$jobs_flag" --target shard_test bench_shard_scaleout
+  cmake --build build "$jobs_flag" --target shard_test oracle_test bench_shard_scaleout
   ctest --test-dir build --output-on-failure -L shard
+  ctest --test-dir build --output-on-failure -R 'ShardedTpchOracle'
   cmake -B build-tsan -S . -DPERFEVAL_SANITIZE=thread
   cmake --build build-tsan "$jobs_flag" --target shard_test
   # -R keeps the TSan pass to the shard_test cases (the bench smoke under
   # the same label is built only in the Release tree).
   ctest --test-dir build-tsan --output-on-failure -L shard -R 'ShardPlanner|ShardCluster|ShardedTpch'
+  cmake -B build-asan -S . -DPERFEVAL_SANITIZE=address
+  cmake --build build-asan "$jobs_flag" --target shard_test oracle_test
+  ctest --test-dir build-asan --output-on-failure -R 'ShardCluster|ShardedTpch'
 }
 
 opt() {
