@@ -65,8 +65,7 @@ std::shared_ptr<db::Table> MakeKeyed(size_t rows, int64_t key_range,
 /// "use the engine's own timings" discipline as A2.
 double JoinWallNs(const db::QueryResult& result) {
   for (const db::OpTrace& trace : result.profile.traces()) {
-    if (trace.op.rfind("HashJoin(", 0) == 0 ||
-        trace.op.rfind("MergeJoin", 0) == 0) {
+    if (trace.op.rfind("HashJoin(", 0) == 0) {
       return static_cast<double>(trace.wall_ns);
     }
   }

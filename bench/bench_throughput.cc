@@ -27,16 +27,14 @@ int main(int argc, char** argv) {
   int max_streams =
       static_cast<int>(ctx.properties().GetInt("maxStreams", 4));
   db::Database database;
-  Result<int> threads = ctx.DbThreads();
-  if (!threads.ok()) {
-    std::fprintf(stderr, "%s\n", threads.status().ToString().c_str());
+  Status knobs = ctx.ApplyDbKnobs(&database);
+  if (!knobs.ok()) {
+    std::fprintf(stderr, "%s\n", knobs.ToString().c_str());
     return 2;
   }
-  database.set_threads(threads.value());
   workload::TpchGenerator gen(sf);
   gen.LoadAll(&database);
-  std::printf("TPC-H scale factor %.3g, all 22 queries, dbThreads=%d\n\n",
-              sf, database.threads());
+  std::printf("TPC-H scale factor %.3g, all 22 queries\n\n", sf);
 
   workload::TpchDriver driver(&database);
 

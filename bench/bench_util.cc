@@ -61,9 +61,6 @@ BenchContext::BenchContext(const std::string& experiment_id,
   properties_.SetDefault("isolation", "exclusive");
   properties_.SetDefault("schedSeed", "0");
   properties_.SetDefault("progress", "false");
-  properties_.SetDefault("dbThreads", "1");
-  properties_.SetDefault("dbJoin", "radix");
-  properties_.SetDefault("dbOpt", "off");
   properties_.SetDefault("smoke", "false");
   std::vector<std::string> rest = properties_.OverrideFromArgs(argc, argv);
   for (const std::string& arg : rest) {
@@ -105,7 +102,8 @@ sched::Options BenchContext::ScheduleOptions() const {
 
 Result<int> BenchContext::DbThreads() const {
   // Unparsable text reads as 0, so it is rejected with the same message.
-  int64_t threads = properties_.GetInt("dbThreads", 0);
+  int64_t threads =
+      ParseInt64(properties_.GetOr("dbThreads", "1")).value_or(0);
   if (threads < 1 || threads > INT32_MAX) {
     return Status::InvalidArgument(StrFormat(
         "usage: --dbThreads=N with N >= 1 (got \"%s\")",
@@ -137,7 +135,7 @@ Result<bool> BenchContext::DbOpt() const {
       StrFormat("usage: --dbOpt=on|off (got \"%s\")", text.c_str()));
 }
 
-Status BenchContext::ApplyDbKnobs(db::Database* database) const {
+Status BenchContext::ApplyDbKnobs(db::Database* database) {
   Result<int> threads = DbThreads();
   if (!threads.ok()) {
     return threads.status();
@@ -155,6 +153,15 @@ Status BenchContext::ApplyDbKnobs(db::Database* database) const {
     return optimize.status();
   }
   database->set_optimize(optimize.value());
+  // Treatment knobs are part of the experimental setup (paper, slides
+  // 149–156). Read them back from the database the bench runs, so the
+  // report names the configuration that ran, not the command line.
+  std::string applied = StrFormat(
+      "db knobs: threads=%d join=%s radix_bits=%d opt=%s",
+      database->threads(), db::JoinAlgoName(database->join_algo()),
+      database->radix_bits(), database->optimize() ? "on" : "off");
+  std::printf("%s\n", applied.c_str());
+  AddNote(applied);
   return Status::OK();
 }
 
@@ -169,14 +176,6 @@ std::string BenchContext::ResultPath(const std::string& file_name) const {
 void BenchContext::PrintHeader(const std::string& title) const {
   std::printf("== %s: %s ==\n", experiment_id_.c_str(), title.c_str());
   std::printf("%s", environment_.ToReportString().c_str());
-  // Treatment knobs are part of the experimental setup (paper, slides
-  // 149–156): echo them in every header so a report can never be read
-  // without knowing which engine configuration produced it.
-  std::printf(
-      "db knobs: threads=%s join=%s opt=%s\n",
-      properties_.GetOr("dbThreads", "1").c_str(),
-      properties_.GetOr("dbJoin", "radix").c_str(),
-      properties_.GetOr("dbOpt", "off").c_str());
   std::printf("\n");
 }
 

@@ -67,8 +67,11 @@ class BenchContext {
   /// Applies the validated database knobs (`--dbThreads`, `--dbJoin`,
   /// `--radixBits`, `--dbOpt`) to `database`, returning the
   /// first usage error. Benches call this once after constructing their
-  /// Database so every binary honours the uniform flags identically.
-  Status ApplyDbKnobs(db::Database* database) const;
+  /// Database so every binary honours the uniform flags identically. On
+  /// success it prints one `db knobs:` line read back from `database` and
+  /// adds the same line to the manifest; benches that never call it
+  /// report no knobs, because none were applied.
+  Status ApplyDbKnobs(db::Database* database);
 
   /// `--smoke` (equivalently `-Dsmoke=true`): ask the bench for its
   /// seconds-scale fast path — tiny configs, few repetitions — so ctest
@@ -79,8 +82,7 @@ class BenchContext {
   /// bench_results/<stem> — all artifacts of this experiment go there.
   std::string ResultPath(const std::string& file_name) const;
 
-  /// Prints the standard header: experiment id/title, environment,
-  /// protocol, parameters.
+  /// Prints the standard header: experiment id/title and environment.
   void PrintHeader(const std::string& title) const;
 
   /// Registers an output for the manifest.

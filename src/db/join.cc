@@ -432,14 +432,19 @@ JoinMatches MergeJoinMatch(const std::vector<int64_t>& build_keys,
   const std::vector<int64_t>* keys[2] = {&probe_keys, &build_keys};
   const std::vector<uint32_t>* rows[2] = {&probe_rows, &build_rows};
   // The two sides sort independently; (key, original position) is a total
-  // order, so the sorted sequences are unique regardless of scheduling.
+  // order, so the sorted sequences are unique regardless of scheduling. A
+  // side whose pairs already arrive in that order (clustered keys read in
+  // row order) skips its sort: the check is exact, so the output is the
+  // same either way.
   sched::ParallelFor(threads, 2, [&](size_t s) {
     Keyed& keyed = sides[s];
     keyed.reserve(keys[s]->size());
     for (size_t i = 0; i < keys[s]->size(); ++i) {
       keyed.emplace_back((*keys[s])[i], (*rows[s])[i]);
     }
-    std::sort(keyed.begin(), keyed.end());
+    if (!std::is_sorted(keyed.begin(), keyed.end())) {
+      std::sort(keyed.begin(), keyed.end());
+    }
   });
   const Keyed& lk = sides[0];
   const Keyed& rk = sides[1];

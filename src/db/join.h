@@ -173,9 +173,10 @@ JoinMatches RadixJoinMatch(const std::vector<int64_t>& build_keys,
                            const std::vector<uint32_t>& probe_rows,
                            int radix_bits, int threads);
 
-/// Sort-merge join on the key arrays: sorts both sides by (key, input
-/// position), merges equal-key blocks (cross product per block). Matches
-/// emit in key order, probe before build within a block.
+/// Sort-merge join on the key arrays: sorts both sides by (key, row id),
+/// skipping the sort of a side whose pairs are already in that order
+/// (clustered keys), then merges equal-key blocks (cross product per
+/// block). Matches emit in key order, probe before build within a block.
 JoinMatches MergeJoinMatch(const std::vector<int64_t>& build_keys,
                            const std::vector<uint32_t>& build_rows,
                            const std::vector<int64_t>& probe_keys,

@@ -699,7 +699,7 @@ class ProjectNode : public PlanNode {
 /// Rejects a NULL in any visible row of join key column `name`. The base
 /// column's null mask covers rows a selection vector may already have
 /// filtered out; only a NULL in a visible row is an error (rejecting on
-/// has_nulls() alone refused inputs like Filter(k >= 0) -> MergeJoin,
+/// has_nulls() alone refused inputs like Filter(k >= 0) -> merge join,
 /// which the reference interpreter accepts).
 void RejectNullJoinKeys(const Relation& rel, const std::string& name) {
   const Column& column = rel.table->ColumnByName(name);
@@ -891,6 +891,7 @@ class HashJoinNode : public PlanNode {
     spec.kind = PlanKind::kHashJoin;
     spec.left_keys = left_keys_;
     spec.right_keys = right_keys_;
+    spec.join_algo = algo_;
     return spec;
   }
 
@@ -908,158 +909,6 @@ class HashJoinNode : public PlanNode {
   std::vector<std::string> left_keys_;
   std::vector<std::string> right_keys_;
   std::optional<JoinAlgo> algo_;  ///< optimizer-pinned; nullopt = ctx knob.
-};
-
-
-/// Sort-merge equi-join on a single int64 key. Inputs that are already
-/// sorted on the key (clustered storage) skip the sort entirely.
-class MergeJoinNode : public PlanNode {
- public:
-  MergeJoinNode(PlanPtr left, PlanPtr right, std::string left_key,
-                std::string right_key)
-      : left_(std::move(left)),
-        right_(std::move(right)),
-        left_key_(std::move(left_key)),
-        right_key_(std::move(right_key)) {}
-
-  Relation Execute(ExecContext& ctx) const override {
-    Relation left = left_->Execute(ctx);
-    Relation right = right_->Execute(ctx);
-    TraceScope trace(ctx,
-                     "MergeJoin(" + left_key_ + "=" + right_key_ + ")",
-                     left.num_rows() + right.num_rows());
-
-    using Keyed = std::vector<std::pair<int64_t, uint32_t>>;
-    auto extract = [&ctx](const Relation& rel,
-                          const std::string& name) -> Keyed {
-      const Column& column = rel.table->ColumnByName(name);
-      PERFEVAL_CHECK(column.type() == DataType::kInt64)
-          << "merge join requires int64 keys (" << name << ")";
-      RejectNullJoinKeys(rel, name);
-      Keyed keyed;
-      keyed.reserve(rel.num_rows());
-      bool sorted = true;
-      int64_t previous = INT64_MIN;
-      if (ctx.mode == ExecMode::kDebug) {
-        for (size_t i = 0; i < rel.num_rows(); ++i) {
-          uint32_t r = rel.RowAt(i);
-          PERFEVAL_CHECK_LT(r, rel.table->num_rows());
-          int64_t key = column.GetValue(r).AsInt64();
-          sorted &= key >= previous;
-          previous = key;
-          keyed.emplace_back(key, r);
-        }
-      } else {
-        const std::vector<int64_t>& data = column.ints();
-        for (size_t i = 0; i < rel.num_rows(); ++i) {
-          uint32_t r = rel.RowAt(i);
-          int64_t key = data[r];
-          sorted &= key >= previous;
-          previous = key;
-          keyed.emplace_back(key, r);
-        }
-      }
-      if (!sorted) {
-        std::sort(keyed.begin(), keyed.end());
-      }
-      return keyed;
-    };
-    Keyed lk = extract(left, left_key_);
-    Keyed rk = extract(right, right_key_);
-
-    // Merge equal-key blocks (cross product within a block).
-    std::vector<uint32_t> out_left;
-    std::vector<uint32_t> out_right;
-    size_t i = 0;
-    size_t j = 0;
-    while (i < lk.size() && j < rk.size()) {
-      if (lk[i].first < rk[j].first) {
-        ++i;
-      } else if (lk[i].first > rk[j].first) {
-        ++j;
-      } else {
-        int64_t key = lk[i].first;
-        size_t i_end = i;
-        while (i_end < lk.size() && lk[i_end].first == key) {
-          ++i_end;
-        }
-        size_t j_end = j;
-        while (j_end < rk.size() && rk[j_end].first == key) {
-          ++j_end;
-        }
-        for (size_t a = i; a < i_end; ++a) {
-          for (size_t b = j; b < j_end; ++b) {
-            out_left.push_back(lk[a].second);
-            out_right.push_back(rk[b].second);
-          }
-        }
-        i = i_end;
-        j = j_end;
-      }
-    }
-    if (ctx.check) {
-      std::vector<int64_t> probe_keys;
-      probe_keys.reserve(lk.size());
-      for (const auto& [key, row] : lk) {
-        probe_keys.push_back(key);
-      }
-      std::vector<int64_t> build_keys;
-      build_keys.reserve(rk.size());
-      for (const auto& [key, row] : rk) {
-        build_keys.push_back(key);
-      }
-      CheckJoinMatchConservation(probe_keys, build_keys, out_left.size(),
-                                 "MergeJoin");
-    }
-
-    std::vector<ColumnSpec> specs = left.table->schema().columns();
-    for (const ColumnSpec& spec : right.table->schema().columns()) {
-      specs.push_back(spec);
-    }
-    auto out_table = std::make_shared<Table>(Schema(std::move(specs)));
-    std::shared_ptr<Table> left_part = GatherRows(ctx, *left.table, out_left);
-    std::shared_ptr<Table> right_part =
-        GatherRows(ctx, *right.table, out_right);
-    for (size_t c = 0; c < left_part->num_columns(); ++c) {
-      out_table->column(c) = left_part->column(c);
-    }
-    for (size_t c = 0; c < right_part->num_columns(); ++c) {
-      out_table->column(left_part->num_columns() + c) =
-          right_part->column(c);
-    }
-    out_table->FinishBulkLoad();
-
-    Relation out;
-    out.table = out_table;
-    trace.Finish(out.num_rows());
-    return out;
-  }
-
-  std::string Describe() const override {
-    return "MergeJoin [" + left_key_ + " = " + right_key_ + "]";
-  }
-
-  PlanSpec Spec() const override {
-    PlanSpec spec;
-    spec.kind = PlanKind::kMergeJoin;
-    spec.left_keys = {left_key_};
-    spec.right_keys = {right_key_};
-    return spec;
-  }
-
-  std::vector<const PlanNode*> Children() const override {
-    return {left_.get(), right_.get()};
-  }
-
-  std::vector<PlanPtr> SharedChildren() const override {
-    return {left_, right_};
-  }
-
- private:
-  PlanPtr left_;
-  PlanPtr right_;
-  std::string left_key_;
-  std::string right_key_;
 };
 
 /// One morsel's partial aggregation: local groups in first-occurrence
@@ -1763,18 +1612,11 @@ PlanPtr HashJoin2(PlanPtr left, PlanPtr right, std::string left_key1,
 
 PlanPtr HashJoinWith(PlanPtr left, PlanPtr right,
                      std::vector<std::string> left_keys,
-                     std::vector<std::string> right_keys, JoinAlgo algo) {
+                     std::vector<std::string> right_keys,
+                     std::optional<JoinAlgo> algo) {
   return std::make_shared<HashJoinNode>(std::move(left), std::move(right),
                                         std::move(left_keys),
                                         std::move(right_keys), algo);
-}
-
-
-PlanPtr MergeJoin(PlanPtr left, PlanPtr right, std::string left_key,
-                  std::string right_key) {
-  return std::make_shared<MergeJoinNode>(std::move(left), std::move(right),
-                                         std::move(left_key),
-                                         std::move(right_key));
 }
 
 PlanPtr Aggregate(PlanPtr child, std::vector<std::string> group_by,

@@ -2,6 +2,7 @@
 #define PERFEVAL_DB_PLAN_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -132,7 +133,6 @@ enum class PlanKind {
   kFilter,
   kProject,
   kHashJoin,
-  kMergeJoin,
   kAggregate,
   kSort,
   kLimit,
@@ -152,6 +152,9 @@ struct PlanSpec {
   std::vector<std::string> names;      ///< kProject output names.
   std::vector<std::string> left_keys;  ///< joins (1 or 2 key columns).
   std::vector<std::string> right_keys;  ///< joins.
+  /// kHashJoin: the algorithm pinned on the node; nullopt follows
+  /// ExecContext::join_algo at run time.
+  std::optional<JoinAlgo> join_algo;
   std::vector<std::string> group_by;   ///< kAggregate.
   std::vector<AggSpec> aggregates;     ///< kAggregate.
   std::vector<SortKey> sort_keys;      ///< kSort / kTopN.
@@ -234,18 +237,17 @@ PlanPtr HashJoin2(PlanPtr left, PlanPtr right, std::string left_key1,
 
 /// Equi-join with the physical algorithm pinned per node (the cost-based
 /// optimizer's output form): unlike HashJoin/HashJoin2, which follow
-/// ExecContext::join_algo at run time, this node always executes `algo`.
-/// 1 or 2 key columns; composite keys have the HashJoin2 31-bit bound.
+/// ExecContext::join_algo at run time, this node always executes `algo`;
+/// nullopt builds the unpinned node, so a rewriter can pass
+/// PlanSpec::join_algo through unchanged. JoinAlgo::kMerge is the
+/// sort-merge join, which skips the sort of an input already ordered on
+/// its key (clustered keys such as TPC-H's l_orderkey);
+/// bench_join_crossover measures where it wins. 1 or 2 key columns;
+/// composite keys have the HashJoin2 31-bit bound.
 PlanPtr HashJoinWith(PlanPtr left, PlanPtr right,
                      std::vector<std::string> left_keys,
-                     std::vector<std::string> right_keys, JoinAlgo algo);
-
-/// Sort-merge join on one int64 equality key. Detects already-sorted
-/// inputs (clustered keys such as TPC-H's l_orderkey) and skips the sort —
-/// the classic alternative to HashJoin; bench_join_crossover measures
-/// where each wins.
-PlanPtr MergeJoin(PlanPtr left, PlanPtr right, std::string left_key,
-                  std::string right_key);
+                     std::vector<std::string> right_keys,
+                     std::optional<JoinAlgo> algo);
 
 /// Hash aggregation with optional group-by columns.
 PlanPtr Aggregate(PlanPtr child, std::vector<std::string> group_by,

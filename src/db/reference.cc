@@ -351,7 +351,6 @@ TablePtr Exec(const PlanNode& node, const Catalog& catalog) {
       return ProjectRows(Exec(*children[0], catalog), spec.exprs,
                          spec.names);
     case PlanKind::kHashJoin:
-    case PlanKind::kMergeJoin:
       // Equi-join semantics are algorithm-independent; one naive
       // implementation stands in for hash, radix and merge.
       return JoinTables(Exec(*children[0], catalog),

@@ -225,8 +225,7 @@ int64_t JoinKeyAt(const RowBlock& block, size_t col, size_t row,
 }
 
 RowBlockPtr ExecJoin(const db::PlanSpec& spec, const RowBlockPtr& left,
-                     const RowBlockPtr& right, RowExecCtx& ctx,
-                     const char* op) {
+                     const RowBlockPtr& right, RowExecCtx& ctx) {
   size_t nkeys = spec.left_keys.size();
   std::vector<size_t> lk(nkeys);
   std::vector<size_t> rk(nkeys);
@@ -270,7 +269,7 @@ RowBlockPtr ExecJoin(const db::PlanSpec& spec, const RowBlockPtr& left,
       build_keys[r] = right->Int64At(r, rk[0]);
     }
     db::CheckJoinMatchConservation(probe_keys, build_keys, out_left.size(),
-                                   op);
+                                   "HashJoin");
   }
 
   // Output layout: left columns then right columns. Heap: share when
@@ -655,18 +654,14 @@ RowBlockPtr ExecNode(const db::PlanNode& node, RowExecCtx& ctx) {
       RowTrace trace(ctx, "Project", input->num_rows());
       return ExecProject(spec, input, ctx, &trace);
     }
-    case db::PlanKind::kHashJoin:
-    case db::PlanKind::kMergeJoin: {
+    case db::PlanKind::kHashJoin: {
       RowBlockPtr left = ExecNode(*children[0], ctx);
       RowBlockPtr right = ExecNode(*children[1], ctx);
-      bool hash = spec.kind == db::PlanKind::kHashJoin;
-      std::string name =
-          std::string(hash ? "HashJoin(" : "MergeJoin(") +
-          spec.left_keys[0] + "=" + spec.right_keys[0] + ")";
-      RowTrace trace(ctx, std::move(name),
+      RowTrace trace(ctx,
+                     "HashJoin(" + spec.left_keys[0] + "=" +
+                         spec.right_keys[0] + ")",
                      left->num_rows() + right->num_rows());
-      RowBlockPtr out = ExecJoin(spec, left, right, ctx,
-                                 hash ? "HashJoin" : "MergeJoin");
+      RowBlockPtr out = ExecJoin(spec, left, right, ctx);
       trace.set_rows_out(out->num_rows());
       return out;
     }

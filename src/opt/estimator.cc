@@ -47,7 +47,6 @@ db::Schema SchemaOf(const db::PlanNode& node, const db::Catalog& catalog) {
       return db::Schema(std::move(specs));
     }
     case db::PlanKind::kHashJoin:
-    case db::PlanKind::kMergeJoin:
       return ConcatSchemas(SchemaOf(*children[0], catalog),
                            SchemaOf(*children[1], catalog));
     case db::PlanKind::kAggregate: {
@@ -77,8 +76,6 @@ const char* OpName(db::PlanKind kind) {
       return "Project";
     case db::PlanKind::kHashJoin:
       return "HashJoin";
-    case db::PlanKind::kMergeJoin:
-      return "MergeJoin";
     case db::PlanKind::kAggregate:
       return "Aggregate";
     case db::PlanKind::kSort:
@@ -252,8 +249,7 @@ CardinalityEstimator::SubtreeInfo CardinalityEstimator::Walk(
              static_cast<double>(spec.exprs.size()) * model_.project_ns;
       break;
     }
-    case db::PlanKind::kHashJoin:
-    case db::PlanKind::kMergeJoin: {
+    case db::PlanKind::kHashJoin: {
       info.schema =
           ConcatSchemas(child_info[0].schema, child_info[1].schema);
       double sel = 1.0;
@@ -263,10 +259,8 @@ CardinalityEstimator::SubtreeInfo CardinalityEstimator::Walk(
       }
       info.rows =
           std::max(child_info[0].rows * child_info[1].rows * sel, 1.0);
-      db::JoinAlgo algo = spec.kind == db::PlanKind::kMergeJoin
-                              ? db::JoinAlgo::kMerge
-                              : default_algo_;
-      cost = model_.JoinCost(algo, child_info[0].rows, child_info[1].rows,
+      cost = model_.JoinCost(spec.join_algo.value_or(default_algo_),
+                             child_info[0].rows, child_info[1].rows,
                              info.rows);
       break;
     }

@@ -19,9 +19,7 @@ namespace {
 using db::PlanKind;
 using db::PlanPtr;
 
-bool IsJoin(PlanKind kind) {
-  return kind == PlanKind::kHashJoin || kind == PlanKind::kMergeJoin;
-}
+bool IsJoin(PlanKind kind) { return kind == PlanKind::kHashJoin; }
 
 /// One equality between two columns: a candidate join edge.
 struct KeyPair {
@@ -97,7 +95,6 @@ PlanPtr RebuildNode(const PlanPtr& node, std::vector<PlanPtr> kids) {
     case PlanKind::kTopN:
       return db::TopN(std::move(kids[0]), spec.sort_keys, spec.limit);
     case PlanKind::kHashJoin:
-    case PlanKind::kMergeJoin:
       PERFEVAL_CHECK(false) << "joins are handled by OptimizeRegion";
   }
   return node;

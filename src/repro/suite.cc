@@ -96,7 +96,8 @@ const ExperimentSuite& PerfevalSuite() {
     add("A1", "Engine factor screening, 2^(k-p) + allocation (ablation)",
         "build/bench/bench_engine_screening",
         "stdout + bench_results/a1_screening.csv", "about a minute");
-    add("A2", "Operator crossovers: hash vs merge join, top-n vs sort; "
+    add("A2", "Operator crossovers: hash vs merge algorithm of one join "
+        "operator, top-n vs sort; "
         "radix bits x threads sweep vs legacy hash join with bootstrap "
         "CIs + hwsim cost dissection (ablation)",
         "build/bench/bench_join_crossover",

@@ -40,8 +40,7 @@ db::Schema OutputSchema(const db::PlanSpec& spec,
       }
       return db::Schema(std::move(cols));
     }
-    case db::PlanKind::kHashJoin:
-    case db::PlanKind::kMergeJoin: {
+    case db::PlanKind::kHashJoin: {
       PERFEVAL_CHECK_EQ(children.size(), 2u);
       std::vector<db::ColumnSpec> cols = children[0]->schema.columns();
       for (const db::ColumnSpec& c : children[1]->schema.columns()) {
@@ -134,8 +133,7 @@ void AnnotateRecursive(const db::PlanPtr& owner, const db::PlanNode* node,
       }
       break;
     }
-    case db::PlanKind::kHashJoin:
-    case db::PlanKind::kMergeJoin: {
+    case db::PlanKind::kHashJoin: {
       const SiteAnnotation& left = *child_annots[0];
       const SiteAnnotation& right = *child_annots[1];
       size_t left_width = left.schema.num_columns();
@@ -208,16 +206,9 @@ db::PlanPtr Rebuild(const db::PlanSpec& spec,
     case db::PlanKind::kProject:
       return db::Project(std::move(children[0]), spec.exprs, spec.names);
     case db::PlanKind::kHashJoin:
-      if (spec.left_keys.size() == 2) {
-        return db::HashJoin2(std::move(children[0]), std::move(children[1]),
-                             spec.left_keys[0], spec.right_keys[0],
-                             spec.left_keys[1], spec.right_keys[1]);
-      }
-      return db::HashJoin(std::move(children[0]), std::move(children[1]),
-                          spec.left_keys[0], spec.right_keys[0]);
-    case db::PlanKind::kMergeJoin:
-      return db::MergeJoin(std::move(children[0]), std::move(children[1]),
-                           spec.left_keys[0], spec.right_keys[0]);
+      return db::HashJoinWith(std::move(children[0]), std::move(children[1]),
+                              spec.left_keys, spec.right_keys,
+                              spec.join_algo);
     case db::PlanKind::kAggregate:
       return db::Aggregate(std::move(children[0]), spec.group_by,
                            spec.aggregates);

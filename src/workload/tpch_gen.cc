@@ -422,7 +422,7 @@ std::shared_ptr<Table> TpchGenerator::GenerateLineitem() {
         static_cast<uint64_t>(parts), fk_zipf_theta_);
   }
   // Chunked by order index — an order's lines always come from one chunk,
-  // preserving the clustered-by-orderkey layout MergeJoin exploits.
+  // preserving the clustered-by-orderkey layout the merge join exploits.
   return BuildChunked(
       static_cast<int64_t>(order_infos_.size()), 8, LineitemSchema(),
       [&, parts, suppliers](Pcg32& rng, int64_t begin, int64_t end,

@@ -2,8 +2,12 @@
 // gracefully (a typo must not abort an overnight run), but the treatment
 // knobs --dbJoin/--dbOpt/--dbThreads are the experiment itself: an
 // unrecognized value must surface as a usage error, never as a silent
-// fallback that quietly measures the wrong engine.
+// fallback that quietly measures the wrong engine. The one `db knobs:`
+// line a bench prints is read back from the Database the knobs were
+// applied to, never echoed from the command line.
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -99,6 +103,60 @@ TEST(BenchUtilTest, ApplyDbKnobsPropagatesTheFirstError) {
   Status status = ctx.ApplyDbKnobs(&database);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("usage: --dbJoin"), std::string::npos);
+}
+
+TEST(BenchUtilTest, HeaderEchoesNoKnobs) {
+  // The header is printed before any Database exists, so it cannot know
+  // what ran; a knob given on the command line must not appear there.
+  BenchContext ctx = MakeContext({"--dbJoin=hash", "--dbThreads=3"});
+  ::testing::internal::CaptureStdout();
+  ctx.PrintHeader("header test");
+  std::string out = ::testing::internal::GetCapturedStdout();
+  EXPECT_NE(out.find("== T0: header test =="), std::string::npos) << out;
+  EXPECT_EQ(out.find("db knobs"), std::string::npos) << out;
+}
+
+TEST(BenchUtilTest, ApplyDbKnobsPrintsAndRecordsTheAppliedValues) {
+  std::string dir = ::testing::TempDir() + "bench_util_knobs";
+  BenchContext ctx =
+      MakeContext({"--dbJoin=hash", "--dbOpt=on", "--dbThreads=3",
+                   "--radixBits=6", "-DresultsDir=" + dir});
+  db::Database database;
+  ::testing::internal::CaptureStdout();
+  Status status = ctx.ApplyDbKnobs(&database);
+  std::string out = ::testing::internal::GetCapturedStdout();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  const std::string line =
+      "db knobs: threads=3 join=hash radix_bits=6 opt=on";
+  EXPECT_EQ(out, line + "\n");
+
+  std::ifstream manifest(ctx.Finish());
+  std::stringstream text;
+  text << manifest.rdbuf();
+  EXPECT_NE(text.str().find(line), std::string::npos) << text.str();
+}
+
+TEST(BenchUtilTest, ApplyDbKnobsWithoutFlagsReportsTheDefaults) {
+  BenchContext ctx = MakeContext({});
+  Result<int> threads = ctx.DbThreads();
+  ASSERT_TRUE(threads.ok());
+  EXPECT_EQ(threads.value(), 1);
+  db::Database database;
+  ::testing::internal::CaptureStdout();
+  Status status = ctx.ApplyDbKnobs(&database);
+  std::string out = ::testing::internal::GetCapturedStdout();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(out, "db knobs: threads=1 join=radix radix_bits=0 opt=off\n");
+}
+
+TEST(BenchUtilTest, FailedApplyPrintsNoKnobs) {
+  BenchContext ctx = MakeContext({"--dbOpt=maybe"});
+  db::Database database;
+  ::testing::internal::CaptureStdout();
+  Status status = ctx.ApplyDbKnobs(&database);
+  std::string out = ::testing::internal::GetCapturedStdout();
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(out, "");
 }
 
 }  // namespace

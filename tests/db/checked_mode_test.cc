@@ -253,7 +253,8 @@ TEST(CheckedModeTest, JoinChecksPassOnHealthyJoin) {
   }
   database->set_join_algo(JoinAlgo::kHash);
   QueryResult merged =
-      database->Run(MergeJoin(Scan("t"), Scan("u"), "k", "k2"));
+      database->Run(HashJoinWith(Scan("t"), Scan("u"), {"k"}, {"k2"},
+                                 JoinAlgo::kMerge));
   EXPECT_EQ(merged.table->num_rows(), 4u);
 }
 
@@ -287,7 +288,8 @@ TEST(NullSemanticsTest, NullJoinKeysAreRejected) {
       database2->Run(HashJoin(Scan("t"), Scan("u"), "y", "k2")),
       QueryError);
   EXPECT_THROW(
-      database2->Run(MergeJoin(Scan("t"), Scan("u"), "y", "k2")),
+      database2->Run(HashJoinWith(Scan("t"), Scan("u"), {"y"}, {"k2"},
+                                  JoinAlgo::kMerge)),
       QueryError);
 }
 

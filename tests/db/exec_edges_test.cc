@@ -8,7 +8,7 @@
 //      checked-mode "output ordered" invariant fired on correct output.
 //   2. TopN's unstable partial_sort broke ties arbitrarily, so TopN(k)
 //      could keep a different key-equal row than Sort + Limit(k).
-//   3. MergeJoin rejected any input whose BASE column had a null mask,
+//   3. The merge join rejected any input whose BASE column had a null mask,
 //      even when the selection vector excluded every NULL row — an input
 //      the hash join and the reference interpreter both accept.
 
@@ -131,8 +131,9 @@ TEST(ExecEdgesTest, MergeJoinAcceptsKeysFilteredPastNulls) {
   // so the merge join's visible input is NULL-free even though the base
   // column's null mask is not.
   PlanPtr filtered = Filter(Scan("fact"), Ge(Col(fs, "k"), LitInt(0)));
-  PlanPtr merge = Sort(MergeJoin(filtered, Scan("dim"), "k", "k"),
-                       {{"v", true}, {"name", true}});
+  PlanPtr merge =
+      Sort(HashJoinWith(filtered, Scan("dim"), {"k"}, {"k"}, JoinAlgo::kMerge),
+           {{"v", true}, {"name", true}});
   PlanPtr hash = Sort(HashJoin(filtered, Scan("dim"), "k", "k"),
                       {{"v", true}, {"name", true}});
   std::shared_ptr<const Table> expected = ReferenceExecute(merge, database);
@@ -150,7 +151,8 @@ TEST(ExecEdgesTest, MergeJoinAcceptsKeysFilteredPastNulls) {
   }
 
   // A NULL key that IS visible must still be rejected, with the row id.
-  PlanPtr bad = MergeJoin(Scan("fact"), Scan("dim"), "k", "k");
+  PlanPtr bad =
+      HashJoinWith(Scan("fact"), Scan("dim"), {"k"}, {"k"}, JoinAlgo::kMerge);
   try {
     database.Run(bad);
     FAIL() << "visible NULL join key must throw";

@@ -174,6 +174,42 @@ TEST(JoinMatchTest, AllAlgorithmsAgreeOnTheMatchSet) {
   EXPECT_EQ(SortedPairs(merge), expected);
 }
 
+TEST(JoinMatchTest, MergeSortSkipKeepsTheEmissionOrder) {
+  // A side whose (key, row) pairs arrive ascending skips its sort; one
+  // ascending by key only (rows descending within a key) must still sort.
+  // Either way the matches are byte-identical to the unsorted input's.
+  Sides s = MakeSides(3000, 4000, 500, 3);
+  JoinMatches expected = MergeJoinMatch(s.build_keys, s.build_rows,
+                                        s.probe_keys, s.probe_rows, 1);
+  ASSERT_GT(expected.size(), 0u);
+  auto arrange = [](std::vector<int64_t>* keys, std::vector<uint32_t>* rows,
+                    bool rows_descending) {
+    std::vector<std::pair<int64_t, uint32_t>> pairs;
+    for (size_t i = 0; i < keys->size(); ++i) {
+      pairs.emplace_back((*keys)[i], (*rows)[i]);
+    }
+    std::sort(pairs.begin(), pairs.end(), [&](const auto& a, const auto& b) {
+      if (a.first != b.first) {
+        return a.first < b.first;
+      }
+      return rows_descending ? a.second > b.second : a.second < b.second;
+    });
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      (*keys)[i] = pairs[i].first;
+      (*rows)[i] = pairs[i].second;
+    }
+  };
+  for (bool rows_descending : {false, true}) {
+    Sides t = s;
+    arrange(&t.build_keys, &t.build_rows, rows_descending);
+    arrange(&t.probe_keys, &t.probe_rows, rows_descending);
+    JoinMatches merge = MergeJoinMatch(t.build_keys, t.build_rows,
+                                       t.probe_keys, t.probe_rows, 2);
+    EXPECT_EQ(merge.probe_rows, expected.probe_rows) << rows_descending;
+    EXPECT_EQ(merge.build_rows, expected.build_rows) << rows_descending;
+  }
+}
+
 TEST(JoinMatchTest, EveryAlgorithmHandlesEmptyInputs) {
   Sides s = MakeSides(100, 100, 50, 2);
   const std::vector<int64_t> no_keys;

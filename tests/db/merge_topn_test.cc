@@ -55,6 +55,13 @@ std::multiset<std::string> RowSet(const Table& table) {
   return out;
 }
 
+/// The sort-merge join: the equi-join operator pinned to JoinAlgo::kMerge.
+PlanPtr MergePinned(PlanPtr left, PlanPtr right, std::string left_key,
+                    std::string right_key) {
+  return HashJoinWith(std::move(left), std::move(right), {left_key},
+                      {right_key}, JoinAlgo::kMerge);
+}
+
 struct JoinCase {
   size_t left_rows;
   size_t right_rows;
@@ -69,7 +76,7 @@ TEST_P(MergeVsHashTest, SameResultAsHashJoin) {
   auto database = MakeRandomDb(c.left_rows, c.right_rows, c.key_range, 77,
                                c.sorted);
   PlanPtr hash = HashJoin(Scan("l"), Scan("r"), "lk", "rk");
-  PlanPtr merge = MergeJoin(Scan("l"), Scan("r"), "lk", "rk");
+  PlanPtr merge = MergePinned(Scan("l"), Scan("r"), "lk", "rk");
   QueryResult hash_result = database->Run(hash);
   QueryResult merge_result = database->Run(merge);
   EXPECT_EQ(hash_result.table->num_rows(), merge_result.table->num_rows());
@@ -80,7 +87,7 @@ TEST_P(MergeVsHashTest, DebugModeAgrees) {
   const JoinCase& c = GetParam();
   auto database = MakeRandomDb(c.left_rows, c.right_rows, c.key_range, 78,
                                c.sorted);
-  PlanPtr merge = MergeJoin(Scan("l"), Scan("r"), "lk", "rk");
+  PlanPtr merge = MergePinned(Scan("l"), Scan("r"), "lk", "rk");
   QueryResult optimized = database->Run(merge, ExecMode::kOptimized);
   QueryResult debug = database->Run(merge, ExecMode::kDebug);
   EXPECT_EQ(RowSet(*optimized.table), RowSet(*debug.table));
@@ -97,9 +104,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(MergeJoinTest, DescendingClusteredInputMustStillSort) {
   // Keys clustered in DESCENDING order: monotone, but not the ascending
-  // order the skip-sort fast path detects (it checks key >= previous).
-  // Taking the fast path here would emit garbage matches, so this guards
-  // the detector's direction.
+  // (key, row) order the skip-sort fast path detects. Taking the fast
+  // path here would emit garbage matches, so this guards the detector's
+  // direction.
   auto database = std::make_unique<Database>();
   auto make = [&](const char* key_name, const char* value_name,
                   uint64_t seed) {
@@ -121,7 +128,7 @@ TEST(MergeJoinTest, DescendingClusteredInputMustStillSort) {
   database->RegisterTable("l", make("lk", "lv", 21));
   database->RegisterTable("r", make("rk", "rv", 22));
   PlanPtr hash = HashJoin(Scan("l"), Scan("r"), "lk", "rk");
-  PlanPtr merge = MergeJoin(Scan("l"), Scan("r"), "lk", "rk");
+  PlanPtr merge = MergePinned(Scan("l"), Scan("r"), "lk", "rk");
   for (ExecMode mode : {ExecMode::kOptimized, ExecMode::kDebug}) {
     QueryResult hash_result = database->Run(hash, mode);
     QueryResult merge_result = database->Run(merge, mode);
@@ -141,7 +148,7 @@ TEST_P(EmptyInputJoinTest, EmptySidesYieldEmptyJoins) {
     auto database = MakeRandomDb(left_rows, right_rows, 10, 31, false);
     database->set_join_algo(GetParam());
     for (PlanPtr plan : {HashJoin(Scan("l"), Scan("r"), "lk", "rk"),
-                         MergeJoin(Scan("l"), Scan("r"), "lk", "rk")}) {
+                         MergePinned(Scan("l"), Scan("r"), "lk", "rk")}) {
       for (ExecMode mode : {ExecMode::kOptimized, ExecMode::kDebug}) {
         QueryResult result = database->Run(plan, mode);
         EXPECT_EQ(result.table->num_rows(), 0u);
@@ -162,7 +169,7 @@ INSTANTIATE_TEST_SUITE_P(Algos, EmptyInputJoinTest,
 TEST(MergeJoinTest, FilteredInputsJoinCorrectly) {
   auto database = MakeRandomDb(300, 300, 50, 5, false);
   const Schema& left = database->GetTable("l").schema();
-  PlanPtr merge = MergeJoin(
+  PlanPtr merge = MergePinned(
       FilterScan("l", {"lk", "lv"}, Lt(Col(left, "lk"), LitInt(25))),
       Scan("r"), "lk", "rk");
   QueryResult result = database->Run(merge);
@@ -176,8 +183,9 @@ TEST(MergeJoinTest, FilteredInputsJoinCorrectly) {
 
 TEST(MergeJoinTest, ExplainNamesTheOperator) {
   auto database = MakeRandomDb(10, 10, 5, 1, false);
-  PlanPtr merge = MergeJoin(Scan("l"), Scan("r"), "lk", "rk");
-  EXPECT_NE(Explain(merge).find("MergeJoin [lk = rk]"), std::string::npos);
+  PlanPtr merge = MergePinned(Scan("l"), Scan("r"), "lk", "rk");
+  EXPECT_NE(Explain(merge).find("HashJoin [lk = rk] algo=merge"),
+            std::string::npos);
 }
 
 TEST(TopNTest, MatchesSortPlusLimitOnUniqueKeys) {

@@ -5,6 +5,7 @@
 // cost-model orderings the DP relies on.
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -105,6 +106,30 @@ TEST_F(EstimatorTest, EstimatePlanAlignsWithProfilerTraces) {
         << "node " << i << ": estimate op '" << estimates[i].op
         << "' vs trace '" << traces[i].op << "'";
     EXPECT_GE(estimates[i].rows_out, 0.0);
+  }
+}
+
+TEST_F(EstimatorTest, PinnedJoinIsCostedByItsPin) {
+  // The session default is radix; a node pinned to merge runs merge, so
+  // its estimate must price merge. The unpinned node prices the default.
+  ASSERT_NE(model_.JoinCost(db::JoinAlgo::kMerge, 1e4, 1e3, 1e4),
+            model_.JoinCost(db::JoinAlgo::kRadix, 1e4, 1e3, 1e4));
+  for (std::optional<db::JoinAlgo> pin :
+       {std::optional<db::JoinAlgo>(db::JoinAlgo::kMerge),
+        std::optional<db::JoinAlgo>()}) {
+    db::PlanPtr join =
+        db::HashJoinWith(db::Scan("orders"), db::Scan("customer"),
+                         {"o_custkey"}, {"c_custkey"}, pin);
+    std::vector<NodeEstimate> estimates;
+    estimator_.EstimatePlan(*join, &estimates);
+    ASSERT_EQ(estimates.size(), 3u);
+    double probe = estimates[0].rows_out;
+    double build = estimates[1].rows_out;
+    const NodeEstimate& node = estimates[2];
+    db::JoinAlgo ran = pin.value_or(db::JoinAlgo::kRadix);
+    EXPECT_DOUBLE_EQ(node.cost_ns,
+                     model_.JoinCost(ran, probe, build, node.rows_out))
+        << db::JoinAlgoName(ran);
   }
 }
 

@@ -163,6 +163,26 @@ TEST(ShardClusterTest, CoordinatorJoinsRunShardZerosAlgorithm) {
   EXPECT_TRUE(traced) << "Q3's residual plan has no coordinator join";
 }
 
+TEST(ShardClusterTest, CoordinatorJoinsKeepTheirPinnedAlgorithm) {
+  // A pinned join that lands in the residual plan runs its pin at the
+  // coordinator, not shard 0's session algorithm (radix here).
+  ShardCluster* cluster = Cluster(2);
+  ASSERT_EQ(cluster->shard_db(0).join_algo(), db::JoinAlgo::kRadix);
+  db::PlanPtr plan =
+      db::HashJoinWith(db::Scan("orders"), db::Scan("customer"),
+                       {"o_custkey"}, {"c_custkey"}, db::JoinAlgo::kMerge);
+  ExpectShardedMatches(cluster, plan, "pinned merge join");
+  ShardedResult result = cluster->Execute(plan);
+  bool traced = false;
+  for (const db::OpTrace& trace : result.result.profile.traces()) {
+    if (trace.op.rfind("HashJoin(", 0) == 0) {
+      traced = true;
+      EXPECT_NE(trace.op.find(", merge)"), std::string::npos) << trace.op;
+    }
+  }
+  EXPECT_TRUE(traced) << "the residual plan has no coordinator join";
+}
+
 TEST(ShardClusterTest, StragglerShardIsAttributed) {
   ShardClusterOptions options;
   options.num_shards = 4;

@@ -73,6 +73,27 @@ TEST(ShardPlannerTest, NonColocatedJoinMovesToCoordinator) {
   EXPECT_EQ(AnnotOf(annot, join).site, Site::kCoordinator);
 }
 
+TEST(ShardPlannerTest, ResidualJoinKeepsItsPinnedAlgorithm) {
+  PartitionScheme scheme = TpchPartitionScheme();
+  // The join is not co-located, so the residual rebuilds it over the
+  // gathered fragments; the rebuilt node must run the original's pin.
+  db::PlanPtr pinned =
+      db::HashJoinWith(db::Scan("orders"), db::Scan("customer"),
+                       {"o_custkey"}, {"c_custkey"}, db::JoinAlgo::kMerge);
+  DistributedPlan dp = PlanDistributed(pinned, scheme, *Catalog());
+  ASSERT_EQ(dp.residual->Spec().kind, db::PlanKind::kHashJoin);
+  EXPECT_EQ(dp.residual->Spec().join_algo, db::JoinAlgo::kMerge);
+  EXPECT_NE(db::Explain(dp.residual).find("algo=merge"), std::string::npos)
+      << db::Explain(dp.residual);
+
+  // An unpinned join stays unpinned: it follows the session knob.
+  db::PlanPtr unpinned = db::HashJoin(db::Scan("orders"), db::Scan("customer"),
+                                      "o_custkey", "c_custkey");
+  DistributedPlan dp2 = PlanDistributed(unpinned, scheme, *Catalog());
+  EXPECT_FALSE(dp2.residual->Spec().join_algo.has_value());
+  EXPECT_EQ(db::Explain(dp2.residual).find("algo="), std::string::npos);
+}
+
 TEST(ShardPlannerTest, PartitionedJoinReplicatedStaysPartitioned) {
   PartitionScheme scheme = TpchPartitionScheme();
   db::PlanPtr join = db::HashJoin(db::Scan("lineitem"), db::Scan("supplier"),

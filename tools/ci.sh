@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point — the same jobs .github/workflows/ci.yml runs, invocable
 # locally: tools/ci.sh
-#   [tier1|asan|oracle|serve|parallel|shard|opt|txn|engine|all].
+#   [tier1|asan|oracle|serve|parallel|shard|opt|txn|engine|perf|all].
 # Each job uses its own build directory so they can be cached independently.
 set -euo pipefail
 
@@ -153,6 +153,16 @@ engine() {
   ctest --test-dir build-tsan --output-on-failure -L engine -R 'ConcurrentExecute'
 }
 
+perf() {
+  # End-to-end benchmark job: bench/perf is a CMake package of its own
+  # that compiles src/ itself, so no other job notices a src/ change that
+  # breaks it (a renamed DatabaseOptions field, say). Build it in Release
+  # and run its unit tests plus the smoke run of every workload.
+  cmake -S bench/perf -B build-perf -DCMAKE_BUILD_TYPE=Release
+  cmake --build build-perf "$jobs_flag"
+  ctest --test-dir build-perf --output-on-failure -L perf
+}
+
 case "$job" in
   tier1)    tier1 ;;
   asan)     asan ;;
@@ -163,9 +173,10 @@ case "$job" in
   opt)      opt ;;
   txn)      txn ;;
   engine)   engine ;;
-  all)      tier1; oracle; serve; parallel; shard; opt; txn; engine; asan ;;
+  perf)     perf ;;
+  all)      tier1; oracle; serve; parallel; shard; opt; txn; engine; perf; asan ;;
   *)
-    echo "usage: tools/ci.sh [tier1|asan|oracle|serve|parallel|shard|opt|txn|engine|all]" >&2
+    echo "usage: tools/ci.sh [tier1|asan|oracle|serve|parallel|shard|opt|txn|engine|perf|all]" >&2
     exit 2
     ;;
 esac
