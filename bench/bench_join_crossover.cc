@@ -10,21 +10,24 @@
 //   2. TopN (partial sort, O(n log k)) vs Sort+Limit (O(n log n)) over
 //      input size at fixed k.
 //   3. Radix-partitioned join sweep: radix bits x worker threads against
-//      the legacy std::unordered_map baseline, join-operator time from
-//      the engine's own TRACE (slides 28-29), speedups reported with
-//      bootstrap confidence intervals (Kalibera & Jones), and the hwsim
-//      cache-cost dissection explaining the shape.
+//      the flat hash join at 1 thread, speedups reported with bootstrap
+//      confidence intervals (Kalibera & Jones), and the hwsim cache-cost
+//      dissection explaining the shape.
 //
-// Every point is the minimum/median of hot runs; series are written as
-// plot-ready CSV+gnuplot and the sweep as BENCH_join_crossover.json.
+// Every point times the operators under test from the engine's own TRACE
+// (slides 28-29), as the minimum (duels) or median (sweep) of hot runs;
+// series are written as plot-ready CSV+gnuplot and the sweep as
+// BENCH_join_crossover.json.
 // `--smoke` shrinks every part to a seconds-long ctest-able pass.
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <initializer_list>
 #include <thread>
 
 #include "bench_util.h"
+#include "common/check.h"
 #include "common/random.h"
 #include "common/string_util.h"
 #include "core/metrics.h"
@@ -61,41 +64,46 @@ std::shared_ptr<db::Table> MakeKeyed(size_t rows, int64_t key_range,
   return table;
 }
 
-double MinUserMs(db::Database& database, const db::PlanPtr& plan,
-                 int runs) {
-  (void)database.Run(plan);
-  std::vector<double> samples;
-  for (int i = 0; i < runs; ++i) {
-    samples.push_back(database.Run(plan).ServerUserMs());
-  }
-  // Sub-granularity runs report 0 user CPU time; floor at the rusage tick
-  // so log-scale charts and win factors stay defined.
-  return std::max(stats::Min(samples), 0.01);
-}
+using OpPrefixes = std::initializer_list<const char*>;
 
-/// The join operator's own wall time from the query TRACE — the paper's
-/// "use timings provided by the tested software", so the sweep measures
-/// the operator under test, not scans and rendering around it.
-double JoinWallNs(const db::QueryResult& result) {
+/// Summed wall time of the operators under test (trace labels starting
+/// with one of `ops`) from the query TRACE — the paper's "use timings
+/// provided by the tested software", so a duel measures the operators it
+/// compares, not scans and rendering around them. Trace times are self
+/// times, so the sum counts no child twice.
+double OpWallNs(const db::QueryResult& result, OpPrefixes ops) {
+  double wall_ns = 0.0;
+  bool found = false;
   for (const db::OpTrace& trace : result.profile.traces()) {
-    if (trace.op.rfind("HashJoin(", 0) == 0) {
-      return static_cast<double>(trace.wall_ns);
+    for (const char* op : ops) {
+      if (trace.op.rfind(op, 0) == 0) {
+        wall_ns += static_cast<double>(trace.wall_ns);
+        found = true;
+      }
     }
   }
-  return static_cast<double>(result.server.real_ns);
+  PERFEVAL_CHECK(found) << "no traced operator to time";
+  return wall_ns;
 }
 
-/// Hot samples of the join operator's wall time under the database's
-/// current algo/bits/threads settings.
-std::vector<double> JoinSamples(db::Database& database,
-                                const db::PlanPtr& plan, int runs) {
+/// Hot samples (ns) of the `ops` operators' wall time under the
+/// database's current algo/bits/threads settings, after one warm-up.
+std::vector<double> OpSamples(db::Database& database,
+                              const db::PlanPtr& plan, int runs,
+                              OpPrefixes ops) {
   (void)database.Run(plan);  // warm-up.
   std::vector<double> samples;
   samples.reserve(static_cast<size_t>(runs));
   for (int i = 0; i < runs; ++i) {
-    samples.push_back(JoinWallNs(database.Run(plan)));
+    samples.push_back(OpWallNs(database.Run(plan), ops));
   }
   return samples;
+}
+
+/// A duel cell: the minimum of 3 hot runs, in ms.
+double MinOpMs(db::Database& database, const db::PlanPtr& plan,
+               OpPrefixes ops) {
+  return stats::Min(OpSamples(database, plan, 3, ops)) / 1e6;
 }
 
 std::string CiJson(const stats::ConfidenceInterval& ci) {
@@ -110,8 +118,8 @@ int main(int argc, char** argv) {
   using namespace perfeval;  // NOLINT(build/namespaces) bench binary.
   bench::BenchContext ctx("A2",
                           "hot runs: 1 warm-up, minimum of 3 (duels) / "
-                          "median of `runs` (radix sweep); join-operator "
-                          "TRACE time for the sweep",
+                          "median of `runs` (radix sweep); wall time of the "
+                          "operators under test from the query TRACE",
                           argc, argv);
   bool smoke = ctx.Smoke();
   ctx.properties().SetDefault("maxRows", smoke ? "16384" : "262144");
@@ -148,8 +156,8 @@ int main(int argc, char** argv) {
                                       "k");
       db::PlanPtr merge = db::HashJoinWith(db::Scan("l"), db::Scan("r"),
                                            {"k"}, {"k"}, db::JoinAlgo::kMerge);
-      double hash_ms = MinUserMs(database, hash, 3);
-      double merge_ms = MinUserMs(database, merge, 3);
+      double hash_ms = MinOpMs(database, hash, {"HashJoin("});
+      double merge_ms = MinOpMs(database, merge, {"HashJoin("});
       bool hash_wins = hash_ms < merge_ms;
       double factor = hash_wins ? merge_ms / hash_ms : hash_ms / merge_ms;
       join_table.AddRow({StrFormat("%zu", rows),
@@ -177,7 +185,7 @@ int main(int argc, char** argv) {
   report::ChartSpec join_chart;
   join_chart.title = "Join algorithm crossover";
   join_chart.x_label = "rows per side";
-  join_chart.y_label = "user CPU time (ms)";
+  join_chart.y_label = "join operator time (ms)";
   join_chart.logscale_x = true;
   join_chart.logscale_y = true;
   join_chart.series = {hash_sorted, merge_sorted, hash_random,
@@ -202,8 +210,8 @@ int main(int argc, char** argv) {
     db::PlanPtr sorted_plan =
         db::Limit(db::Sort(db::Scan("t"), {{"k", true}}), k);
     db::PlanPtr topn_plan = db::TopN(db::Scan("t"), {{"k", true}}, k);
-    double sort_ms = MinUserMs(database, sorted_plan, 3);
-    double topn_ms = MinUserMs(database, topn_plan, 3);
+    double sort_ms = MinOpMs(database, sorted_plan, {"Sort", "Limit"});
+    double topn_ms = MinOpMs(database, topn_plan, {"TopN"});
     top_table.AddRow({StrFormat("%zu", rows), StrFormat("%zu", k),
                       StrFormat("%.2f", sort_ms),
                       StrFormat("%.2f", topn_ms),
@@ -220,7 +228,7 @@ int main(int argc, char** argv) {
   report::ChartSpec top_chart;
   top_chart.title = "Top-N vs full sort";
   top_chart.x_label = "rows";
-  top_chart.y_label = "user CPU time (ms)";
+  top_chart.y_label = "operator time (ms)";
   top_chart.logscale_x = true;
   top_chart.logscale_y = true;
   top_chart.series = {sort_series, topn_series};
@@ -230,7 +238,7 @@ int main(int argc, char** argv) {
   }
   ctx.AddOutput(top_stem + ".csv");
 
-  // ---- Part 3: radix bits x threads sweep vs legacy baseline. ----
+  // ---- Part 3: radix bits x threads sweep vs the flat hash join. ----
   size_t probe_rows = static_cast<size_t>(
       ctx.properties().GetInt("sweepProbeRows", 1048576));
   size_t build_rows = probe_rows / 4;
@@ -254,12 +262,6 @@ int main(int argc, char** argv) {
       "auto fan-out %d bits, %u hardware thread(s)\n\n",
       build_rows, probe_rows, runs, auto_bits, host_cores);
 
-  // Baseline: the legacy unordered_map join, single-threaded.
-  database.set_threads(1);
-  database.set_join_algo(db::JoinAlgo::kLegacy);
-  std::vector<double> legacy = JoinSamples(database, sweep_plan, runs);
-  double legacy_median = stats::Median(legacy);
-
   std::vector<int> thread_counts;
   for (int t = 1; t <= max_threads; t *= 2) {
     thread_counts.push_back(t);
@@ -278,8 +280,10 @@ int main(int argc, char** argv) {
 
   report::TextTable sweep_table;
   sweep_table.SetHeader({"algo", "bits", "threads", "join (ms)",
-                         "speedup vs legacy", "95% CI"});
+                         "speedup vs hash@1t", "95% CI"});
   std::string sweep_json;
+  // Baseline: the flat hash join at 1 thread, the sweep's first cell.
+  std::vector<double> hash_t1;
   std::vector<double> radix_auto_t1;
   std::vector<double> radix_auto_tmax;
   uint64_t ci_seed = 1;
@@ -294,9 +298,13 @@ int main(int argc, char** argv) {
       database.set_join_algo(flat ? db::JoinAlgo::kHash
                                   : db::JoinAlgo::kRadix);
       database.set_radix_bits(flat ? 0 : bits);
-      std::vector<double> samples = JoinSamples(database, sweep_plan, runs);
+      std::vector<double> samples =
+          OpSamples(database, sweep_plan, runs, {"HashJoin("});
+      if (flat && threads == 1) {
+        hash_t1 = samples;
+      }
       stats::ConfidenceInterval speedup =
-          stats::BootstrapRatioCI(legacy, samples, 0.95, ci_seed++);
+          stats::BootstrapRatioCI(hash_t1, samples, 0.95, ci_seed++);
       if (!flat && bits == auto_bits) {
         if (threads == 1) {
           radix_auto_t1 = samples;
@@ -315,7 +323,7 @@ int main(int argc, char** argv) {
            StrFormat("[%.2f, %.2f]", speedup.lower, speedup.upper)});
       sweep_json += StrFormat(
           "    %s{\"algo\": \"%s\", \"radix_bits\": %d, \"threads\": %d, "
-          "\"median_join_ns\": %.0f, \"speedup_vs_legacy\": %s}",
+          "\"median_join_ns\": %.0f, \"speedup_vs_hash\": %s}",
           first_entry ? "" : ",\n", flat ? "hash" : "radix",
           flat ? 0 : bits, threads, median, CiJson(speedup).c_str());
       first_entry = false;
@@ -327,11 +335,11 @@ int main(int argc, char** argv) {
   std::printf("%s\n", sweep_table.ToString().c_str());
 
   stats::ConfidenceInterval algo_speedup = stats::BootstrapRatioCI(
-      legacy, radix_auto_t1, 0.95, 1001);
+      hash_t1, radix_auto_t1, 0.95, 1001);
   stats::ConfidenceInterval self_speedup = stats::BootstrapRatioCI(
       radix_auto_t1, radix_auto_tmax, 0.95, 1002);
   std::printf(
-      "radix(auto) vs legacy at 1 thread: %.2fx [%.2f, %.2f]\n"
+      "radix(auto) vs hash at 1 thread: %.2fx [%.2f, %.2f]\n"
       "radix(auto) self-speedup at %d threads: %.2fx [%.2f, %.2f]\n"
       "(parallel speedup above 1x needs spare physical cores; this host "
       "has %u)\n\n",
@@ -408,9 +416,10 @@ int main(int argc, char** argv) {
   json += StrFormat("  \"runs\": %d,\n", runs);
   json += StrFormat("  \"hardware_threads\": %u,\n", host_cores);
   json += StrFormat("  \"auto_radix_bits\": %d,\n", auto_bits);
-  json += StrFormat("  \"legacy_median_join_ns\": %.0f,\n", legacy_median);
+  json += StrFormat("  \"hash_median_join_ns\": %.0f,\n",
+                    stats::Median(hash_t1));
   json += "  \"sweep\": [\n" + sweep_json + "\n  ],\n";
-  json += StrFormat("  \"radix_auto_speedup_vs_legacy_1thread\": %s,\n",
+  json += StrFormat("  \"radix_auto_speedup_vs_hash_1thread\": %s,\n",
                     CiJson(algo_speedup).c_str());
   json += StrFormat("  \"radix_auto_self_speedup_at_%d_threads\": %s,\n",
                     max_threads, CiJson(self_speedup).c_str());
@@ -428,7 +437,7 @@ int main(int argc, char** argv) {
   out.close();
   ctx.AddOutput(json_path);
   ctx.AddNote(StrFormat(
-      "radix(auto,1t) vs legacy %.2fx [%.2f, %.2f]; self-speedup at %d "
+      "radix(auto,1t) vs hash(1t) %.2fx [%.2f, %.2f]; self-speedup at %d "
       "threads %.2fx on %u-core host",
       algo_speedup.mean, algo_speedup.lower, algo_speedup.upper,
       max_threads, self_speedup.mean, host_cores));

@@ -12,11 +12,12 @@
 //      max(est,act)/min(est,act)) quantifies the estimator per operator
 //      kind — the DoE view of where estimates are trustworthy.
 //   3. Who wins: optimizer-picked plans vs the best hand-picked plan
-//      (rule-built join order under each global algorithm) — a
-//      selectivity sweep locating the crossover where plan choice starts
-//      to matter, and the 22-query table with bootstrap ratio CIs
-//      counting how often the optimizer lands within 1.1x of the best
-//      hand-picked plan.
+//      (rule-built join order under each global algorithm, the winner
+//      re-measured on fresh samples) — a selectivity sweep locating the
+//      crossover where plan choice starts to matter, and the 22-query
+//      table with bootstrap optimizer/best ratio CIs counting how often
+//      the optimizer lands within 1.1x of the best hand-picked plan, by
+//      CI: yes, NO or unresolved.
 //
 // Everything lands in BENCH_optimizer.json plus plot-ready CSV+gnuplot;
 // `--smoke` shrinks the scale factor and run counts to a ctest-able pass.
@@ -24,6 +25,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -46,6 +48,9 @@
 
 namespace perfeval {
 namespace {
+
+const db::JoinAlgo kAlgos[] = {db::JoinAlgo::kHash, db::JoinAlgo::kRadix,
+                               db::JoinAlgo::kMerge};
 
 std::shared_ptr<db::Table> MakeKeyed(size_t rows, int64_t key_range,
                                      uint64_t seed) {
@@ -85,6 +90,48 @@ std::vector<double> PlanSamples(db::Database& database,
   return samples;
 }
 
+/// The global algorithm that ran a rule-order plan fastest.
+struct HandPicked {
+  db::JoinAlgo algo = db::JoinAlgo::kHash;
+  std::vector<double> samples;  ///< fresh samples of the winner.
+};
+
+/// Runs `plan` under each algorithm in kAlgos and picks the lowest median.
+/// The winner is then timed again on fresh samples, because the samples
+/// it was picked on are biased in its favour (the winner's curse) and
+/// would flatter it in the ratio against the optimizer. Restores the
+/// session algorithm.
+HandPicked BestHandPicked(db::Database& database, const db::PlanPtr& plan,
+                          int runs) {
+  db::JoinAlgo session = database.join_algo();
+  HandPicked best;
+  double best_median = 0.0;
+  for (db::JoinAlgo algo : kAlgos) {
+    database.set_join_algo(algo);
+    double median = stats::Median(PlanSamples(database, plan, runs));
+    if (algo == kAlgos[0] || median < best_median) {
+      best.algo = algo;
+      best_median = median;
+    }
+  }
+  database.set_join_algo(best.algo);
+  best.samples = PlanSamples(database, plan, runs);
+  database.set_join_algo(session);
+  return best;
+}
+
+/// "Within 1.1x" of the best hand-picked plan, judged by the
+/// optimizer/best ratio's CI rather than its point estimate.
+const char* WithinVerdict(const stats::ConfidenceInterval& ratio) {
+  if (ratio.upper <= 1.1) {
+    return "yes";
+  }
+  if (ratio.lower > 1.1) {
+    return "NO";
+  }
+  return "unresolved";
+}
+
 std::string CiJson(const stats::ConfidenceInterval& ci) {
   return StrFormat("{\"mean\": %.4f, \"lower\": %.4f, \"upper\": %.4f}",
                    ci.mean, ci.lower, ci.upper);
@@ -109,8 +156,10 @@ int main(int argc, char** argv) {
   bench::BenchContext ctx(
       "A11",
       "hot runs: 1 warm-up, median of `runs`; join-operator TRACE time "
-      "for calibration, server wall time for the plan duels; estimates "
-      "zip positionally with OpTraces",
+      "for calibration, server wall time for the plan duels; the best "
+      "hand-picked algorithm is re-measured on fresh samples and 'within "
+      "1.1x' is judged by the ratio CI; estimates zip positionally with "
+      "OpTraces",
       argc, argv);
   bool smoke = ctx.Smoke();
   ctx.properties().SetDefault("scaleFactor", smoke ? "0.002" : "0.02");
@@ -137,8 +186,6 @@ int main(int argc, char** argv) {
   opt::CardinalityEstimator estimator(stats_catalog, model);
 
   // ---- Part 1: cost-model calibration against measured TRACE times. ----
-  const db::JoinAlgo kAlgos[] = {db::JoinAlgo::kLegacy, db::JoinAlgo::kHash,
-                                 db::JoinAlgo::kRadix, db::JoinAlgo::kMerge};
   size_t cal_build = smoke ? 8192 : 65536;
   size_t cal_probe = cal_build * 4;
   db::Database cal_db;
@@ -154,7 +201,7 @@ int main(int argc, char** argv) {
   cal_table.SetHeader({"algo", "measured join (ms)", "model (ms)",
                        "measured/model"});
   std::string cal_json;
-  for (size_t ai = 0; ai < 4; ++ai) {
+  for (size_t ai = 0; ai < std::size(kAlgos); ++ai) {
     db::JoinAlgo algo = kAlgos[ai];
     cal_db.set_join_algo(algo);
     (void)cal_db.Run(cal_plan);
@@ -175,14 +222,12 @@ int main(int argc, char** argv) {
         "\"model_ns\": %.0f}",
         ai == 0 ? "" : ",\n", db::JoinAlgoName(algo), measured, predicted);
   }
-  cal_db.set_join_algo(db::JoinAlgo::kRadix);
 
   // Re-fit the hash join's per-probe-row constant: join time vs probe
   // rows at fixed build side is a line whose slope the model names
   // hash_probe_ns + join_output_ns.
   std::vector<double> fit_x;
   std::vector<double> fit_y;
-  cal_db.set_join_algo(db::JoinAlgo::kHash);
   for (size_t probe = cal_build; probe <= cal_probe; probe *= 2) {
     db::Database fit_db;
     fit_db.set_join_algo(db::JoinAlgo::kHash);
@@ -198,7 +243,6 @@ int main(int argc, char** argv) {
     fit_x.push_back(static_cast<double>(probe));
     fit_y.push_back(stats::Median(samples));
   }
-  cal_db.set_join_algo(db::JoinAlgo::kRadix);
   stats::LinearFit fit = stats::FitLinear(fit_x, fit_y);
   double model_slope = model.hash_probe_ns + model.join_output_ns;
   std::printf("%s\n", cal_table.ToString().c_str());
@@ -301,25 +345,14 @@ int main(int argc, char** argv) {
                 .table->num_rows()) /
         lineitem_rows;
 
-    std::vector<double> best_samples;
-    double best_median = 0.0;
-    const char* best_algo = "";
-    for (db::JoinAlgo algo : kAlgos) {
-      database.set_join_algo(algo);
-      std::vector<double> samples = PlanSamples(database, rule_plan, runs);
-      double median = stats::Median(samples);
-      if (best_samples.empty() || median < best_median) {
-        best_samples = samples;
-        best_median = median;
-        best_algo = db::JoinAlgoName(algo);
-      }
-    }
-    database.set_join_algo(db::JoinAlgo::kRadix);
+    HandPicked best = BestHandPicked(database, rule_plan, runs);
+    const char* best_algo = db::JoinAlgoName(best.algo);
+    double best_median = stats::Median(best.samples);
     db::PlanPtr opt_plan = opt::Optimize(rule_plan, database).plan;
     std::vector<double> opt_samples = PlanSamples(database, opt_plan, runs);
     double opt_median = stats::Median(opt_samples);
     stats::ConfidenceInterval ratio =
-        stats::BootstrapRatioCI(opt_samples, best_samples, 0.95, ci_seed++);
+        stats::BootstrapRatioCI(opt_samples, best.samples, 0.95, ci_seed++);
     sweep_table.AddRow(
         {StrFormat("%lld", (long long)threshold),
          StrFormat("%.3f", selectivity),
@@ -332,7 +365,7 @@ int main(int argc, char** argv) {
     sweep_json += StrFormat(
         "    %s{\"threshold\": %lld, \"selectivity\": %.4f, "
         "\"best_algo\": \"%s\", \"best_ns\": %.0f, \"opt_ns\": %.0f, "
-        "\"best_over_opt\": %s}",
+        "\"opt_over_best\": %s}",
         first ? "" : ",\n", (long long)threshold, selectivity, best_algo,
         best_median, opt_median, CiJson(ratio).c_str());
     first = false;
@@ -358,54 +391,44 @@ int main(int argc, char** argv) {
                         "optimizer (ms)", "opt/best", "95% CI",
                         "within 1.1x"});
   std::string tpch_json;
-  int within = 0;
+  std::map<std::string, int> verdicts;
   first = true;
   for (int q = 1; q <= 22; ++q) {
     db::PlanPtr rule_plan = workload::GetTpchQuery(q).Build(database);
-    std::vector<double> best_samples;
-    double best_median = 0.0;
-    const char* best_algo = "";
-    for (db::JoinAlgo algo : kAlgos) {
-      database.set_join_algo(algo);
-      std::vector<double> samples = PlanSamples(database, rule_plan, runs);
-      double median = stats::Median(samples);
-      if (best_samples.empty() || median < best_median) {
-        best_samples = samples;
-        best_median = median;
-        best_algo = db::JoinAlgoName(algo);
-      }
-    }
-    database.set_join_algo(db::JoinAlgo::kRadix);
+    HandPicked best = BestHandPicked(database, rule_plan, runs);
+    const char* best_algo = db::JoinAlgoName(best.algo);
+    double best_median = stats::Median(best.samples);
     db::PlanPtr opt_plan = opt::Optimize(rule_plan, database).plan;
     std::vector<double> opt_samples = PlanSamples(database, opt_plan, runs);
     double opt_median = stats::Median(opt_samples);
     double ratio_pt = opt_median / best_median;
     stats::ConfidenceInterval ratio =
-        stats::BootstrapRatioCI(opt_samples, best_samples, 0.95, ci_seed++);
-    bool ok = ratio_pt <= 1.1;
-    within += ok ? 1 : 0;
+        stats::BootstrapRatioCI(opt_samples, best.samples, 0.95, ci_seed++);
+    const char* verdict = WithinVerdict(ratio);
+    ++verdicts[verdict];
     tpch_table.AddRow({StrFormat("Q%d", q),
                        StrFormat("%.2f", best_median / 1e6), best_algo,
                        StrFormat("%.2f", opt_median / 1e6),
                        StrFormat("%.2fx", ratio_pt),
                        StrFormat("[%.2f, %.2f]", ratio.lower, ratio.upper),
-                       ok ? "yes" : "NO"});
+                       verdict});
     tpch_json += StrFormat(
         "    %s{\"query\": %d, \"best_algo\": \"%s\", \"best_ns\": %.0f, "
         "\"opt_ns\": %.0f, \"opt_over_best\": %.3f, "
-        "\"best_over_opt_ci\": %s}",
+        "\"opt_over_best_ci\": %s, \"within_1_1x\": \"%s\"}",
         first ? "" : ",\n", q, best_algo, best_median, opt_median,
-        ratio_pt, CiJson(ratio).c_str());
+        ratio_pt, CiJson(ratio).c_str(), verdict);
     first = false;
   }
+  int within = verdicts["yes"];
   std::printf("TPC-H who-wins, optimizer vs best hand-picked\n%s\n",
               tpch_table.ToString().c_str());
   std::printf(
-      "optimizer within 1.1x of the best hand-picked plan on %d/22 "
-      "queries\n"
-      "(the hand-picked side gets the best of %d global algorithms per "
+      "optimizer within 1.1x of the best hand-picked plan (by 95%% CI) on "
+      "%d/22 queries, not within on %d, unresolved on %d\n"
+      "(the hand-picked side gets the best of %zu global algorithms per "
       "query — an oracle no single static configuration achieves)\n\n",
-      within, 4);
+      within, verdicts["NO"], verdicts["unresolved"], std::size(kAlgos));
 
   std::string json = "{\n";
   json += "  \"experiment\": \"A11\",\n";
@@ -423,6 +446,8 @@ int main(int argc, char** argv) {
   json += "  \"selectivity_sweep\": [\n" + sweep_json + "\n  ],\n";
   json += "  \"tpch_crossover\": [\n" + tpch_json + "\n  ],\n";
   json += StrFormat("  \"within_1_1x\": %d,\n", within);
+  json += StrFormat("  \"not_within_1_1x\": %d,\n", verdicts["NO"]);
+  json += StrFormat("  \"unresolved_1_1x\": %d,\n", verdicts["unresolved"]);
   json += "  \"queries\": 22\n";
   json += "}\n";
 
@@ -436,9 +461,11 @@ int main(int argc, char** argv) {
   out.close();
   ctx.AddOutput(json_path);
   ctx.AddNote(StrFormat(
-      "optimizer within 1.1x of best hand-picked on %d/22 TPC-H queries; "
-      "hash-probe slope measured %.1f vs model %.1f ns/row",
-      within, fit.slope, model_slope));
+      "optimizer within 1.1x of best hand-picked (by CI) on %d/22 TPC-H "
+      "queries, not within on %d, unresolved on %d; hash-probe slope "
+      "measured %.1f vs model %.1f ns/row",
+      within, verdicts["NO"], verdicts["unresolved"], fit.slope,
+      model_slope));
   ctx.Finish();
   return 0;
 }

@@ -64,9 +64,14 @@ BenchContext::BenchContext(const std::string& experiment_id,
   properties_.SetDefault("smoke", "false");
   std::vector<std::string> rest = properties_.OverrideFromArgs(argc, argv);
   for (const std::string& arg : rest) {
+    // Running on with defaults would measure a configuration nobody
+    // asked for and label it with the one that was.
     if (!ConsumeScheduleFlag(arg, &properties_)) {
-      std::fprintf(stderr, "warning: ignoring unknown argument '%s'\n",
+      std::fprintf(stderr,
+                   "usage: unknown argument '%s' (properties are "
+                   "-Dkey=value)\n",
                    arg.c_str());
+      std::exit(2);
     }
   }
   properties_.OverrideFromEnv("PERFEVAL_");
@@ -117,7 +122,7 @@ Result<db::JoinAlgo> BenchContext::DbJoin() const {
   Result<db::JoinAlgo> algo = db::ParseJoinAlgo(text);
   if (!algo.ok()) {
     return Status::InvalidArgument(StrFormat(
-        "usage: --dbJoin=<legacy|hash|radix|merge> (got \"%s\")",
+        "usage: --dbJoin=<hash|radix|merge> (got \"%s\")",
         text.c_str()));
   }
   return algo;

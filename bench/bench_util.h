@@ -29,7 +29,9 @@ namespace bench {
 ///  3. writes results + a provenance manifest under `results_dir`.
 class BenchContext {
  public:
-  /// `experiment_id` is the DESIGN.md id ("T2", "F1", ...).
+  /// `experiment_id` is the DESIGN.md id ("T2", "F1", ...). An argument
+  /// that is neither a -Dkey=value property nor a known flag is a usage
+  /// error: it prints `usage: unknown argument ...` and exits with 2.
   BenchContext(const std::string& experiment_id,
                const std::string& protocol_description, int argc,
                char** argv);
@@ -52,7 +54,7 @@ class BenchContext {
   /// below 1 is a usage error, not silently clamped to 1.
   Result<int> DbThreads() const;
 
-  /// Join algorithm knob (`--dbJoin=<legacy|hash|radix|merge>`,
+  /// Join algorithm knob (`--dbJoin=<hash|radix|merge>`,
   /// equivalently the `dbJoin` property; default radix). Unlike the
   /// scheduler flags this is a *treatment* knob — a typo would silently
   /// measure the wrong engine — so an unrecognized value is a hard usage

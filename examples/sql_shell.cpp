@@ -10,7 +10,7 @@
 // Special commands:
 //   \mode debug|optimized    switch execution mode
 //   \threads N               set morsel-parallel worker threads
-//   \join ALGO [BITS]        set equi-join algorithm: legacy|hash|radix
+//   \join ALGO [BITS]        set equi-join algorithm: hash|radix
 //                            |merge; optional radix fan-out bits (0=auto)
 //   \check on|off            checked execution: operators assert their
 //                            invariants (costs O(input) per operator)
@@ -290,7 +290,7 @@ int main(int argc, char** argv) {
             database.set_radix_bits(std::atoi(parts[2].c_str()));
           }
         } else if (parts.size() > 3) {
-          std::printf("usage: \\join <legacy|hash|radix|merge> [bits]\n");
+          std::printf("usage: \\join <hash|radix|merge> [bits]\n");
           continue;
         }
         std::printf("join algorithm: %s (radix bits: %d%s)\n",

@@ -118,11 +118,7 @@ std::vector<std::string> Database::TableNames() const {
 
 ExecContext Database::ExecSettings() const {
   ExecContext ctx;
-  ctx.threads = options_.threads;
-  ctx.morsel = options_.morsel;
-  ctx.join_algo = options_.join_algo;
-  ctx.radix_bits = options_.radix_bits;
-  ctx.check = options_.check;
+  static_cast<ExecKnobs&>(ctx) = options_;
   return ctx;
 }
 

@@ -22,31 +22,13 @@ namespace db {
 
 /// Configuration of a Database instance. These knobs are the factors of the
 /// engine-screening experiment (DESIGN.md, A1) and of the hot/cold and
-/// output-channel reproductions.
-struct DatabaseOptions {
+/// output-channel reproductions. The execution knobs (threads, morsel,
+/// join_algo, radix_bits, check) come from ExecKnobs in db/plan.h.
+struct DatabaseOptions : ExecKnobs {
   DiskModel disk;
   size_t buffer_pool_pages = 256;
   size_t rows_per_page = 4096;
   SinkModel sink_model;
-  /// Worker threads for morsel-driven intra-query parallelism (<= 1 runs
-  /// serially). A pure concurrency knob: result relations and reported
-  /// StorageStats are bit-identical at any setting; only wall-clock time
-  /// may change.
-  int threads = 1;
-  /// Morsel sizing and the adaptive go-parallel decision (serial below the
-  /// cutoff). Defaults to the hwsim-calibrated MorselPolicy::Hardware()
-  /// values; tests override it to move the serial/parallel boundary.
-  MorselPolicy morsel;
-  /// Physical algorithm for equi-join nodes; a performance knob, not a
-  /// semantic one (see db/join.h).
-  JoinAlgo join_algo = JoinAlgo::kRadix;
-  /// Radix fan-out (log2 partitions) for JoinAlgo::kRadix; <= 0 derives it
-  /// from the hwsim L2 cache profile (ChooseRadixBits).
-  int radix_bits = 0;
-  /// Checked execution: operators assert their own invariants and queries
-  /// fail with QueryError on violation (see ExecContext::check). SQL shell
-  /// `\check on`.
-  bool check = false;
   /// Cost-based optimization: when set, the SQL planner hands its rule-
   /// built plan to opt::Optimize, which re-derives join order and picks a
   /// physical join algorithm per node from the table statistics. Opt-in

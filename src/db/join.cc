@@ -34,8 +34,6 @@ constexpr size_t kRadixTargetBytes = 512 * 1024;
 
 const char* JoinAlgoName(JoinAlgo algo) {
   switch (algo) {
-    case JoinAlgo::kLegacy:
-      return "legacy";
     case JoinAlgo::kHash:
       return "hash";
     case JoinAlgo::kRadix:
@@ -47,9 +45,6 @@ const char* JoinAlgoName(JoinAlgo algo) {
 }
 
 Result<JoinAlgo> ParseJoinAlgo(const std::string& text) {
-  if (text == "legacy") {
-    return JoinAlgo::kLegacy;
-  }
   if (text == "hash") {
     return JoinAlgo::kHash;
   }
@@ -60,7 +55,7 @@ Result<JoinAlgo> ParseJoinAlgo(const std::string& text) {
     return JoinAlgo::kMerge;
   }
   return Status::InvalidArgument("unknown join algorithm '" + text +
-                                 "' (want legacy|hash|radix|merge)");
+                                 "' (want hash|radix|merge)");
 }
 
 // ---- FlatKeyIndex ----
@@ -198,34 +193,6 @@ int ChooseRadixBits(size_t build_rows) {
 }
 
 // ---- Match kernels ----
-
-JoinMatches LegacyHashJoinMatch(const std::vector<int64_t>& build_keys,
-                                const std::vector<uint32_t>& build_rows,
-                                const std::vector<int64_t>& probe_keys,
-                                const std::vector<uint32_t>& probe_rows) {
-  PERFEVAL_CHECK_EQ(build_keys.size(), build_rows.size());
-  PERFEVAL_CHECK_EQ(probe_keys.size(), probe_rows.size());
-  std::unordered_map<int64_t, std::vector<uint32_t>> hash_table;
-  // Reserve for the distinct-key estimate: the map holds one entry per
-  // distinct key, so reserving one bucket per build row (the old code)
-  // overshoots by the duplication factor on duplicate-heavy keys.
-  hash_table.reserve(EstimateDistinctKeys(build_keys));
-  for (size_t i = 0; i < build_keys.size(); ++i) {
-    hash_table[build_keys[i]].push_back(build_rows[i]);
-  }
-  JoinMatches out;
-  for (size_t i = 0; i < probe_keys.size(); ++i) {
-    auto it = hash_table.find(probe_keys[i]);
-    if (it == hash_table.end()) {
-      continue;
-    }
-    for (uint32_t build_row : it->second) {
-      out.probe_rows.push_back(probe_rows[i]);
-      out.build_rows.push_back(build_row);
-    }
-  }
-  return out;
-}
 
 namespace {
 
@@ -486,9 +453,6 @@ JoinMatches JoinMatch(JoinAlgo algo, const std::vector<int64_t>& build_keys,
                       const std::vector<uint32_t>& probe_rows,
                       int radix_bits, int threads) {
   switch (algo) {
-    case JoinAlgo::kLegacy:
-      return LegacyHashJoinMatch(build_keys, build_rows, probe_keys,
-                                 probe_rows);
     case JoinAlgo::kHash:
       return FlatHashJoinMatch(build_keys, build_rows, probe_keys,
                                probe_rows, threads);

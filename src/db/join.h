@@ -11,17 +11,15 @@ namespace perfeval {
 namespace db {
 
 /// Physical algorithm executed by equi-join plan nodes (HashJoin /
-/// HashJoin2). The knob travels ExecContext -> DatabaseOptions -> SQL
-/// shell (`\join <algo>`), so the same plan can be re-run under every
-/// algorithm — the paper's "compare alternatives under one protocol"
-/// discipline applied to the engine's own join.
+/// HashJoin2). The knob is `ExecKnobs::join_algo` (db/plan.h), which both
+/// ExecContext and DatabaseOptions inherit, and the SQL shell sets it with
+/// `\join <algo>` — so the same plan can be re-run under every algorithm,
+/// the paper's "compare alternatives under one protocol" discipline
+/// applied to the engine's own join.
 ///
-///  - kLegacy: single `std::unordered_map<key, vector<row>>` build + serial
-///    probe — the pre-radix implementation, kept as the measured baseline
-///    of bench_join_crossover.
 ///  - kHash: one flat open-addressing table (FlatKeyIndex) over the whole
-///    build side, serial build + morsel-parallel probe. Same output order
-///    as kLegacy.
+///    build side, serial build + morsel-parallel probe. Output in
+///    probe-row order, each key's build rows in insertion order.
 ///  - kRadix: cache-conscious radix-partitioned join (Manegold's MonetDB
 ///    line of work): both sides are fanned out into 2^bits partitions by
 ///    key hash, each partition gets its own L2-resident FlatKeyIndex, and
@@ -30,7 +28,6 @@ namespace db {
 ///    deterministic at any thread count.
 ///  - kMerge: sort-merge on the (possibly composite) key.
 enum class JoinAlgo {
-  kLegacy,
   kHash,
   kRadix,
   kMerge,
@@ -38,7 +35,7 @@ enum class JoinAlgo {
 
 const char* JoinAlgoName(JoinAlgo algo);
 
-/// Parses "legacy" / "hash" / "radix" / "merge".
+/// Parses "hash" / "radix" / "merge".
 Result<JoinAlgo> ParseJoinAlgo(const std::string& text);
 
 /// Matching (probe row, build row) pairs of an equi-join, in the emission
@@ -145,16 +142,10 @@ constexpr int kMaxRadixBits = 14;
 // All kernels are deterministic: the same inputs give byte-identical
 // match lists at any `threads` setting.
 
-/// The pre-PR-3 join: unordered_map build, serial probe. Matches emit in
-/// probe-row order, build rows per key in insertion order.
-JoinMatches LegacyHashJoinMatch(const std::vector<int64_t>& build_keys,
-                                const std::vector<uint32_t>& build_rows,
-                                const std::vector<int64_t>& probe_keys,
-                                const std::vector<uint32_t>& probe_rows);
-
 /// Flat-table join: serial FlatKeyIndex build, probe fanned over fixed
 /// 4096-row morsels with per-morsel match lists concatenated in morsel
-/// order — output identical to LegacyHashJoinMatch at any thread count.
+/// order. Matches emit in probe-row order, each key's build rows in
+/// insertion order — the same list at any thread count.
 JoinMatches FlatHashJoinMatch(const std::vector<int64_t>& build_keys,
                               const std::vector<uint32_t>& build_rows,
                               const std::vector<int64_t>& probe_keys,

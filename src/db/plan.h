@@ -43,15 +43,11 @@ struct ParallelSim {
   int64_t regions = 0;             ///< parallel regions entered.
 };
 
-/// Per-execution context handed down the plan tree.
-struct ExecContext {
-  ExecMode mode = ExecMode::kOptimized;
-  /// The catalog version this query pinned (required): scans read their
-  /// table, zone maps and page geometry from it.
-  const Catalog* catalog = nullptr;
-  StorageManager* storage = nullptr;   ///< optional: page I/O accounting.
-  Profiler* profiler = nullptr;        ///< optional: operator traces.
-  bool use_zone_maps = true;           ///< page skipping in FilterScan.
+/// The execution knobs, declared once: DatabaseOptions holds a session's
+/// values and ExecContext carries them down one query's plan tree (both
+/// inherit this struct; Database::ExecSettings copies the base). None of
+/// them changes a result relation or the reported StorageStats.
+struct ExecKnobs {
   /// Intra-query parallelism: scan/filter/aggregate/join/sort fan work out
   /// over this many workers (<= 1 runs inline). A pure concurrency knob —
   /// per the repo's determinism invariant it may change wall-clock time
@@ -65,9 +61,6 @@ struct ExecContext {
   /// parallel boundary wherever they need it. Fields never depend on
   /// `threads`, so changing `threads` can never move a morsel boundary.
   MorselPolicy morsel;
-  /// Optional: accumulates parallel-region wall/critical-path times for
-  /// the whole execution (filled by the morsel dispatch in plan.cc).
-  ParallelSim* parallel_sim = nullptr;
   /// Physical algorithm for equi-join nodes (HashJoin / HashJoin2). For
   /// each algorithm the join output is deterministic at any `threads`
   /// setting; different algorithms may emit matches in different (but
@@ -84,6 +77,20 @@ struct ExecContext {
   /// what gets checked; costs O(input) per operator. Checked (non-
   /// wrapping) int64 arithmetic is always on, independent of this flag.
   bool check = false;
+};
+
+/// Per-execution context handed down the plan tree.
+struct ExecContext : ExecKnobs {
+  ExecMode mode = ExecMode::kOptimized;
+  /// The catalog version this query pinned (required): scans read their
+  /// table, zone maps and page geometry from it.
+  const Catalog* catalog = nullptr;
+  StorageManager* storage = nullptr;   ///< optional: page I/O accounting.
+  Profiler* profiler = nullptr;        ///< optional: operator traces.
+  bool use_zone_maps = true;           ///< page skipping in FilterScan.
+  /// Optional: accumulates parallel-region wall/critical-path times for
+  /// the whole execution (filled by the morsel dispatch in plan.cc).
+  ParallelSim* parallel_sim = nullptr;
 };
 
 /// An intermediate result: a table plus an optional selection vector.

@@ -21,11 +21,6 @@ double CostModel::JoinCost(db::JoinAlgo algo, double probe_rows,
   bool spills_l2 = build_rows > l2_build_rows;
   double penalty = spills_l2 ? cache_miss_factor : 1.0;
   switch (algo) {
-    case db::JoinAlgo::kLegacy:
-      // Node-store build (an allocation per distinct key) and a pointer-
-      // chasing probe; misses dominate as soon as the table leaves L2.
-      return build_rows * legacy_build_ns +
-             probe_rows * legacy_probe_ns * penalty + output;
     case db::JoinAlgo::kHash:
       // Flat open-addressing index: cheap build, cheap probe, but every
       // probe is a random access into the whole build side.

@@ -28,8 +28,6 @@ struct CostModel {
   double sort_ns = 4.0;          ///< one row, per log2(n) level.
   double hash_build_ns = 14.0;   ///< insert one row into a flat index.
   double hash_probe_ns = 7.0;    ///< probe one row against a flat index.
-  double legacy_build_ns = 55.0; ///< node-store build (unordered_map).
-  double legacy_probe_ns = 16.0; ///< node-store probe.
   double radix_pass_ns = 5.0;    ///< move one row through one partition pass.
   double join_output_ns = 10.0;  ///< materialize one join output row.
 

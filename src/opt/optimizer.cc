@@ -312,8 +312,8 @@ PlanPtr Rewriter::OptimizeRegion(const PlanPtr& root) {
   // join algorithm; the probe (outer) side is the left half. Fixed
   // enumeration order + strict improvement = deterministic plans.
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  const db::JoinAlgo kAlgos[] = {db::JoinAlgo::kLegacy, db::JoinAlgo::kHash,
-                                 db::JoinAlgo::kRadix, db::JoinAlgo::kMerge};
+  const db::JoinAlgo kAlgos[] = {db::JoinAlgo::kHash, db::JoinAlgo::kRadix,
+                                 db::JoinAlgo::kMerge};
   std::vector<double> best_cost(full + 1, kInf);
   std::vector<size_t> best_split(full + 1, 0);
   std::vector<int> best_edge(full + 1, -1);

@@ -21,7 +21,7 @@ struct OptimizeResult {
 /// (absorbing column-equality filters between them as join edges), derives
 /// the join graph, and replaces the region with the cheapest join tree
 /// found by dynamic programming over connected subgraphs — picking both
-/// the join order and a physical algorithm (legacy/hash/radix/merge) per
+/// the join order and a physical algorithm (hash/radix/merge) per
 /// join from the CostModel and the TableStats-based cardinality estimates.
 ///
 /// Semantics are preserved exactly:

@@ -98,7 +98,7 @@ const ExperimentSuite& PerfevalSuite() {
         "stdout + bench_results/a1_screening.csv", "about a minute");
     add("A2", "Operator crossovers: hash vs merge algorithm of one join "
         "operator, top-n vs sort; "
-        "radix bits x threads sweep vs legacy hash join with bootstrap "
+        "radix bits x threads sweep vs flat hash join with bootstrap "
         "CIs + hwsim cost dissection (ablation)",
         "build/bench/bench_join_crossover",
         "stdout + bench_results/a2_*.csv + "
@@ -282,7 +282,7 @@ const ExperimentSuite& PerfevalSuite() {
         "distinct counts, equi-width histograms) feed a cardinality "
         "estimator and a calibrated per-row cost model, and a dynamic "
         "program over connected join subgraphs picks both the join order "
-        "and a physical algorithm (legacy/hash/radix/merge) per join. "
+        "and a physical algorithm (hash/radix/merge) per join. "
         "The rewrite is opt-in (`\\opt on` in the SQL shell, --dbOpt=on "
         "in the benches) and semantics-preserving by construction: only "
         "inner equi-join regions are re-ordered, a schema-restoring "

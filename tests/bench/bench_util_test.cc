@@ -1,10 +1,11 @@
-// BenchContext's database-knob parsing. The scheduler flags degrade
-// gracefully (a typo must not abort an overnight run), but the treatment
-// knobs --dbJoin/--dbOpt/--dbThreads are the experiment itself: an
-// unrecognized value must surface as a usage error, never as a silent
-// fallback that quietly measures the wrong engine. The one `db knobs:`
-// line a bench prints is read back from the Database the knobs were
-// applied to, never echoed from the command line.
+// BenchContext's argument and database-knob parsing. An argument that is
+// neither a property nor a known flag stops the bench. The scheduler
+// flags' values degrade gracefully (a typo must not abort an overnight
+// run), but the treatment knobs --dbJoin/--dbOpt/--dbThreads are the
+// experiment itself: an unrecognized value must surface as a usage error,
+// never as a silent fallback that quietly measures the wrong engine. The
+// one `db knobs:` line a bench prints is read back from the Database the
+// knobs were applied to, never echoed from the command line.
 
 #include <fstream>
 #include <sstream>
@@ -53,12 +54,25 @@ TEST(BenchUtilTest, ValidKnobValuesParse) {
 }
 
 TEST(BenchUtilTest, InvalidDbJoinIsAUsageErrorNotAFallback) {
-  BenchContext ctx = MakeContext({"--dbJoin=hashh"});
-  Result<db::JoinAlgo> join = ctx.DbJoin();
-  ASSERT_FALSE(join.ok());
-  EXPECT_NE(join.status().message().find("usage: --dbJoin"),
-            std::string::npos);
-  EXPECT_NE(join.status().message().find("hashh"), std::string::npos);
+  for (const char* text : {"hashh", "legacy"}) {
+    BenchContext ctx = MakeContext({std::string("--dbJoin=") + text});
+    Result<db::JoinAlgo> join = ctx.DbJoin();
+    ASSERT_FALSE(join.ok()) << text;
+    EXPECT_NE(join.status().message().find("usage: --dbJoin"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(join.status().message().find(text), std::string::npos)
+        << text;
+  }
+}
+
+TEST(BenchUtilTest, UnknownArgumentIsAUsageErrorNotIgnored) {
+  // A misspelt property (`--scaleFactor=` for `-DscaleFactor=`) must stop
+  // the bench, not let it run on at the default scale factor.
+  EXPECT_EXIT(MakeContext({"--scaleFactor=0.01"}),
+              ::testing::ExitedWithCode(2),
+              "usage: unknown argument '--scaleFactor=0\\.01' \\(properties "
+              "are -Dkey=value\\)");
 }
 
 TEST(BenchUtilTest, InvalidDbOptIsAUsageErrorNotAFallback) {

@@ -244,8 +244,7 @@ TEST(CheckedModeTest, JoinChecksPassOnHealthyJoin) {
   right->AppendRow({Value::Int64(1), Value::Int64(200)});
   database->RegisterTable("u", right);
   database->set_check(true);
-  for (JoinAlgo algo :
-       {JoinAlgo::kLegacy, JoinAlgo::kHash, JoinAlgo::kRadix}) {
+  for (JoinAlgo algo : {JoinAlgo::kHash, JoinAlgo::kRadix}) {
     database->set_join_algo(algo);
     QueryResult result =
         database->Run(HashJoin(Scan("t"), Scan("u"), "k", "k2"));

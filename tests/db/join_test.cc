@@ -7,6 +7,7 @@
 #include "db/join.h"
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -153,23 +154,44 @@ MatchPairs SortedPairs(const JoinMatches& m) {
   return pairs;
 }
 
+/// Test-local reference join, independent of every kernel: an ordered map
+/// from key to build rows in insertion order, probed in probe-row order.
+JoinMatches ReferenceJoinMatch(const Sides& s) {
+  std::map<int64_t, std::vector<uint32_t>> build;
+  for (size_t i = 0; i < s.build_keys.size(); ++i) {
+    build[s.build_keys[i]].push_back(s.build_rows[i]);
+  }
+  JoinMatches out;
+  for (size_t i = 0; i < s.probe_keys.size(); ++i) {
+    auto it = build.find(s.probe_keys[i]);
+    if (it == build.end()) {
+      continue;
+    }
+    for (uint32_t build_row : it->second) {
+      out.probe_rows.push_back(s.probe_rows[i]);
+      out.build_rows.push_back(build_row);
+    }
+  }
+  return out;
+}
+
 TEST(JoinMatchTest, AllAlgorithmsAgreeOnTheMatchSet) {
   Sides s = MakeSides(20000, 30000, 5000, 1);
-  JoinMatches legacy = LegacyHashJoinMatch(s.build_keys, s.build_rows,
-                                           s.probe_keys, s.probe_rows);
+  JoinMatches reference = ReferenceJoinMatch(s);
   JoinMatches hash = FlatHashJoinMatch(s.build_keys, s.build_rows,
                                        s.probe_keys, s.probe_rows, 1);
   JoinMatches radix = RadixJoinMatch(s.build_keys, s.build_rows,
                                      s.probe_keys, s.probe_rows, 5, 1);
   JoinMatches merge = MergeJoinMatch(s.build_keys, s.build_rows,
                                      s.probe_keys, s.probe_rows, 1);
-  ASSERT_GT(legacy.size(), 0u);
-  // The flat table replays the legacy algorithm's exact emission order.
-  EXPECT_EQ(hash.probe_rows, legacy.probe_rows);
-  EXPECT_EQ(hash.build_rows, legacy.build_rows);
+  ASSERT_GT(reference.size(), 0u);
+  // The flat table emits in probe-row order, each key's build rows in
+  // insertion order: exactly the reference's order.
+  EXPECT_EQ(hash.probe_rows, reference.probe_rows);
+  EXPECT_EQ(hash.build_rows, reference.build_rows);
   // Radix and merge emit in their own fixed orders; the match set is the
   // same.
-  MatchPairs expected = SortedPairs(legacy);
+  MatchPairs expected = SortedPairs(reference);
   EXPECT_EQ(SortedPairs(radix), expected);
   EXPECT_EQ(SortedPairs(merge), expected);
 }
@@ -214,8 +236,7 @@ TEST(JoinMatchTest, EveryAlgorithmHandlesEmptyInputs) {
   Sides s = MakeSides(100, 100, 50, 2);
   const std::vector<int64_t> no_keys;
   const std::vector<uint32_t> no_rows;
-  for (JoinAlgo algo : {JoinAlgo::kLegacy, JoinAlgo::kHash, JoinAlgo::kRadix,
-                        JoinAlgo::kMerge}) {
+  for (JoinAlgo algo : {JoinAlgo::kHash, JoinAlgo::kRadix, JoinAlgo::kMerge}) {
     SCOPED_TRACE(JoinAlgoName(algo));
     // Empty build side.
     EXPECT_EQ(JoinMatch(algo, no_keys, no_rows, s.probe_keys, s.probe_rows,
@@ -254,9 +275,7 @@ TEST(JoinMatchTest, ThreadCountNeverChangesTheOutput) {
 
 TEST(JoinMatchTest, RadixBitSettingsAgreeOnTheMatchSet) {
   Sides s = MakeSides(10000, 20000, 700, 4);
-  MatchPairs expected =
-      SortedPairs(LegacyHashJoinMatch(s.build_keys, s.build_rows,
-                                      s.probe_keys, s.probe_rows));
+  MatchPairs expected = SortedPairs(ReferenceJoinMatch(s));
   for (int bits : {1, 3, 8, kMaxRadixBits}) {
     SCOPED_TRACE(bits);
     JoinMatches radix = RadixJoinMatch(s.build_keys, s.build_rows,
@@ -296,13 +315,13 @@ TEST(StableSortRowsTest, MatchesSerialStableSortAtAnyThreadCount) {
 // ---- Engine-level knob ----
 
 TEST(JoinAlgoTest, ParseAndNameRoundTrip) {
-  for (JoinAlgo algo : {JoinAlgo::kLegacy, JoinAlgo::kHash, JoinAlgo::kRadix,
-                        JoinAlgo::kMerge}) {
+  for (JoinAlgo algo : {JoinAlgo::kHash, JoinAlgo::kRadix, JoinAlgo::kMerge}) {
     Result<JoinAlgo> parsed = ParseJoinAlgo(JoinAlgoName(algo));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(*parsed, algo);
   }
   EXPECT_FALSE(ParseJoinAlgo("quantum").ok());
+  EXPECT_FALSE(ParseJoinAlgo("legacy").ok());
 }
 
 TEST(JoinAlgoTest, AllAlgorithmsProduceTheSameOrderedQueryResult) {
@@ -329,8 +348,7 @@ TEST(JoinAlgoTest, AllAlgorithmsProduceTheSameOrderedQueryResult) {
       "ON o_cust = c_id GROUP BY c_name ORDER BY c_name";
 
   std::string baseline;
-  for (JoinAlgo algo : {JoinAlgo::kLegacy, JoinAlgo::kHash, JoinAlgo::kRadix,
-                        JoinAlgo::kMerge}) {
+  for (JoinAlgo algo : {JoinAlgo::kHash, JoinAlgo::kRadix, JoinAlgo::kMerge}) {
     SCOPED_TRACE(JoinAlgoName(algo));
     database.set_join_algo(algo);
     for (ExecMode mode : {ExecMode::kOptimized, ExecMode::kDebug}) {

@@ -135,10 +135,6 @@ TEST_F(EstimatorTest, PinnedJoinIsCostedByItsPin) {
 
 TEST(CostModelTest, OrderingsTheDpDependsOn) {
   CostModel model = CostModel::Default();
-  // Legacy (node-allocating unordered_map) must dominate the compact
-  // hash join at every size, else the DP would pick it.
-  EXPECT_GT(model.JoinCost(db::JoinAlgo::kLegacy, 1e6, 1e5, 1e6),
-            model.JoinCost(db::JoinAlgo::kHash, 1e6, 1e5, 1e6));
   // In-cache build: radix's extra partition pass must not pay off.
   double small = 1000.0;
   EXPECT_LE(model.JoinCost(db::JoinAlgo::kHash, 1e5, small, 1e5),

@@ -81,8 +81,8 @@ TEST(SqlOracleMutationTest, Tpch22StaysBitIdenticalUnderInterleavedDml) {
   Pcg32 rng(MixSeed(20260808, 0xD31, 0x7));
   const ExecMode kModes[] = {ExecMode::kDebug, ExecMode::kOptimized};
   const int kThreads[] = {1, 8};
-  const JoinAlgo kJoinAlgos[] = {JoinAlgo::kLegacy, JoinAlgo::kHash,
-                                 JoinAlgo::kRadix, JoinAlgo::kMerge};
+  const JoinAlgo kJoinAlgos[] = {JoinAlgo::kHash, JoinAlgo::kRadix,
+                                 JoinAlgo::kMerge};
 
   int engine_runs = 0;
   for (int q = 1; q <= 22; ++q) {
@@ -124,7 +124,7 @@ TEST(SqlOracleMutationTest, Tpch22StaysBitIdenticalUnderInterleavedDml) {
     database.set_threads(1);
     database.set_join_algo(JoinAlgo::kRadix);
   }
-  EXPECT_EQ(engine_runs, 22 * 4 * 2 * 2);
+  EXPECT_EQ(engine_runs, 22 * 3 * 2 * 2);
 
   // The write path really mutated what the queries scanned.
   txn::DeltaStoreStats stats = store.stats();

@@ -69,8 +69,8 @@ TEST_P(ShardedTpchOracleTest, ShardedMatchesSingleNode) {
   db::QueryResult expected = database->Run(plan);
 
   const ExecMode kModes[] = {ExecMode::kDebug, ExecMode::kOptimized};
-  const JoinAlgo kAlgos[] = {JoinAlgo::kLegacy, JoinAlgo::kHash,
-                             JoinAlgo::kRadix, JoinAlgo::kMerge};
+  const JoinAlgo kAlgos[] = {JoinAlgo::kHash, JoinAlgo::kRadix,
+                             JoinAlgo::kMerge};
   for (int num_shards : {2, 4}) {
     shard::ShardCluster* cluster = OracleCluster(num_shards);
     for (JoinAlgo algo : kAlgos) {

@@ -37,8 +37,8 @@ constexpr double kDoubleTol = 1e-9;
 
 const ExecMode kModes[] = {ExecMode::kDebug, ExecMode::kOptimized};
 const int kThreads[] = {1, 4};
-const JoinAlgo kJoinAlgos[] = {JoinAlgo::kLegacy, JoinAlgo::kHash,
-                               JoinAlgo::kRadix, JoinAlgo::kMerge};
+const JoinAlgo kJoinAlgos[] = {JoinAlgo::kHash, JoinAlgo::kRadix,
+                               JoinAlgo::kMerge};
 
 db::Database* Db() {
   static db::Database* database = [] {
