@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
       "on every sample pair; cold sweep: FlushCaches on both backends "
       "before every sample; both backends share DiskModel, pool budget "
       "and rows_per_page",
-      argc, argv);
+      argc, argv, bench::DbKnobs::kApplied);
   bool smoke = ctx.Smoke();
   ctx.properties().SetDefault("scaleFactor", smoke ? "0.002" : "0.02");
   ctx.properties().SetDefault("runs", smoke ? "3" : "5");

@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
       "hand-picked algorithm is re-measured on fresh samples and 'within "
       "1.1x' is judged by the ratio CI; estimates zip positionally with "
       "OpTraces",
-      argc, argv);
+      argc, argv, bench::DbKnobs::kApplied);
   bool smoke = ctx.Smoke();
   ctx.properties().SetDefault("scaleFactor", smoke ? "0.002" : "0.02");
   ctx.properties().SetDefault("runs", smoke ? "3" : "5");

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   using namespace perfeval;  // NOLINT(build/namespaces) bench binary.
   bench::BenchContext ctx(
       "A3", "power: hot single stream; throughput: permuted streams",
-      argc, argv);
+      argc, argv, bench::DbKnobs::kApplied);
   ctx.properties().SetDefault("scaleFactor", "0.01");
   ctx.properties().SetDefault("maxStreams", "4");
   ctx.PrintHeader("TPC-H-style power and throughput metrics");

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "common/check.h"
 #include "common/string_util.h"
 #include "db/database.h"
 
@@ -47,12 +48,21 @@ bool ConsumeScheduleFlag(const std::string& arg,
   return false;
 }
 
+constexpr const char* kDbKnobKeys[] = {"dbThreads", "dbJoin", "radixBits",
+                                       "dbOpt"};
+
+[[noreturn]] void UsageError(const std::string& message) {
+  std::fprintf(stderr, "%s\n", message.c_str());
+  std::exit(2);
+}
+
 }  // namespace
 
 BenchContext::BenchContext(const std::string& experiment_id,
                            const std::string& protocol_description,
-                           int argc, char** argv)
+                           int argc, char** argv, DbKnobs db_knobs)
     : experiment_id_(experiment_id),
+      db_knobs_(db_knobs),
       environment_(core::CaptureEnvironment()),
       manifest_(experiment_id, protocol_description) {
   properties_.SetDefault("resultsDir", "bench_results");
@@ -67,14 +77,25 @@ BenchContext::BenchContext(const std::string& experiment_id,
     // Running on with defaults would measure a configuration nobody
     // asked for and label it with the one that was.
     if (!ConsumeScheduleFlag(arg, &properties_)) {
-      std::fprintf(stderr,
-                   "usage: unknown argument '%s' (properties are "
-                   "-Dkey=value)\n",
-                   arg.c_str());
-      std::exit(2);
+      UsageError(StrFormat(
+          "usage: unknown argument '%s' (properties are -Dkey=value)",
+          arg.c_str()));
     }
   }
   properties_.OverrideFromEnv("PERFEVAL_");
+  if (db_knobs_ == DbKnobs::kIgnored) {
+    for (const char* key : kDbKnobKeys) {
+      if (properties_.Has(key)) {
+        UsageError(StrFormat(
+            "usage: --%s is not honored by %s (it applies no database "
+            "knobs)",
+            key, experiment_id_.c_str()));
+      }
+    }
+  }
+  // Parsed here as well, so an unparsable --order/--isolation stops a
+  // bench that never schedules trials too.
+  ScheduleOptions();
   results_dir_ = properties_.GetOr("resultsDir", "bench_results");
   manifest_.set_environment(environment_);
 }
@@ -88,20 +109,16 @@ sched::Options BenchContext::ScheduleOptions() const {
   options.progress = properties_.GetBool("progress", false);
   Result<core::RunOrder> order =
       sched::ParseRunOrder(properties_.GetOr("order", "design"));
-  if (order.ok()) {
-    options.order = order.value();
-  } else {
-    std::fprintf(stderr, "warning: %s; using design order\n",
-                 order.status().message().c_str());
+  if (!order.ok()) {
+    UsageError("usage: --order: " + order.status().message());
   }
+  options.order = order.value();
   Result<core::IsolationPolicy> isolation =
       sched::ParseIsolationPolicy(properties_.GetOr("isolation", "exclusive"));
-  if (isolation.ok()) {
-    options.isolation = isolation.value();
-  } else {
-    std::fprintf(stderr, "warning: %s; using exclusive isolation\n",
-                 isolation.status().message().c_str());
+  if (!isolation.ok()) {
+    UsageError("usage: --isolation: " + isolation.status().message());
   }
+  options.isolation = isolation.value();
   return options;
 }
 
@@ -141,6 +158,8 @@ Result<bool> BenchContext::DbOpt() const {
 }
 
 Status BenchContext::ApplyDbKnobs(db::Database* database) {
+  PERFEVAL_CHECK(db_knobs_ == DbKnobs::kApplied)
+      << experiment_id_ << " applies database knobs it declared ignored";
   Result<int> threads = DbThreads();
   if (!threads.ok()) {
     return threads.status();

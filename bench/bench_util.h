@@ -19,6 +19,13 @@ class Database;
 namespace perfeval {
 namespace bench {
 
+/// Whether a bench applies the database knobs (`--dbThreads`, `--dbJoin`,
+/// `--radixBits`, `--dbOpt`) through BenchContext::ApplyDbKnobs.
+enum class DbKnobs {
+  kIgnored,  ///< the bench never applies them; giving one is a usage error.
+  kApplied,  ///< the bench calls ApplyDbKnobs on the database it runs.
+};
+
 /// Shared scaffolding for the experiment binaries: every bench
 ///  1. parses -Dkey=value overrides into Properties (paper, slides
 ///     183–195) plus the uniform scheduler flags
@@ -31,19 +38,24 @@ class BenchContext {
  public:
   /// `experiment_id` is the DESIGN.md id ("T2", "F1", ...). An argument
   /// that is neither a -Dkey=value property nor a known flag is a usage
-  /// error: it prints `usage: unknown argument ...` and exits with 2.
+  /// error: it prints `usage: unknown argument ...` and exits with 2. So
+  /// is an unparsable `--order`/`--isolation`, and a database knob (as a
+  /// flag or a -D property) given to a bench that declares
+  /// `DbKnobs::kIgnored`: it would run on with a value it never reads and
+  /// label its results with it.
   BenchContext(const std::string& experiment_id,
                const std::string& protocol_description, int argc,
-               char** argv);
+               char** argv, DbKnobs db_knobs = DbKnobs::kIgnored);
 
   repro::Properties& properties() { return properties_; }
   const core::EnvironmentSpec& environment() const { return environment_; }
 
   /// Scheduler options assembled from the uniform flags (equivalently the
   /// `jobs` / `order` / `isolation` / `schedSeed` / `progress` properties,
-  /// so PERFEVAL_jobs=4 and -Djobs=4 work too). Unparsable values fall
-  /// back to the serial defaults with a warning on stderr — a typo must
-  /// not silently change the experiment. The options land in the manifest
+  /// so PERFEVAL_jobs=4 and -Djobs=4 work too). An unparsable `order` or
+  /// `isolation` is a usage error (message on stderr, exit 2, already at
+  /// construction): a fallback would run a schedule nobody asked for
+  /// under the name of the one that was. The options land in the manifest
   /// via the properties, so the documented protocol covers the schedule.
   sched::Options ScheduleOptions() const;
 
@@ -68,7 +80,8 @@ class BenchContext {
 
   /// Applies the validated database knobs (`--dbThreads`, `--dbJoin`,
   /// `--radixBits`, `--dbOpt`) to `database`, returning the
-  /// first usage error. Benches call this once after constructing their
+  /// first usage error. Only a bench constructed with DbKnobs::kApplied
+  /// may call it. Benches call this once after constructing their
   /// Database so every binary honours the uniform flags identically. On
   /// success it prints one `db knobs:` line read back from `database` and
   /// adds the same line to the manifest; benches that never call it
@@ -96,6 +109,7 @@ class BenchContext {
 
  private:
   std::string experiment_id_;
+  DbKnobs db_knobs_;
   std::string results_dir_;
   repro::Properties properties_;
   core::EnvironmentSpec environment_;

@@ -259,11 +259,15 @@ const ExperimentSuite& PerfevalSuite() {
         "Scale-out & sharding",
         "A10 measures a `shard::ShardCluster` (DESIGN.md S16): TPC-H "
         "hash-partitioned across N single-node databases (lineitem "
-        "co-partitioned with orders on orderkey; dimensions replicated), a "
-        "site-annotating planner that pushes scans, filters, co-partitioned "
-        "joins and partial aggregates to the shards, and a coordinator that "
-        "scatters fragments over per-shard `serve::QueryService` instances "
-        "and merges partials in fixed shard-then-first-occurrence order. "
+        "co-partitioned with orders on orderkey; customer and the "
+        "dimensions replicated), a site-annotating planner that pushes "
+        "scans, filters, co-partitioned joins, partition-keyed aggregates "
+        "and partial aggregates to the shards, and a coordinator that "
+        "scatters fragments over per-shard `serve::QueryService` instances, "
+        "runs any fragment request no shard worker has started yet on its "
+        "own thread (claim-on-wait, so front-end workers execute fragments "
+        "too and A10's capacity counts them), and merges partials in fixed "
+        "shard-then-first-occurrence order. "
         "Results AND merged StorageStats are bit-identical to single-node "
         "at any shard count and any per-shard thread count — the oracle "
         "diffs all 22 queries sharded-vs-single-node across execution modes "

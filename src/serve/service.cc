@@ -39,6 +39,22 @@ const Response& PendingResponse::Wait() {
   return response_;
 }
 
+const Response& PendingResponse::ClaimOrWait() {
+  RunIfUnclaimed();
+  return Wait();
+}
+
+void PendingResponse::RunIfUnclaimed() {
+  // Only the thread that wins the claim may touch run_ (empty when the
+  // request was never admitted).
+  if (claimed_.exchange(true) || !run_) {
+    return;
+  }
+  // Moved out so the request (and its plan) is freed once it has run.
+  std::function<void()> run = std::move(run_);
+  run();
+}
+
 bool PendingResponse::Done() const {
   std::lock_guard<std::mutex> lock(mu_);
   return done_;
@@ -165,10 +181,14 @@ ResponseHandle QueryService::Submit(Request request) {
     // Close.
     admitted_.fetch_add(1, std::memory_order_relaxed);
     int64_t admit_ns = SteadyNowNs();
-    pool_->Submit(
-        [this, request = std::move(request), handle, admit_ns]() mutable {
-          RunRequest(std::move(request), handle, admit_ns);
-        });
+    // Whoever claims the request first runs it: the pool job below, or a
+    // caller in ClaimOrWait(), which holds the handle it waits on.
+    handle->run_ = [this, request = std::move(request),
+                    weak = std::weak_ptr<PendingResponse>(handle),
+                    admit_ns]() mutable {
+      RunRequest(std::move(request), weak.lock(), admit_ns);
+    };
+    pool_->Submit([handle] { handle->RunIfUnclaimed(); });
   }
   return handle;
 }

@@ -117,6 +117,16 @@ class PendingResponse {
   /// Blocks until the response is ready, then returns it.
   const Response& Wait();
 
+  /// Claim-on-wait: if no worker has started the admitted request yet,
+  /// runs it on the calling thread (through the same path a worker takes:
+  /// deadline check, stats, timing split, realize_stall_scale), then
+  /// returns the response. The worker's queued job later finds the
+  /// request claimed and skips it, so exactly one thread runs each
+  /// request. A caller that would otherwise block on a queue it feeds —
+  /// the shard coordinator waiting on its own fragments — does the work
+  /// instead of waiting for it.
+  const Response& ClaimOrWait();
+
   bool Done() const;
 
   /// steady_clock time_since_epoch (ns) at fulfillment. Valid after Wait().
@@ -125,6 +135,14 @@ class PendingResponse {
  private:
   friend class QueryService;
   void Fulfill(Response response);
+  /// Runs the request unless another thread already claimed it.
+  void RunIfUnclaimed();
+
+  /// The admitted request's run, set once at admission before the handle
+  /// is shared; only the thread that wins `claimed_` reads it. It refers
+  /// to this handle weakly, so the handle never owns itself.
+  std::function<void()> run_;
+  std::atomic<bool> claimed_{false};
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -130,13 +130,15 @@ ShardedResult ShardCluster::Execute(const db::PlanPtr& plan, db::ExecMode mode,
     }
 
     // Gather in fragment order, shard order within a fragment — the fixed
-    // merge discipline every determinism claim rests on.
+    // merge discipline every determinism claim rests on. A request no
+    // shard worker has started yet is claimed and run on this thread
+    // rather than waited for (claim-on-wait).
     for (size_t k = 0; k < dp.fragments.size(); ++k) {
       const FragmentPlan& frag = dp.fragments[k];
       std::vector<const serve::Response*> responses;
       responses.reserve(handles[k].size());
       for (size_t s = 0; s < handles[k].size(); ++s) {
-        const serve::Response& r = handles[k][s]->Wait();
+        const serve::Response& r = handles[k][s]->ClaimOrWait();
         PERFEVAL_CHECK(r.status.ok())
             << "fragment " << k << " failed on shard " << s << ": "
             << r.status.ToString();

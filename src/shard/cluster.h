@@ -76,6 +76,16 @@ struct ShardedResult {
 /// partial aggregates at the coordinator, and runs the residual plan over
 /// the gathered fragment tables.
 ///
+/// Claim-on-wait: the coordinator thread does not idle while a fragment
+/// request sits in a shard's queue. When the gather reaches a request no
+/// shard worker has started, it claims the request and runs it itself
+/// (serve::PendingResponse::ClaimOrWait) through the shard service's own
+/// request path, so deadlines, service stats, realize_stall_scale and the
+/// per-shard timing split are the same whichever thread ran it, and the
+/// shard's queued job skips the claimed request. The coordinator's caller
+/// (a FrontEnd worker, say) thereby lends its thread to the shards, so a
+/// cheap fragment need not queue behind another query's expensive one.
+///
 /// The coordinator keeps no database of its own: each query binds its
 /// gathered tables into a query-local db::Catalog as bare versions (no
 /// statistics, no layout) and runs the merge aggregates and the residual

@@ -11,7 +11,6 @@ namespace {
 /// only need to be stable (the partitioner's reference-vector test pins
 /// the underlying hash).
 constexpr uint64_t kOrderkeySalt = 0x06d6e4b10c0ffee1ULL;
-constexpr uint64_t kCustkeySalt = 0xc7574aa5deadbeefULL;
 
 }  // namespace
 
@@ -28,9 +27,8 @@ PartitionScheme TpchPartitionScheme() {
   PartitionScheme scheme;
   scheme.tables["orders"] = {"o_orderkey", "orderkey", kOrderkeySalt};
   scheme.tables["lineitem"] = {"l_orderkey", "orderkey", kOrderkeySalt};
-  scheme.tables["customer"] = {"c_custkey", "custkey", kCustkeySalt};
-  for (const char* replicated :
-       {"region", "nation", "supplier", "part", "partsupp"}) {
+  for (const char* replicated : {"region", "nation", "supplier", "customer",
+                                 "part", "partsupp"}) {
     scheme.tables[replicated] = TablePartitionSpec{};
   }
   return scheme;
@@ -46,33 +44,22 @@ std::vector<std::shared_ptr<db::Table>> PartitionTable(
       << "partition key " << spec.key_column << " must be int64";
   PERFEVAL_CHECK(!keys.has_nulls())
       << "partition key " << spec.key_column << " must be NULL-free";
+  PERFEVAL_CHECK_LE(table.num_rows(), size_t{UINT32_MAX});
 
+  // Per-shard row ids in original order, then one typed column-wise
+  // gather per shard.
   HashPartitioner partitioner(num_shards, spec.domain_salt);
-  std::vector<int> shard_of(table.num_rows());
-  std::vector<size_t> shard_rows(static_cast<size_t>(num_shards), 0);
+  std::vector<std::vector<uint32_t>> rows_of(static_cast<size_t>(num_shards));
   for (size_t r = 0; r < table.num_rows(); ++r) {
-    int s = partitioner.ShardOf(keys.GetInt64(r));
-    shard_of[r] = s;
-    ++shard_rows[static_cast<size_t>(s)];
+    rows_of[static_cast<size_t>(partitioner.ShardOf(keys.GetInt64(r)))]
+        .push_back(static_cast<uint32_t>(r));
   }
-
   std::vector<std::shared_ptr<db::Table>> shards;
   shards.reserve(static_cast<size_t>(num_shards));
-  for (int s = 0; s < num_shards; ++s) {
+  for (const std::vector<uint32_t>& rows : rows_of) {
     auto t = std::make_shared<db::Table>(table.schema());
-    t->ReserveRows(shard_rows[static_cast<size_t>(s)]);
+    t->AppendGather(table, rows);
     shards.push_back(std::move(t));
-  }
-  // Column-wise fill, rows in original order per shard.
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    const db::Column& src = table.column(c);
-    for (size_t r = 0; r < table.num_rows(); ++r) {
-      shards[static_cast<size_t>(shard_of[r])]->column(c).AppendValue(
-          src.GetValue(r));
-    }
-  }
-  for (auto& t : shards) {
-    t->FinishBulkLoad();
   }
   return shards;
 }

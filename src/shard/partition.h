@@ -20,7 +20,8 @@ namespace shard {
 /// same shard, so an equi-join on those keys never crosses shards. The
 /// TPC-H scheme co-partitions lineitem with orders on the orderkey domain
 /// — the join backbone of Q3/Q4/Q5/Q7/Q8/Q9/Q10/Q12/Q18 stays shard-local
-/// — and partitions customer on its own custkey domain.
+/// — and replicates everything else, customer included, so the
+/// orders ⨝ customer joins of Q3/Q5/Q7/Q8/Q10/Q18 stay shard-local too.
 struct TablePartitionSpec {
   /// Partition key column; empty means the table is replicated.
   std::string key_column;
@@ -43,9 +44,12 @@ struct PartitionScheme {
 };
 
 /// The TPC-H placement: lineitem and orders hash-partitioned on
-/// l_orderkey/o_orderkey in the shared "orderkey" domain, customer on
-/// c_custkey in the "custkey" domain, and the small dimension tables
-/// (region, nation, supplier, part, partsupp) replicated.
+/// l_orderkey/o_orderkey in the shared "orderkey" domain, and the other
+/// tables (region, nation, supplier, customer, part, partsupp) replicated.
+/// Customer is replicated rather than partitioned on c_custkey: TPC-H
+/// fixes customer:orders at 1:10 at every scale factor, so each shard's
+/// full copy holds a tenth as many rows as all of orders, and no
+/// orders ⨝ customer join has to go through the coordinator.
 PartitionScheme TpchPartitionScheme();
 
 /// Splits `table` into `num_shards` disjoint tables by hashing the int64
@@ -53,7 +57,8 @@ PartitionScheme TpchPartitionScheme();
 /// within each shard (shard-local scans see the same row order a
 /// single-node scan would, restricted to the shard's rows) — assignment is
 /// a pure function of the key, independent of load order (the seam
-/// common/partition_test locks down).
+/// common/partition_test locks down). Each shard is filled by one typed
+/// column-wise gather (Table::AppendGather) over its row ids.
 std::vector<std::shared_ptr<db::Table>> PartitionTable(
     const db::Table& table, const TablePartitionSpec& spec, int num_shards);
 

@@ -166,17 +166,29 @@ void AnnotateRecursive(const db::PlanPtr& owner, const db::PlanNode* node,
       }
       break;
     }
-    case db::PlanKind::kAggregate:
-      // An aggregate's output is a single global relation: over a
-      // replicated child any one shard can produce it; over a partitioned
-      // child the groups span shards, so only the coordinator can (via the
-      // partial/merge split, decided at fragment-extraction time — never
-      // shard-locally, even when the group keys include the partition key,
-      // so the merge-order discipline is uniform across queries).
-      a.site = child_annots[0]->site == Site::kReplicated
-                   ? Site::kReplicated
-                   : Site::kCoordinator;
+    case db::PlanKind::kAggregate: {
+      // An aggregate over a replicated child is computable on any one
+      // shard. Over a partitioned child it stays shard-local when a group
+      // key is a partition key: every group's rows then live on one shard,
+      // so the per-shard groups are disjoint and complete. Otherwise the
+      // groups span shards and only the coordinator can finish them (via
+      // the partial/merge split, decided at fragment-extraction time).
+      const SiteAnnotation& child = *child_annots[0];
+      if (child.site != Site::kPartitioned) {
+        a.site = child.site;
+        break;
+      }
+      a.site = Site::kCoordinator;
+      for (size_t i = 0; i < spec.group_by.size(); ++i) {
+        auto it = child.key_domains.find(
+            child.schema.MustIndexOf(spec.group_by[i]));
+        if (it != child.key_domains.end()) {
+          a.site = Site::kPartitioned;
+          a.key_domains[i] = it->second;
+        }
+      }
       break;
+    }
     case db::PlanKind::kSort:
     case db::PlanKind::kLimit:
     case db::PlanKind::kTopN:

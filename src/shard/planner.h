@@ -88,13 +88,21 @@ std::string FragmentTableName(size_t k);
 /// kReplicated; filters/projections preserve their child's site (projections
 /// keep key domains through identity column references); a join of two
 /// partitioned inputs stays kPartitioned only when co-located (shared key
-/// domain), a partitioned⨝replicated join stays kPartitioned, and anything
-/// else — aggregates over partitioned data, sorts, limits, non-co-located
-/// joins — moves to the coordinator. At each site boundary the maximal
-/// shard-executable subtree becomes one fragment; aggregates over
-/// partitioned children are split into partial/merge/finalize when their
-/// functions decompose (everything but COUNT DISTINCT, which gathers its
-/// child's rows instead).
+/// domain), a partitioned⨝replicated join stays kPartitioned, an aggregate
+/// whose group keys include a partition-key column of its partitioned
+/// child stays kPartitioned keyed by that column's domain (each group
+/// lives on one shard, so no partial/merge split is needed), and anything
+/// else — other aggregates over partitioned data, sorts, limits,
+/// non-co-located joins — moves to the coordinator. At each site boundary
+/// the maximal shard-executable subtree becomes one fragment; aggregates
+/// over partitioned children that must move are split into
+/// partial/merge/finalize when their functions decompose (everything but
+/// COUNT DISTINCT, which gathers its child's rows instead).
+///
+/// Under TpchPartitionScheme (orders and lineitem co-partitioned on
+/// orderkey, everything else replicated) every TPC-H join but Q15's runs
+/// on the shards: Q15 joins supplier against an aggregate of lineitem
+/// grouped by l_suppkey, which is not a partition key.
 DistributedPlan PlanDistributed(const db::PlanPtr& plan,
                                 const PartitionScheme& scheme,
                                 const db::Database& catalog);

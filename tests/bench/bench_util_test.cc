@@ -1,9 +1,10 @@
 // BenchContext's argument and database-knob parsing. An argument that is
-// neither a property nor a known flag stops the bench. The scheduler
-// flags' values degrade gracefully (a typo must not abort an overnight
-// run), but the treatment knobs --dbJoin/--dbOpt/--dbThreads are the
-// experiment itself: an unrecognized value must surface as a usage error,
-// never as a silent fallback that quietly measures the wrong engine. The
+// neither a property nor a known flag stops the bench, and so does a
+// database knob given to a bench that never applies one, or an order or
+// isolation policy the scheduler cannot parse. The treatment knobs
+// --dbJoin/--dbOpt/--dbThreads are the experiment itself: an unrecognized
+// value must surface as a usage error, never as a silent fallback that
+// quietly measures the wrong engine. The
 // one `db knobs:` line a bench prints is read back from the Database the
 // knobs were applied to, never echoed from the command line.
 
@@ -21,7 +22,8 @@ namespace perfeval {
 namespace bench {
 namespace {
 
-BenchContext MakeContext(std::vector<std::string> extra) {
+BenchContext MakeContext(std::vector<std::string> extra,
+                         DbKnobs db_knobs = DbKnobs::kApplied) {
   std::vector<std::string> args = {"bench_test"};
   args.insert(args.end(), extra.begin(), extra.end());
   std::vector<char*> argv;
@@ -30,7 +32,7 @@ BenchContext MakeContext(std::vector<std::string> extra) {
     argv.push_back(arg.data());
   }
   return BenchContext("T0", "knob parsing test",
-                      static_cast<int>(argv.size()), argv.data());
+                      static_cast<int>(argv.size()), argv.data(), db_knobs);
 }
 
 TEST(BenchUtilTest, DefaultsAreRadixAndOptimizerOff) {
@@ -73,6 +75,44 @@ TEST(BenchUtilTest, UnknownArgumentIsAUsageErrorNotIgnored) {
               ::testing::ExitedWithCode(2),
               "usage: unknown argument '--scaleFactor=0\\.01' \\(properties "
               "are -Dkey=value\\)");
+}
+
+TEST(BenchUtilTest, DbKnobGivenToABenchThatIgnoresItIsAUsageError) {
+  // `bench_join_crossover --dbJoin=hash` would otherwise run on with its
+  // own join sweep and record a knob it never read in its manifest.
+  for (const char* knob : {"dbThreads", "dbJoin", "radixBits", "dbOpt"}) {
+    const std::string expected =
+        std::string("usage: --") + knob + " is not honored by T0";
+    EXPECT_EXIT(MakeContext({std::string("--") + knob + "=1"},
+                            DbKnobs::kIgnored),
+                ::testing::ExitedWithCode(2), expected)
+        << knob;
+    // The property spelling names the same knob.
+    EXPECT_EXIT(MakeContext({std::string("-D") + knob + "=1"},
+                            DbKnobs::kIgnored),
+                ::testing::ExitedWithCode(2), expected)
+        << knob;
+  }
+  // Without a knob the same bench runs, scheduler flags included.
+  BenchContext ctx = MakeContext({"--jobs=2", "--order=randomized"},
+                                 DbKnobs::kIgnored);
+  EXPECT_EQ(ctx.ScheduleOptions().jobs, 2);
+}
+
+TEST(BenchUtilTest, UnparsableOrderOrIsolationIsAUsageError) {
+  // Caught at construction, so a bench that never schedules trials stops
+  // too.
+  EXPECT_EXIT(MakeContext({"--order=random"}, DbKnobs::kIgnored),
+              ::testing::ExitedWithCode(2),
+              "usage: --order: unknown run order 'random'");
+  EXPECT_EXIT(MakeContext({"-Disolation=shared"}, DbKnobs::kIgnored),
+              ::testing::ExitedWithCode(2),
+              "usage: --isolation: unknown isolation policy 'shared'");
+  sched::Options options =
+      MakeContext({"--order=interleaved", "--isolation=concurrent"})
+          .ScheduleOptions();
+  EXPECT_EQ(options.order, core::RunOrder::kInterleaved);
+  EXPECT_EQ(options.isolation, core::IsolationPolicy::kConcurrent);
 }
 
 TEST(BenchUtilTest, InvalidDbOptIsAUsageErrorNotAFallback) {

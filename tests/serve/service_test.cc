@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -353,6 +354,116 @@ TEST(QueryServiceTest, ExecutorSeamServesNonDatabaseBackends) {
   EXPECT_NE(response.fingerprint, 0u);
   EXPECT_EQ(calls.load(), 1);
   EXPECT_EQ(service.stats().executed, 1);
+}
+
+TEST(QueryServiceTest, ClaimOrWaitRunsAQueuedRequestOnTheCaller) {
+  ServiceOptions options;
+  options.workers = 1;
+  QueryService service(SharedDb(), options);
+
+  // Hold the only worker, so the next request stays queued.
+  Gate gate;
+  Request holder;
+  holder.before_execute = [&gate] { gate.Wait(); };
+  ResponseHandle h1 = service.Submit(std::move(holder));
+  WaitForStarted(service, 1);
+
+  std::atomic<int> runs{0};
+  std::thread::id ran_on;
+  Request queued;
+  queued.query = 6;
+  queued.before_execute = [&runs, &ran_on] {
+    ++runs;
+    ran_on = std::this_thread::get_id();
+  };
+  ResponseHandle h2 = service.Submit(std::move(queued));
+  const Response& response = h2->ClaimOrWait();
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  EXPECT_NE(response.table, nullptr);
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  ServiceStats claimed = service.stats();
+  EXPECT_EQ(claimed.started, 2);
+  EXPECT_EQ(claimed.executed, 1);  // the holder is still parked.
+  EXPECT_EQ(service.queue_snapshot().queued, 0u);
+
+  // The worker, once free, finds the claimed request's job and skips it.
+  gate.Release();
+  EXPECT_TRUE(h1->Wait().status.ok());
+  service.Shutdown();
+  EXPECT_EQ(runs.load(), 1);
+  ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.started, 2);
+  EXPECT_EQ(stats.executed, 2);
+
+  // Neither the handle nor its run owns the handle: once the caller lets
+  // go, it is freed.
+  std::weak_ptr<PendingResponse> weak = h2;
+  h2.reset();
+  EXPECT_TRUE(weak.expired());
+}
+
+TEST(QueryServiceTest, ClaimOrWaitHonoursAnExpiredDeadline) {
+  ServiceOptions options;
+  options.workers = 1;
+  QueryService service(SharedDb(), options);
+
+  Gate gate;
+  Request holder;
+  holder.before_execute = [&gate] { gate.Wait(); };
+  ResponseHandle h1 = service.Submit(std::move(holder));
+  WaitForStarted(service, 1);
+
+  std::atomic<bool> ran{false};
+  Request doomed;
+  doomed.query = 1;
+  doomed.deadline_ns = 1;  // expires before the caller claims it.
+  doomed.before_execute = [&ran] { ran.store(true); };
+  ResponseHandle h2 = service.Submit(std::move(doomed));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const Response& response = h2->ClaimOrWait();
+  EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(response.table, nullptr);
+  EXPECT_FALSE(ran.load()) << "expired request reached execution";
+
+  gate.Release();
+  EXPECT_TRUE(h1->Wait().status.ok());
+  service.Shutdown();
+  ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.started, 2);
+  EXPECT_EQ(stats.deadline_expired, 1);
+  EXPECT_EQ(stats.executed, 1);
+}
+
+TEST(QueryServiceTest, ClaimOrWaitOnAStartedRequestWaits) {
+  // A request a worker already runs is not run again; the caller waits.
+  ServiceOptions options;
+  options.workers = 1;
+  QueryService service(SharedDb(), options);
+  Gate gate;
+  std::atomic<int> runs{0};
+  Request held;
+  held.query = 6;
+  held.before_execute = [&gate, &runs] {
+    ++runs;
+    gate.Wait();
+  };
+  ResponseHandle handle = service.Submit(std::move(held));
+  WaitForStarted(service, 1);
+  std::thread releaser([&gate] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    gate.Release();
+  });
+  EXPECT_TRUE(handle->ClaimOrWait().status.ok());
+  releaser.join();
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_EQ(service.stats().executed, 1);
+
+  // A shed request's handle is already fulfilled; claiming it is a wait.
+  service.Shutdown();
+  ResponseHandle rejected = service.Submit(Request{});
+  EXPECT_EQ(rejected->ClaimOrWait().status.code(),
+            StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

@@ -45,21 +45,43 @@ db::Database* SingleNode() {
   return database;
 }
 
+std::unique_ptr<ShardCluster> MakeCluster(int num_shards,
+                                          PartitionScheme scheme) {
+  ShardClusterOptions options;
+  options.num_shards = num_shards;
+  options.shard_service.workers = 2;
+  options.shard_service.fingerprint_results = false;
+  options.scheme = std::move(scheme);
+  auto cluster = std::make_unique<ShardCluster>(options);
+  workload::TpchGenerator gen(kSf);
+  cluster->LoadTpch(&gen);
+  return cluster;
+}
+
 ShardCluster* Cluster(int num_shards) {
   static std::map<int, std::unique_ptr<ShardCluster>>* clusters =
       new std::map<int, std::unique_ptr<ShardCluster>>();
   auto it = clusters->find(num_shards);
   if (it == clusters->end()) {
-    ShardClusterOptions options;
-    options.num_shards = num_shards;
-    options.shard_service.workers = 2;
-    options.shard_service.fingerprint_results = false;
-    auto cluster = std::make_unique<ShardCluster>(options);
-    workload::TpchGenerator gen(kSf);
-    cluster->LoadTpch(&gen);
-    it = clusters->emplace(num_shards, std::move(cluster)).first;
+    it = clusters
+             ->emplace(num_shards,
+                       MakeCluster(num_shards, TpchPartitionScheme()))
+             .first;
   }
   return it->second.get();
+}
+
+/// A two-shard cluster with customer partitioned on c_custkey in a domain
+/// of its own, so orders ⨝ customer is not co-located and joins at the
+/// coordinator (TpchPartitionScheme replicates customer).
+ShardCluster* CustkeyCluster() {
+  static ShardCluster* cluster = [] {
+    PartitionScheme scheme = TpchPartitionScheme();
+    scheme.tables["customer"] = {"c_custkey", "custkey",
+                                 0xc7574aa5deadbeefULL};
+    return MakeCluster(2, std::move(scheme)).release();
+  }();
+  return cluster;
 }
 
 /// Cold-runs `plan` on the single-node engine and on the cluster and
@@ -141,10 +163,11 @@ TEST(ShardClusterTest, FingerprintBitIdenticalAcrossShardThreads) {
 }
 
 TEST(ShardClusterTest, CoordinatorJoinsRunShardZerosAlgorithm) {
-  // Q3's residual plan joins gathered fragments at the coordinator
-  // (o_custkey=c_custkey); that join must run the configured algorithm,
-  // not a default of the coordinator's own.
-  ShardCluster* cluster = Cluster(2);
+  // With customer partitioned on custkey, Q3's residual plan joins
+  // gathered fragments at the coordinator (o_custkey=c_custkey); that join
+  // must run the configured algorithm, not a default of the coordinator's
+  // own.
+  ShardCluster* cluster = CustkeyCluster();
   for (int s = 0; s < cluster->num_shards(); ++s) {
     cluster->shard_db(s).set_join_algo(db::JoinAlgo::kHash);
   }
@@ -166,7 +189,7 @@ TEST(ShardClusterTest, CoordinatorJoinsRunShardZerosAlgorithm) {
 TEST(ShardClusterTest, CoordinatorJoinsKeepTheirPinnedAlgorithm) {
   // A pinned join that lands in the residual plan runs its pin at the
   // coordinator, not shard 0's session algorithm (radix here).
-  ShardCluster* cluster = Cluster(2);
+  ShardCluster* cluster = CustkeyCluster();
   ASSERT_EQ(cluster->shard_db(0).join_algo(), db::JoinAlgo::kRadix);
   db::PlanPtr plan =
       db::HashJoinWith(db::Scan("orders"), db::Scan("customer"),

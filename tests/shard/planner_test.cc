@@ -26,6 +26,24 @@ db::Database* Catalog() {
   return database;
 }
 
+/// TpchPartitionScheme with customer partitioned on c_custkey in a domain
+/// of its own: the placement under which orders ⨝ customer is not
+/// co-located (TpchPartitionScheme replicates customer).
+PartitionScheme CustkeyPartitionedScheme() {
+  PartitionScheme scheme = TpchPartitionScheme();
+  scheme.tables["customer"] = {"c_custkey", "custkey", 0xc7574aa5deadbeefULL};
+  return scheme;
+}
+
+/// HashJoin nodes in `node`'s subtree.
+int CountJoins(const db::PlanNode* node) {
+  int joins = node->Spec().kind == db::PlanKind::kHashJoin ? 1 : 0;
+  for (const db::PlanNode* child : node->Children()) {
+    joins += CountJoins(child);
+  }
+  return joins;
+}
+
 const SiteAnnotation& AnnotOf(
     const std::map<const db::PlanNode*, SiteAnnotation>& annot,
     const db::PlanPtr& node) {
@@ -64,7 +82,7 @@ TEST(ShardPlannerTest, CoPartitionedJoinStaysPartitioned) {
 }
 
 TEST(ShardPlannerTest, NonColocatedJoinMovesToCoordinator) {
-  PartitionScheme scheme = TpchPartitionScheme();
+  PartitionScheme scheme = CustkeyPartitionedScheme();
   // orders ⨝ customer joins the orderkey domain against the custkey
   // domain: equal o_custkey/c_custkey values live on different shards.
   db::PlanPtr join = db::HashJoin(db::Scan("orders"), db::Scan("customer"),
@@ -74,7 +92,7 @@ TEST(ShardPlannerTest, NonColocatedJoinMovesToCoordinator) {
 }
 
 TEST(ShardPlannerTest, ResidualJoinKeepsItsPinnedAlgorithm) {
-  PartitionScheme scheme = TpchPartitionScheme();
+  PartitionScheme scheme = CustkeyPartitionedScheme();
   // The join is not co-located, so the residual rebuilds it over the
   // gathered fragments; the rebuilt node must run the original's pin.
   db::PlanPtr pinned =
@@ -148,6 +166,59 @@ TEST(ShardPlannerTest, AggregateOverPartitionedSplitsIntoPartials) {
   EXPECT_GT(frag.agg_split->partial.size(), 3u);
   EXPECT_EQ(frag.output_schema.num_columns(), 4u);  // group key + 3 aggs.
   EXPECT_EQ(frag.plan->Spec().kind, db::PlanKind::kAggregate);
+}
+
+TEST(ShardPlannerTest, PartitionKeyAggregateStaysPartitioned) {
+  PartitionScheme scheme = TpchPartitionScheme();
+  const db::Schema& lineitem = Catalog()->GetTable("lineitem").schema();
+  // Every l_orderkey group lives on one shard, so each shard aggregates
+  // its own groups completely: no partial/merge split, no coordinator.
+  db::PlanPtr plan = db::Aggregate(
+      db::Scan("lineitem"), {"l_returnflag", "l_orderkey"},
+      {{db::AggOp::kSum, db::Col(lineitem, "l_quantity"), "sum_qty"},
+       {db::AggOp::kCountDistinct, db::Col(lineitem, "l_suppkey"), "d"}});
+  auto annot = AnnotateSites(plan, scheme, *Catalog());
+  const SiteAnnotation& a = AnnotOf(annot, plan);
+  EXPECT_EQ(a.site, Site::kPartitioned);
+  // The key domain follows the group key to its output column.
+  ASSERT_EQ(a.key_domains.size(), 1u);
+  EXPECT_EQ(a.key_domains.count(1), 1u);
+  EXPECT_EQ(a.key_domains.at(1), "orderkey");
+
+  DistributedPlan dp = PlanDistributed(plan, scheme, *Catalog());
+  ASSERT_EQ(dp.fragments.size(), 1u);
+  EXPECT_FALSE(dp.fragments[0].replicated_only);
+  EXPECT_FALSE(dp.fragments[0].agg_split.has_value());
+  EXPECT_EQ(dp.fragments[0].plan.get(), plan.get());
+  EXPECT_EQ(dp.residual->Spec().kind, db::PlanKind::kScan);
+
+  // The same aggregate keyed on a column that is not a partition key
+  // still leaves the shards.
+  db::PlanPtr by_supplier = db::Aggregate(
+      db::Scan("lineitem"), {"l_suppkey"},
+      {{db::AggOp::kSum, db::Col(lineitem, "l_quantity"), "sum_qty"}});
+  auto annot2 = AnnotateSites(by_supplier, scheme, *Catalog());
+  EXPECT_EQ(AnnotOf(annot2, by_supplier).site, Site::kCoordinator);
+}
+
+TEST(ShardPlannerTest, OnlyQ15JoinsAtTheCoordinator) {
+  // customer is replicated and orderkey-keyed aggregates stay on the
+  // shards, so the queries that used to join gathered fragments (Q3, Q5,
+  // Q7, Q8, Q10, Q18) each run as one fragment. Q15 still joins supplier
+  // with an aggregate grouped by l_suppkey, which is not a partition key.
+  PartitionScheme scheme = TpchPartitionScheme();
+  for (int q = 1; q <= 22; ++q) {
+    db::PlanPtr plan = workload::GetTpchQuery(q).Build(*Catalog());
+    DistributedPlan dp = PlanDistributed(plan, scheme, *Catalog());
+    EXPECT_EQ(CountJoins(dp.residual.get()) > 0, q == 15)
+        << "Q" << q << "\n" << db::Explain(dp.residual);
+  }
+  for (int q : {3, 5, 7, 8, 10, 18}) {
+    db::PlanPtr plan = workload::GetTpchQuery(q).Build(*Catalog());
+    DistributedPlan dp = PlanDistributed(plan, scheme, *Catalog());
+    EXPECT_EQ(dp.fragments.size(), 1u) << "Q" << q;
+    EXPECT_GT(CountJoins(dp.fragments[0].plan.get()), 0) << "Q" << q;
+  }
 }
 
 TEST(ShardPlannerTest, CountDistinctGathersInsteadOfSplitting) {

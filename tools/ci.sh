@@ -79,9 +79,11 @@ shard() {
   # x join algorithms, coordinator included) in Release, then the
   # concurrent scatter-gather test under ThreadSanitizer — fragment
   # fan-out over the per-shard services is the newest concurrency surface
-  # in the tree — and the cluster and sharded-oracle cases under
-  # ASan+UBSan: a residual result may alias a gathered fragment table
-  # owned only through the coordinator's query-local catalog.
+  # in the tree — and the cluster, sharded-oracle and query-service cases
+  # under ASan+UBSan: a residual result may alias a gathered fragment
+  # table owned only through the coordinator's query-local catalog, and a
+  # fragment request is shared between the shard's queued job and the
+  # coordinator that may claim it (claim-on-wait).
   cmake -B build -S .
   cmake --build build "$jobs_flag" --target shard_test oracle_test bench_shard_scaleout
   ctest --test-dir build --output-on-failure -L shard
@@ -92,8 +94,8 @@ shard() {
   # the same label is built only in the Release tree).
   ctest --test-dir build-tsan --output-on-failure -L shard -R 'ShardPlanner|ShardCluster|ShardedTpch'
   cmake -B build-asan -S . -DPERFEVAL_SANITIZE=address
-  cmake --build build-asan "$jobs_flag" --target shard_test oracle_test
-  ctest --test-dir build-asan --output-on-failure -R 'ShardCluster|ShardedTpch'
+  cmake --build build-asan "$jobs_flag" --target shard_test oracle_test serve_test
+  ctest --test-dir build-asan --output-on-failure -R 'QueryService|ShardCluster|ShardedTpch'
 }
 
 opt() {
