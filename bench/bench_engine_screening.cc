@@ -73,7 +73,8 @@ int main(int argc, char** argv) {
   using namespace perfeval;  // NOLINT(build/namespaces) bench binary.
   bench::BenchContext ctx(
       "A1", "per design point: cold Q6 + 2 hot repetitions, observed time",
-      argc, argv);
+      argc, argv, bench::DbKnobs::kIgnored,
+      bench::ScheduleKnobs::kApplied);
   ctx.properties().SetDefault("scaleFactor", "0.01");
   ctx.PrintHeader("engine factor screening with 2^5 and 2^(5-1) designs");
 

@@ -93,7 +93,8 @@ int main(int argc, char** argv) {
   using namespace perfeval;  // NOLINT(build/namespaces) bench binary.
   bench::BenchContext ctx("A4",
                           "hot runs: 1 warm-up, minimum of 3, user CPU time",
-                          argc, argv);
+                          argc, argv, bench::DbKnobs::kIgnored,
+                          bench::ScheduleKnobs::kApplied);
   ctx.properties().SetDefault("scaleFactor", "0.02");
   ctx.PrintHeader("foreign-key skew sweep: data profile and operator cost");
 

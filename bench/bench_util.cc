@@ -50,6 +50,8 @@ bool ConsumeScheduleFlag(const std::string& arg,
 
 constexpr const char* kDbKnobKeys[] = {"dbThreads", "dbJoin", "radixBits",
                                        "dbOpt"};
+constexpr const char* kScheduleKeys[] = {"jobs", "order", "isolation",
+                                         "schedSeed", "progress"};
 
 [[noreturn]] void UsageError(const std::string& message) {
   std::fprintf(stderr, "%s\n", message.c_str());
@@ -60,18 +62,24 @@ constexpr const char* kDbKnobKeys[] = {"dbThreads", "dbJoin", "radixBits",
 
 BenchContext::BenchContext(const std::string& experiment_id,
                            const std::string& protocol_description,
-                           int argc, char** argv, DbKnobs db_knobs)
+                           int argc, char** argv, DbKnobs db_knobs,
+                           ScheduleKnobs schedule)
     : experiment_id_(experiment_id),
       db_knobs_(db_knobs),
+      schedule_(schedule),
       environment_(core::CaptureEnvironment()),
       manifest_(experiment_id, protocol_description) {
   properties_.SetDefault("resultsDir", "bench_results");
-  properties_.SetDefault("jobs", "1");
-  properties_.SetDefault("order", "design");
-  properties_.SetDefault("isolation", "exclusive");
-  properties_.SetDefault("schedSeed", "0");
-  properties_.SetDefault("progress", "false");
   properties_.SetDefault("smoke", "false");
+  if (schedule_ == ScheduleKnobs::kApplied) {
+    // The defaults land in the manifest, so it names the schedule that
+    // ran, and make PERFEVAL_jobs=4 style overrides known keys.
+    properties_.SetDefault("jobs", "1");
+    properties_.SetDefault("order", "design");
+    properties_.SetDefault("isolation", "exclusive");
+    properties_.SetDefault("schedSeed", "0");
+    properties_.SetDefault("progress", "false");
+  }
   std::vector<std::string> rest = properties_.OverrideFromArgs(argc, argv);
   for (const std::string& arg : rest) {
     // Running on with defaults would measure a configuration nobody
@@ -83,24 +91,33 @@ BenchContext::BenchContext(const std::string& experiment_id,
     }
   }
   properties_.OverrideFromEnv("PERFEVAL_");
-  if (db_knobs_ == DbKnobs::kIgnored) {
-    for (const char* key : kDbKnobKeys) {
+  // A knob given to a bench that never applies it would run on with a
+  // value it never reads and label its results with it.
+  auto reject_given = [this](const auto& keys, const char* reason) {
+    for (const char* key : keys) {
       if (properties_.Has(key)) {
-        UsageError(StrFormat(
-            "usage: --%s is not honored by %s (it applies no database "
-            "knobs)",
-            key, experiment_id_.c_str()));
+        UsageError(StrFormat("usage: --%s is not honored by %s (it %s)", key,
+                             experiment_id_.c_str(), reason));
       }
     }
+  };
+  if (db_knobs_ == DbKnobs::kIgnored) {
+    reject_given(kDbKnobKeys, "applies no database knobs");
   }
-  // Parsed here as well, so an unparsable --order/--isolation stops a
-  // bench that never schedules trials too.
-  ScheduleOptions();
+  if (schedule_ == ScheduleKnobs::kIgnored) {
+    reject_given(kScheduleKeys, "schedules no trials");
+  } else {
+    // Parsed here as well, so an unparsable --order/--isolation stops the
+    // bench before it measures anything.
+    ScheduleOptions();
+  }
   results_dir_ = properties_.GetOr("resultsDir", "bench_results");
   manifest_.set_environment(environment_);
 }
 
 sched::Options BenchContext::ScheduleOptions() const {
+  PERFEVAL_CHECK(schedule_ == ScheduleKnobs::kApplied)
+      << experiment_id_ << " declared ScheduleKnobs::kIgnored";
   sched::Options options;
   options.experiment_id = experiment_id_;
   options.jobs = static_cast<int>(properties_.GetInt("jobs", 1));

@@ -26,10 +26,18 @@ enum class DbKnobs {
   kApplied,  ///< the bench calls ApplyDbKnobs on the database it runs.
 };
 
+/// Whether a bench schedules its trials through
+/// BenchContext::ScheduleOptions (`--jobs`, `--order`, `--isolation`,
+/// `--schedSeed`, `--progress`).
+enum class ScheduleKnobs {
+  kIgnored,  ///< the bench runs its own loop; giving one is a usage error.
+  kApplied,  ///< the bench builds its sched::Scheduler from ScheduleOptions.
+};
+
 /// Shared scaffolding for the experiment binaries: every bench
 ///  1. parses -Dkey=value overrides into Properties (paper, slides
-///     183–195) plus the uniform scheduler flags
-///     `--jobs=N --order=design|randomized|interleaved
+///     183–195) plus, for a bench that schedules its trials, the uniform
+///     scheduler flags `--jobs=N --order=design|randomized|interleaved
 ///      --isolation=concurrent|exclusive --progress`,
 ///  2. prints the environment spec at the paper's recommended granularity
 ///     (slides 149–156),
@@ -39,13 +47,14 @@ class BenchContext {
   /// `experiment_id` is the DESIGN.md id ("T2", "F1", ...). An argument
   /// that is neither a -Dkey=value property nor a known flag is a usage
   /// error: it prints `usage: unknown argument ...` and exits with 2. So
-  /// is an unparsable `--order`/`--isolation`, and a database knob (as a
-  /// flag or a -D property) given to a bench that declares
-  /// `DbKnobs::kIgnored`: it would run on with a value it never reads and
-  /// label its results with it.
+  /// is an unparsable `--order`/`--isolation`, and a database or
+  /// scheduler knob (as a flag or a -D property) given to a bench that
+  /// declares it `kIgnored`: it would run on with a value it never reads
+  /// and label its results with it.
   BenchContext(const std::string& experiment_id,
                const std::string& protocol_description, int argc,
-               char** argv, DbKnobs db_knobs = DbKnobs::kIgnored);
+               char** argv, DbKnobs db_knobs = DbKnobs::kIgnored,
+               ScheduleKnobs schedule = ScheduleKnobs::kIgnored);
 
   repro::Properties& properties() { return properties_; }
   const core::EnvironmentSpec& environment() const { return environment_; }
@@ -57,6 +66,7 @@ class BenchContext {
   /// construction): a fallback would run a schedule nobody asked for
   /// under the name of the one that was. The options land in the manifest
   /// via the properties, so the documented protocol covers the schedule.
+  /// Only a bench constructed with ScheduleKnobs::kApplied may call it.
   sched::Options ScheduleOptions() const;
 
   /// Worker threads for morsel-driven intra-query parallelism
@@ -110,6 +120,7 @@ class BenchContext {
  private:
   std::string experiment_id_;
   DbKnobs db_knobs_;
+  ScheduleKnobs schedule_;
   std::string results_dir_;
   repro::Properties properties_;
   core::EnvironmentSpec environment_;

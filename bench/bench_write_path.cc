@@ -110,15 +110,15 @@ struct RecoveryCell {
   bool checkpointed = false;
   size_t wal_bytes = 0;
   uint64_t records_replayed = 0;
-  int n = 0;  ///< recovery samples behind `recover_ms`.
   /// Bootstrap interval: recovery times are positive and skewed, and a
-  /// Student-t interval on a handful of them reaches below zero.
-  stats::ConfidenceInterval recover_ms;
+  /// Student-t interval on a handful of them reaches below zero. Below
+  /// stats::kMinBootstrapSamples reps (the smoke run) only the range.
+  stats::MeanEstimate recover_ms;
 };
 
 /// Builds `commits` batches of durable state (optionally checkpointing,
 /// then committing a short tail), then measures Open() from a fresh
-/// pristine database `reps` (>= 2) times; `seed` drives the bootstrap.
+/// pristine database `reps` (>= 1) times; `seed` drives the bootstrap.
 RecoveryCell MeasureRecovery(int commits, bool checkpointed, int reps,
                              uint64_t seed) {
   RecoveryCell cell;
@@ -160,8 +160,7 @@ RecoveryCell MeasureRecovery(int commits, bool checkpointed, int reps,
     samples.push_back(timer.ElapsedMs());
     cell.records_replayed = recovered.stats().wal_records_replayed;
   }
-  cell.n = static_cast<int>(samples.size());
-  cell.recover_ms = stats::BootstrapMeanCI(samples, kConfidence, seed);
+  cell.recover_ms = stats::EstimateMean(samples, kConfidence, seed);
   return cell;
 }
 
@@ -238,10 +237,8 @@ int main(int argc, char** argv) {
     recovery_commits = {16, 64};
     group_commits_per_thread = 12;
   }
-  if (recovery_reps < 2) {
-    std::fprintf(stderr,
-                 "recoveryReps must be >= 2: the recovery CI resamples the "
-                 "recovery times\n");
+  if (recovery_reps < 1) {
+    std::fprintf(stderr, "recoveryReps must be >= 1\n");
     return 2;
   }
 
@@ -331,7 +328,7 @@ int main(int argc, char** argv) {
   report::TextTable recovery_table;
   recovery_table.SetHeader({"commits", "checkpoint", "WAL bytes",
                             "records replayed",
-                            "recovery ms [95% bootstrap CI]"});
+                            "recovery ms [95% bootstrap CI] or (range)"});
   std::vector<RecoveryCell> recovery;
   core::Series recovery_series{"replay from WAL", {}, {}, {}};
   for (int commits : recovery_commits) {
@@ -346,15 +343,15 @@ int main(int argc, char** argv) {
          StrFormat("%zu", cell.wal_bytes),
          StrFormat("%llu", static_cast<unsigned long long>(
                                cell.records_replayed)),
-         StrFormat("%.2f [%.2f,%.2f] n=%d", cell.recover_ms.mean,
-                   cell.recover_ms.lower, cell.recover_ms.upper, cell.n)});
+         cell.recover_ms.ToString()});
     if (!cell.checkpointed) {
       // The chart shows the replay line only; the checkpointed cell is a
       // single point (WriteSeriesCsv wants equal-length series) and lives
-      // in the table and the JSON instead.
-      recovery_series.AppendWithError(static_cast<double>(cell.commits),
-                                      cell.recover_ms.mean,
-                                      cell.recover_ms.HalfWidth());
+      // in the table and the JSON instead. Below the sample floor there
+      // is no interval to draw.
+      recovery_series.AppendWithError(
+          static_cast<double>(cell.commits), cell.recover_ms.mean,
+          cell.recover_ms.has_ci ? cell.recover_ms.ci.HalfWidth() : 0.0);
     }
   }
   std::printf("Recovery time vs log length (%d reps per cell; the "
@@ -524,14 +521,20 @@ int main(int argc, char** argv) {
   json += "  \"recovery\": [\n";
   for (size_t i = 0; i < recovery.size(); ++i) {
     const RecoveryCell& cell = recovery[i];
+    const stats::MeanEstimate& ms = cell.recover_ms;
+    // Below the sample floor the interval keys are null: the cell reports
+    // its range and n only.
+    std::string interval =
+        ms.has_ci ? StrFormat("\"ci_lower_ms\": %.3f, \"ci_upper_ms\": %.3f",
+                              ms.ci.lower, ms.ci.upper)
+                  : "\"ci_lower_ms\": null, \"ci_upper_ms\": null";
     json += StrFormat(
         "    {\"commits\": %d, \"checkpointed\": %s, \"wal_bytes\": %zu, "
-        "\"records_replayed\": %llu, \"n\": %d, \"recover_ms\": %.3f, "
-        "\"ci_lower_ms\": %.3f, \"ci_upper_ms\": %.3f}%s\n",
+        "\"records_replayed\": %llu, \"n\": %zu, \"recover_ms\": %.3f, "
+        "%s, \"min_ms\": %.3f, \"max_ms\": %.3f}%s\n",
         cell.commits, cell.checkpointed ? "true" : "false", cell.wal_bytes,
-        static_cast<unsigned long long>(cell.records_replayed), cell.n,
-        cell.recover_ms.mean, cell.recover_ms.lower, cell.recover_ms.upper,
-        i + 1 < recovery.size() ? "," : "");
+        static_cast<unsigned long long>(cell.records_replayed), ms.n, ms.mean,
+        interval.c_str(), ms.min, ms.max, i + 1 < recovery.size() ? "," : "");
   }
   json += "  ],\n";
   json += "  \"read_latency\": {\n";

@@ -1,9 +1,69 @@
 #include "db/column.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace perfeval {
 namespace db {
+
+std::string_view StringHeap::Add(std::string_view s) {
+  if (s.empty()) {
+    return {};
+  }
+  if (s.size() > left_) {
+    // A new block; the old one's tail is abandoned, never reused, so the
+    // bytes before it stay exactly as readers saw them.
+    size_t size = std::max(next_block_, s.size());
+    blocks_.push_back(std::make_unique<char[]>(size));
+    cursor_ = blocks_.back().get();
+    left_ = size;
+    next_block_ = std::min<size_t>(next_block_ * 2, size_t{1} << 20);
+  }
+  std::memcpy(cursor_, s.data(), s.size());
+  std::string_view view(cursor_, s.size());
+  cursor_ += s.size();
+  left_ -= s.size();
+  return view;
+}
+
+Column::Column(const Column& other)
+    : type_(other.type_),
+      ints_(other.ints_),
+      doubles_(other.doubles_),
+      strings_(other.strings_),
+      nulls_(other.nulls_),
+      heaps_(other.heaps_) {}
+
+Column& Column::operator=(const Column& other) {
+  if (this != &other) {
+    type_ = other.type_;
+    ints_ = other.ints_;
+    doubles_ = other.doubles_;
+    strings_ = other.strings_;
+    nulls_ = other.nulls_;
+    heaps_ = other.heaps_;
+    own_heap_.reset();
+  }
+  return *this;
+}
+
+void Column::AppendString(std::string_view v) {
+  PERFEVAL_CHECK(type_ == DataType::kString);
+  if (own_heap_ == nullptr && !v.empty()) {
+    own_heap_ = std::make_shared<StringHeap>();
+    heaps_.push_back(own_heap_);
+  }
+  strings_.push_back(v.empty() ? std::string_view() : own_heap_->Add(v));
+  NoteAppend(false);
+}
+
+void Column::ShareHeaps(const Column& other) {
+  for (const std::shared_ptr<const StringHeap>& heap : other.heaps_) {
+    if (std::find(heaps_.begin(), heaps_.end(), heap) == heaps_.end()) {
+      heaps_.push_back(heap);
+    }
+  }
+}
 
 void Column::Reserve(size_t n) {
   switch (type_) {
@@ -70,6 +130,7 @@ void Column::AppendColumn(const Column& other) {
                       other.doubles_.end());
       break;
     case DataType::kString:
+      ShareHeaps(other);
       strings_.insert(strings_.end(), other.strings_.begin(),
                       other.strings_.end());
       break;
@@ -103,6 +164,7 @@ void Column::AppendGather(const Column& other,
       gather(doubles_, other.doubles_);
       break;
     case DataType::kString:
+      ShareHeaps(other);
       gather(strings_, other.strings_);
       break;
   }
@@ -141,7 +203,7 @@ Value Column::GetValue(size_t row) const {
     case DataType::kDouble:
       return Value::Double(doubles_[row]);
     case DataType::kString:
-      return Value::String(strings_[row]);
+      return Value::String(std::string(strings_[row]));
   }
   return Value();
 }
@@ -155,7 +217,7 @@ size_t Column::ByteSize() const {
       return doubles_.size() * sizeof(double);
     case DataType::kString: {
       size_t bytes = 0;
-      for (const std::string& s : strings_) {
+      for (std::string_view s : strings_) {
         bytes += s.size() + sizeof(std::string);
       }
       return bytes;

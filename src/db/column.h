@@ -2,7 +2,9 @@
 #define PERFEVAL_DB_COLUMN_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/check.h"
@@ -11,15 +13,46 @@
 namespace perfeval {
 namespace db {
 
+/// An append-only byte arena for string payloads. Bytes once added are
+/// never moved or changed (blocks are never reallocated), so a view into
+/// the heap stays valid for as long as the heap lives, and any number of
+/// threads may read those bytes while the one owner adds more.
+class StringHeap {
+ public:
+  StringHeap() = default;
+  StringHeap(const StringHeap&) = delete;
+  StringHeap& operator=(const StringHeap&) = delete;
+
+  /// Copies `s` into the heap and returns a view of the copy.
+  std::string_view Add(std::string_view s);
+
+ private:
+  std::vector<std::unique_ptr<char[]>> blocks_;
+  char* cursor_ = nullptr;  ///< next free byte of the newest block.
+  size_t left_ = 0;         ///< free bytes after cursor_.
+  size_t next_block_ = 256;  ///< doubles per block, up to 1 MiB.
+};
+
 /// A typed column vector — the storage unit of the engine (operator-at-a-
 /// time columnar execution, MonetDB style, matching the DBMS the paper's
 /// examples are measured on).
 ///
 /// Numeric data (int64, double, date) lives in contiguous vectors so hot
-/// loops scan raw arrays; string data lives in a std::string vector.
+/// loops scan raw arrays. String data is a vector of views into shared,
+/// immutable StringHeaps, the way the row store keeps a per-table heap:
+/// gathers, appends and copies copy 16-byte views and share the source's
+/// heaps instead of copying bytes. A column holds every heap its views
+/// point into, so a view never outlives its bytes.
 class Column {
  public:
   explicit Column(DataType type) : type_(type) {}
+  /// A copy shares the source's heaps for reading but gets no heap to
+  /// write into: its first AppendString starts a fresh one, so appending
+  /// to either column never touches bytes the other can see.
+  Column(const Column& other);
+  Column& operator=(const Column& other);
+  Column(Column&&) = default;
+  Column& operator=(Column&&) = default;
 
   DataType type() const { return type_; }
   size_t size() const {
@@ -47,11 +80,8 @@ class Column {
     doubles_.push_back(v);
     NoteAppend(false);
   }
-  void AppendString(std::string v) {
-    PERFEVAL_CHECK(type_ == DataType::kString);
-    strings_.push_back(std::move(v));
-    NoteAppend(false);
-  }
+  /// Copies the bytes of `v` into this column's own heap.
+  void AppendString(std::string_view v);
   void AppendDate(int32_t days) {
     PERFEVAL_CHECK(type_ == DataType::kDate);
     ints_.push_back(days);
@@ -65,17 +95,21 @@ class Column {
   void AppendValue(const Value& v);
 
   /// Appends all of `other`'s rows (same type required) — bulk vector
-  /// concatenation, null-mask aware. The chunked data generator builds
-  /// per-chunk sub-columns in parallel and glues them in chunk order.
+  /// concatenation, null-mask aware, sharing `other`'s string heaps. The
+  /// chunked data generator builds per-chunk sub-columns in parallel and
+  /// glues them in chunk order.
   void AppendColumn(const Column& other);
 
   /// Appends `other`'s rows at positions `rows`, in order (same type
-  /// required) — a typed gather, null-mask aware.
+  /// required) — a typed gather, null-mask aware, sharing `other`'s
+  /// string heaps.
   void AppendGather(const Column& other, const std::vector<uint32_t>& rows);
 
   int64_t GetInt64(size_t row) const { return ints_[row]; }
   double GetDouble(size_t row) const { return doubles_[row]; }
-  const std::string& GetString(size_t row) const { return strings_[row]; }
+  /// A view into a heap this column holds: valid while the column (or any
+  /// column sharing the heap) lives.
+  std::string_view GetString(size_t row) const { return strings_[row]; }
   int32_t GetDate(size_t row) const {
     return static_cast<int32_t>(ints_[row]);
   }
@@ -109,12 +143,14 @@ class Column {
   /// Raw vector access for vectorized kernels.
   const std::vector<int64_t>& ints() const { return ints_; }
   const std::vector<double>& doubles() const { return doubles_; }
-  const std::vector<std::string>& strings() const { return strings_; }
+  const std::vector<std::string_view>& strings() const { return strings_; }
 
   /// Mutable raw access for bulk-build kernels (parallel gather): resize
   /// first, then fill disjoint index ranges from worker threads. Callers
   /// must leave all columns of a table equally sized and then call
-  /// Table::FinishBulkLoad().
+  /// Table::FinishBulkLoad(). Strings have no such access: a view may
+  /// enter a column only together with its heap (AppendGather,
+  /// AppendColumn).
   std::vector<int64_t>& mutable_ints() {
     PERFEVAL_CHECK(type_ == DataType::kInt64 || type_ == DataType::kDate);
     return ints_;
@@ -123,12 +159,10 @@ class Column {
     PERFEVAL_CHECK(type_ == DataType::kDouble);
     return doubles_;
   }
-  std::vector<std::string>& mutable_strings() {
-    PERFEVAL_CHECK(type_ == DataType::kString);
-    return strings_;
-  }
 
-  /// Approximate in-memory footprint, used to derive page I/O volume.
+  /// Approximate in-memory footprint, used to derive page I/O volume. A
+  /// string is charged its length plus sizeof(std::string), whatever its
+  /// in-memory representation, so page counts do not depend on it.
   size_t ByteSize() const;
 
  private:
@@ -149,11 +183,19 @@ class Column {
     }
   }
 
+  /// Adds `other`'s heaps to the ones this column holds (no duplicates).
+  void ShareHeaps(const Column& other);
+
   DataType type_;
   std::vector<int64_t> ints_;      // kInt64 and kDate payloads.
   std::vector<double> doubles_;    // kDouble payload.
-  std::vector<std::string> strings_;
+  std::vector<std::string_view> strings_;  // kString payload: heap views.
   std::vector<uint8_t> nulls_;     // empty unless a NULL was appended.
+  /// Every heap a view in strings_ may point into, own_heap_ included.
+  std::vector<std::shared_ptr<const StringHeap>> heaps_;
+  /// The heap AppendString writes into; created on first use and never
+  /// handed to another column for writing.
+  std::shared_ptr<StringHeap> own_heap_;
 };
 
 }  // namespace db

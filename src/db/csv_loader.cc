@@ -266,7 +266,7 @@ std::string RenderCsvCell(const Column& column, size_t row) {
     case DataType::kDate:
       return FormatDate(column.GetDate(row));
     case DataType::kString:
-      return column.GetString(row);
+      return std::string(column.GetString(row));
   }
   return "";
 }

@@ -162,85 +162,65 @@ class TraceScope {
   core::WallTimer timer_;
 };
 
-/// Gather: new table containing `rows` of `source` in order. Optimized
+/// Gather: appends `rows` of every column of `source`, in order, to the
+/// (empty) columns `first_col`, `first_col + 1`, ... of `out`. Optimized
 /// mode runs typed tight loops, morsel-parallel when the adaptive policy
 /// decides the input is big enough — each morsel fills a disjoint index
 /// range of the pre-sized output vectors, a pure scatter-by-index, so the
-/// result is byte-identical at any thread count. Debug mode goes
-/// tuple-at-a-time through the generic Value path with per-row validation
-/// (the interpreted, assertion-heavy code path of an un-optimized build).
-std::shared_ptr<Table> GatherRows(ExecContext& ctx, const Table& source,
-                                  const std::vector<uint32_t>& rows) {
-  auto out = std::make_shared<Table>(source.schema());
+/// result is byte-identical at any thread count. String columns copy
+/// views and share the source's heaps (Column::AppendGather). Debug mode
+/// goes tuple-at-a-time through the generic Value path with per-row
+/// validation (the interpreted, assertion-heavy code path of an
+/// un-optimized build). The caller calls out->FinishBulkLoad().
+void GatherColumns(ExecContext& ctx, const Table& source,
+                   const std::vector<uint32_t>& rows, Table* out,
+                   size_t first_col) {
   if (ctx.mode == ExecMode::kDebug) {
-    out->ReserveRows(rows.size());
-    for (uint32_t r : rows) {
-      PERFEVAL_CHECK_LT(r, source.num_rows());
-      std::vector<Value> row;
-      row.reserve(source.num_columns());
-      for (size_t c = 0; c < source.num_columns(); ++c) {
-        row.push_back(source.column(c).GetValue(r));
+    for (size_t c = 0; c < source.num_columns(); ++c) {
+      Column& dst = out->column(first_col + c);
+      dst.Reserve(rows.size());
+      for (uint32_t r : rows) {
+        PERFEVAL_CHECK_LT(r, source.num_rows());
+        dst.AppendValue(source.column(c).GetValue(r));
       }
-      out->AppendRow(row);
     }
-    return out;
-  }
-  // The parallel typed path below copies raw payload vectors, which
-  // would silently turn NULLs into their placeholder values; nullable
-  // sources take the serial null-aware gather instead.
-  if (source.has_nulls()) {
-    out->AppendGather(source, rows);
-    return out;
+    return;
   }
   size_t n = rows.size();
   size_t morsel_rows = std::max<size_t>(1, ctx.morsel.morsel_rows);
   size_t num_morsels = ctx.morsel.NumMorsels(n);
-  auto for_each_range = [&](auto&& fill) {
+  // Morsel-parallel scatter of one raw payload vector.
+  auto gather = [&](const auto& data, auto& target) {
+    target.resize(n);
     ParallelMorsels(ctx, n, num_morsels, [&](size_t m) {
       size_t begin = m * morsel_rows;
-      fill(begin, std::min(n, begin + morsel_rows));
+      size_t end = std::min(n, begin + morsel_rows);
+      for (size_t i = begin; i < end; ++i) {
+        target[i] = data[rows[i]];
+      }
     });
   };
   for (size_t c = 0; c < source.num_columns(); ++c) {
     const Column& in = source.column(c);
-    Column& dst = out->column(c);
-    switch (in.type()) {
-      case DataType::kInt64:
-      case DataType::kDate: {
-        const std::vector<int64_t>& data = in.ints();
-        std::vector<int64_t>& target = dst.mutable_ints();
-        target.resize(n);
-        for_each_range([&](size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            target[i] = data[rows[i]];
-          }
-        });
-        break;
-      }
-      case DataType::kDouble: {
-        const std::vector<double>& data = in.doubles();
-        std::vector<double>& target = dst.mutable_doubles();
-        target.resize(n);
-        for_each_range([&](size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            target[i] = data[rows[i]];
-          }
-        });
-        break;
-      }
-      case DataType::kString: {
-        const std::vector<std::string>& data = in.strings();
-        std::vector<std::string>& target = dst.mutable_strings();
-        target.resize(n);
-        for_each_range([&](size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            target[i] = data[rows[i]];
-          }
-        });
-        break;
-      }
+    Column& dst = out->column(first_col + c);
+    // The raw scatter would turn NULLs into their placeholder values, and
+    // string views must arrive with their heaps: nullable and string
+    // columns take the serial null-aware gather instead.
+    if (in.has_nulls() || in.type() == DataType::kString) {
+      dst.AppendGather(in, rows);
+    } else if (in.type() == DataType::kDouble) {
+      gather(in.doubles(), dst.mutable_doubles());
+    } else {
+      gather(in.ints(), dst.mutable_ints());
     }
   }
+}
+
+/// Gather: a new table holding `rows` of `source`, in order.
+std::shared_ptr<Table> GatherRows(ExecContext& ctx, const Table& source,
+                                  const std::vector<uint32_t>& rows) {
+  auto out = std::make_shared<Table>(source.schema());
+  GatherColumns(ctx, source, rows, out.get(), 0);
   out->FinishBulkLoad();
   return out;
 }
@@ -643,6 +623,14 @@ class ProjectNode : public PlanNode {
     for (size_t i = 0; i < exprs_.size(); ++i) {
       Column& dst = out_table->column(i);
       DataType type = out_table->schema().column(i).type;
+      size_t src = 0;
+      if (ctx.mode == ExecMode::kOptimized &&
+          exprs_[i]->AsColumnIndex(&src)) {
+        // A plain column reference: one typed, null-aware gather (string
+        // views share the input's heaps).
+        dst.AppendGather(input.table->column(src), rows);
+        continue;
+      }
       // Nullable input takes the row path: the numeric batch kernels read
       // raw payload vectors and would project NULL placeholders as zeros.
       if (ctx.mode == ExecMode::kOptimized && type == DataType::kDouble &&
@@ -852,17 +840,9 @@ class HashJoinNode : public PlanNode {
       specs.push_back(spec);
     }
     auto out_table = std::make_shared<Table>(Schema(std::move(specs)));
-    out_table->ReserveRows(out_left.size());
-    std::shared_ptr<Table> left_part = GatherRows(ctx, *left.table, out_left);
-    std::shared_ptr<Table> right_part =
-        GatherRows(ctx, *right.table, out_right);
-    for (size_t c = 0; c < left_part->num_columns(); ++c) {
-      out_table->column(c) = left_part->column(c);
-    }
-    for (size_t c = 0; c < right_part->num_columns(); ++c) {
-      out_table->column(left_part->num_columns() + c) =
-          right_part->column(c);
-    }
+    GatherColumns(ctx, *left.table, out_left, out_table.get(), 0);
+    GatherColumns(ctx, *right.table, out_right, out_table.get(),
+                  left.table->num_columns());
     out_table->FinishBulkLoad();
 
     Relation out;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "db/plan.h"
@@ -43,7 +44,7 @@ class RowComparator {
     DataType type;
     const int64_t* ints = nullptr;
     const double* doubles = nullptr;
-    const std::string* strings = nullptr;
+    const std::string_view* strings = nullptr;
     const uint8_t* nulls = nullptr;  ///< null mask, or nullptr if none.
     bool ascending = true;
   };

@@ -202,7 +202,9 @@ TableStats ComputeTableStats(const Table& table,
         case DataType::kString: {
           std::vector<int64_t> keys;
           keys.reserve(s.non_null());
-          std::hash<std::string> hasher;
+          // std::hash<std::string_view> hashes a view exactly as
+          // std::hash<std::string> hashes the same bytes.
+          std::hash<std::string_view> hasher;
           for (size_t r = 0; r < table.num_rows(); ++r) {
             if (!column.IsNull(r)) {
               keys.push_back(

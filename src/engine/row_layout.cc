@@ -100,7 +100,7 @@ void UnpackRows(const RowBlock& block, size_t begin, size_t end,
           dst.AppendDouble(block.DoubleAt(r, c));
           break;
         case db::DataType::kString:
-          dst.AppendString(std::string(block.StringAt(r, c)));
+          dst.AppendString(block.StringAt(r, c));
           break;
       }
     }

@@ -176,7 +176,9 @@ const ExperimentSuite& PerfevalSuite() {
         "a few minutes");
     s->AddNote(
         "Parallel execution & determinism",
-        "Every bench binary takes uniform scheduling flags: `--jobs=N` "
+        "The benches that schedule trials (A1 `bench_engine_screening`, A4 "
+        "`bench_skew`) take uniform scheduling flags, and every other bench "
+        "exits 2 on them: `--jobs=N` "
         "(worker threads), `--order=design|randomized|interleaved` (trial "
         "execution order; `--schedSeed=S` seeds the shuffle), "
         "`--isolation=exclusive|concurrent` (exclusive, the default, "

@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "stats/descriptive.h"
 
 namespace perfeval {
@@ -66,6 +67,31 @@ ConfidenceInterval BootstrapMeanCI(const std::vector<double>& samples,
     stat = std::clamp(ResampledMean(samples, &rng), *lo, *hi);
   }
   return FromResamples(&resamples, MeanOf(samples), confidence);
+}
+
+std::string MeanEstimate::ToString(int precision) const {
+  if (has_ci) {
+    return StrFormat("%.*f [%.*f,%.*f] n=%zu", precision, mean, precision,
+                     ci.lower, precision, ci.upper, n);
+  }
+  return StrFormat("%.*f (range %.*f-%.*f, n=%zu)", precision, mean,
+                   precision, min, precision, max, n);
+}
+
+MeanEstimate EstimateMean(const std::vector<double>& samples,
+                          double confidence, uint64_t seed) {
+  PERFEVAL_CHECK_GE(samples.size(), 1u);
+  MeanEstimate estimate;
+  estimate.n = samples.size();
+  estimate.mean = MeanOf(samples);
+  auto [lo, hi] = std::minmax_element(samples.begin(), samples.end());
+  estimate.min = *lo;
+  estimate.max = *hi;
+  estimate.has_ci = samples.size() >= kMinBootstrapSamples;
+  if (estimate.has_ci) {
+    estimate.ci = BootstrapMeanCI(samples, confidence, seed);
+  }
+  return estimate;
 }
 
 ConfidenceInterval BootstrapRatioCI(const std::vector<double>& numerator,

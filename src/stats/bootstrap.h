@@ -1,7 +1,9 @@
 #ifndef PERFEVAL_STATS_BOOTSTRAP_H_
 #define PERFEVAL_STATS_BOOTSTRAP_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "stats/confidence.h"
@@ -23,6 +25,34 @@ constexpr int kBootstrapResamples = 10000;
 /// resampling. Requires >= 2 samples.
 ConfidenceInterval BootstrapMeanCI(const std::vector<double>& samples,
                                    double confidence, uint64_t seed);
+
+/// Fewest samples a bootstrap interval of the mean is reported from. n
+/// values resampled with replacement form only C(2n-1, n) distinct
+/// multisets — 3 at n = 2, 35 at n = 4, 126 at n = 5 — so below this
+/// floor the percentile "interval" is an artifact of the handful of means
+/// the resampling can produce. Below it, report the range and n.
+constexpr size_t kMinBootstrapSamples = 5;
+
+/// The mean of a sample, with its bootstrap interval when the sample
+/// reaches kMinBootstrapSamples and with only its observed range below.
+struct MeanEstimate {
+  size_t n = 0;
+  double mean = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+  bool has_ci = false;
+  ConfidenceInterval ci;  ///< BootstrapMeanCI; meaningful iff has_ci.
+
+  /// "12.3 [11.8,12.9] n=8" with an interval, "12.3 (range 11.8-12.9,
+  /// n=2)" without; values printed with `precision` decimals.
+  std::string ToString(int precision = 2) const;
+};
+
+/// Mean of `samples` (>= 1) with BootstrapMeanCI(samples, confidence,
+/// seed) when samples.size() >= kMinBootstrapSamples, else with the
+/// range only.
+MeanEstimate EstimateMean(const std::vector<double>& samples,
+                          double confidence, uint64_t seed);
 
 /// Percentile-bootstrap interval for the ratio mean(numerator) /
 /// mean(denominator) — the shape of a reported speedup, where numerator

@@ -184,7 +184,24 @@ void TableDelta::Compact() {
   }
   std::vector<uint32_t> live = LiveRows(insert_deleted_);
   db::Table compacted(base_->schema());
-  compacted.AppendGather(insert_table_, live);
+  for (size_t c = 0; c < compacted.num_columns(); ++c) {
+    const db::Column& src = insert_table_.column(c);
+    db::Column& dst = compacted.column(c);
+    if (src.type() != db::DataType::kString) {
+      dst.AppendGather(src, live);
+      continue;
+    }
+    // A gather would share the old heap, deleted rows' bytes included;
+    // copying the live strings into a fresh heap lets compaction free them.
+    for (uint32_t r : live) {
+      if (src.IsNull(r)) {
+        dst.AppendNull();
+      } else {
+        dst.AppendString(src.GetString(r));
+      }
+    }
+  }
+  compacted.FinishBulkLoad();
   std::vector<uint64_t> rowids;
   rowids.reserve(live.size());
   for (uint32_t r : live) {

@@ -1,7 +1,8 @@
 // BenchContext's argument and database-knob parsing. An argument that is
 // neither a property nor a known flag stops the bench, and so does a
 // database knob given to a bench that never applies one, or an order or
-// isolation policy the scheduler cannot parse. The treatment knobs
+// isolation policy the scheduler cannot parse, and a scheduler flag given
+// to a bench that schedules no trials. The treatment knobs
 // --dbJoin/--dbOpt/--dbThreads are the experiment itself: an unrecognized
 // value must surface as a usage error, never as a silent fallback that
 // quietly measures the wrong engine. The
@@ -23,7 +24,8 @@ namespace bench {
 namespace {
 
 BenchContext MakeContext(std::vector<std::string> extra,
-                         DbKnobs db_knobs = DbKnobs::kApplied) {
+                         DbKnobs db_knobs = DbKnobs::kApplied,
+                         ScheduleKnobs schedule = ScheduleKnobs::kApplied) {
   std::vector<std::string> args = {"bench_test"};
   args.insert(args.end(), extra.begin(), extra.end());
   std::vector<char*> argv;
@@ -32,7 +34,8 @@ BenchContext MakeContext(std::vector<std::string> extra,
     argv.push_back(arg.data());
   }
   return BenchContext("T0", "knob parsing test",
-                      static_cast<int>(argv.size()), argv.data(), db_knobs);
+                      static_cast<int>(argv.size()), argv.data(), db_knobs,
+                      schedule);
 }
 
 TEST(BenchUtilTest, DefaultsAreRadixAndOptimizerOff) {
@@ -97,6 +100,30 @@ TEST(BenchUtilTest, DbKnobGivenToABenchThatIgnoresItIsAUsageError) {
   BenchContext ctx = MakeContext({"--jobs=2", "--order=randomized"},
                                  DbKnobs::kIgnored);
   EXPECT_EQ(ctx.ScheduleOptions().jobs, 2);
+}
+
+TEST(BenchUtilTest, ScheduleFlagGivenToABenchThatIgnoresItIsAUsageError) {
+  // `bench_join_crossover --jobs=4 --order=randomized` would otherwise run
+  // its own serial loop and record jobs=4 and order=randomized in its
+  // manifest.
+  for (const char* flag : {"--jobs=4", "--order=randomized",
+                           "--isolation=concurrent", "--schedSeed=7",
+                           "--progress", "-Djobs=4"}) {
+    std::string key = std::string(flag).substr(2);  // "--" or "-D".
+    key = key.substr(0, key.find('='));
+    EXPECT_EXIT(
+        MakeContext({flag}, DbKnobs::kIgnored, ScheduleKnobs::kIgnored),
+        ::testing::ExitedWithCode(2),
+        "usage: --" + key + " is not honored by T0 \\(it schedules no "
+        "trials\\)")
+        << flag;
+  }
+  // Without a scheduler flag the same bench runs and records no schedule.
+  std::string dir = ::testing::TempDir() + "bench_util_no_schedule";
+  BenchContext ctx = MakeContext({"-DresultsDir=" + dir}, DbKnobs::kIgnored,
+                                 ScheduleKnobs::kIgnored);
+  EXPECT_FALSE(ctx.properties().Has("jobs"));
+  EXPECT_DEATH(ctx.ScheduleOptions(), "declared ScheduleKnobs::kIgnored");
 }
 
 TEST(BenchUtilTest, UnparsableOrderOrIsolationIsAUsageError) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -161,6 +162,38 @@ TEST(BootstrapPercentileCIDeathTest, RejectsDegenerateInputs) {
                "CHECK failed");
   EXPECT_DEATH(BootstrapPercentileCI({1.0, 2.0}, 50.0, 1.5, 1),
                "CHECK failed");
+}
+
+TEST(EstimateMean, BelowTheFloorReportsTheRangeNotAnInterval) {
+  std::vector<double> two = {3.0, 5.0};
+  MeanEstimate small = EstimateMean(two, 0.95, 1);
+  EXPECT_FALSE(small.has_ci);
+  EXPECT_EQ(small.n, 2u);
+  EXPECT_DOUBLE_EQ(small.mean, 4.0);
+  EXPECT_DOUBLE_EQ(small.min, 3.0);
+  EXPECT_DOUBLE_EQ(small.max, 5.0);
+  EXPECT_EQ(small.ToString(), "4.00 (range 3.00-5.00, n=2)");
+  // One sample is a valid (if thin) report, not a crash.
+  EXPECT_EQ(EstimateMean({7.0}, 0.95, 1).ToString(1),
+            "7.0 (range 7.0-7.0, n=1)");
+}
+
+TEST(EstimateMean, AtTheFloorCarriesTheBootstrapInterval) {
+  std::vector<double> samples(kMinBootstrapSamples);
+  for (size_t i = 0; i < samples.size(); ++i) {
+    samples[i] = 10.0 + static_cast<double>(i);
+  }
+  MeanEstimate estimate = EstimateMean(samples, 0.95, 9);
+  ASSERT_TRUE(estimate.has_ci);
+  ConfidenceInterval expected = BootstrapMeanCI(samples, 0.95, 9);
+  EXPECT_DOUBLE_EQ(estimate.ci.lower, expected.lower);
+  EXPECT_DOUBLE_EQ(estimate.ci.upper, expected.upper);
+  EXPECT_DOUBLE_EQ(estimate.mean, expected.mean);
+  EXPECT_NE(estimate.ToString().find(" n=5"), std::string::npos);
+  EXPECT_EQ(estimate.ToString().find("range"), std::string::npos);
+  // One sample fewer falls below the floor.
+  samples.pop_back();
+  EXPECT_FALSE(EstimateMean(samples, 0.95, 9).has_ci);
 }
 
 }  // namespace

@@ -176,7 +176,8 @@ TEST(TpchQueriesTest, Q22GroupsByCountryCode) {
   std::set<std::string> allowed = {"13", "31", "23", "29", "30", "18",
                                    "17"};
   for (size_t r = 0; r < result.table->num_rows(); ++r) {
-    EXPECT_TRUE(allowed.count(code.GetString(r)) > 0) << code.GetString(r);
+    EXPECT_TRUE(allowed.count(std::string(code.GetString(r))) > 0)
+        << code.GetString(r);
   }
 }
 

@@ -121,18 +121,20 @@ txn() {
   # buffers around torn/corrupt frames — exactly where an OOB hides), and
   # the concurrent ingest+scan tests and the catalog-version tests
   # (pinned snapshots, version lifetime, installs racing queries) under
-  # ThreadSanitizer.
+  # ThreadSanitizer. The string-heap and join-gather tests (views that
+  # outlive their source table, readers gathering while a writer appends
+  # to a shared heap) run under both sanitizers.
   cmake -B build -S .
   cmake --build build "$jobs_flag" --target txn_test bench_write_path
   ctest --test-dir build --output-on-failure -L txn
   cmake -B build-asan -S . -DPERFEVAL_SANITIZE=address
-  cmake --build build-asan "$jobs_flag" --target txn_test
-  ctest --test-dir build-asan --output-on-failure -R 'CrashFuzz|Wal|VirtualDisk|TableDelta'
+  cmake --build build-asan "$jobs_flag" --target txn_test db_test
+  ctest --test-dir build-asan --output-on-failure -R 'CrashFuzz|Wal|VirtualDisk|TableDelta|StringHeapTest|JoinGatherTest'
   cmake -B build-tsan -S . -DPERFEVAL_SANITIZE=thread
   cmake --build build-tsan "$jobs_flag" --target txn_test db_test
   # -R keeps the TSan pass to the named txn_test and db_test cases (the
   # bench smoke under the txn label is built only in the Release tree).
-  ctest --test-dir build-tsan --output-on-failure -R 'DeltaStore|CatalogVersion'
+  ctest --test-dir build-tsan --output-on-failure -R 'DeltaStore|CatalogVersion|StringHeapTest|JoinGatherTest'
 }
 
 engine() {
