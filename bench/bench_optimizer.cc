@@ -3,9 +3,10 @@
 // the bundled engine's TPC-H instance:
 //
 //   1. Calibration: measured TRACE join-operator times vs the CostModel's
-//      predictions per algorithm, and a FitLinear re-fit of the hash
-//      join's per-probe-row constant — measured-vs-default constants with
-//      the fit's r^2, the evidence behind the model's numbers.
+//      predictions per algorithm, and a least-squares re-fit of the hash
+//      join's per-probe-row constant over every (probe rows, run) sample,
+//      with a case-resampling bootstrap CI and r^2 — measured-vs-default
+//      constants, the evidence behind the model's numbers.
 //   2. Estimated vs actual: every TPC-H plan is estimated (EstimatePlan)
 //      and run with TRACE; estimates and OpTraces zip positionally, and
 //      the per-operator Q-error distribution (median/p90/max of
@@ -176,7 +177,8 @@ int main(int argc, char** argv) {
   db::Database database;
   workload::TpchGenerator gen(sf);
   gen.LoadAll(&database);
-  Status knobs = ctx.ApplyDbKnobs(&database);
+  Status knobs = ctx.ApplyDbKnobs(
+      &database, bench::PlanSource::kRuleOrderAndOptimized);
   if (!knobs.ok()) {
     std::fprintf(stderr, "%s\n", knobs.ToString().c_str());
     return 2;
@@ -225,7 +227,9 @@ int main(int argc, char** argv) {
 
   // Re-fit the hash join's per-probe-row constant: join time vs probe
   // rows at fixed build side is a line whose slope the model names
-  // hash_probe_ns + join_output_ns.
+  // hash_probe_ns + join_output_ns. The fit runs over every (probe rows,
+  // run) sample, not per-size medians, so its bootstrap interval sees the
+  // run-to-run spread.
   std::vector<double> fit_x;
   std::vector<double> fit_y;
   for (size_t probe = cal_build; probe <= cal_probe; probe *= 2) {
@@ -236,23 +240,23 @@ int main(int argc, char** argv) {
     db::PlanPtr plan =
         db::HashJoin(db::Scan("probe"), db::Scan("build"), "k", "k");
     (void)fit_db.Run(plan);
-    std::vector<double> samples;
     for (int r = 0; r < runs; ++r) {
-      samples.push_back(JoinWallNs(fit_db.Run(plan)));
+      fit_x.push_back(static_cast<double>(probe));
+      fit_y.push_back(JoinWallNs(fit_db.Run(plan)));
     }
-    fit_x.push_back(static_cast<double>(probe));
-    fit_y.push_back(stats::Median(samples));
   }
-  stats::LinearFit fit = stats::FitLinear(fit_x, fit_y);
+  stats::SlopeEstimate slope =
+      stats::EstimateSlope(fit_x, fit_y, 0.95, /*seed=*/99);
+  double r_squared = stats::FitLinear(fit_x, fit_y).r_squared;
   double model_slope = model.hash_probe_ns + model.join_output_ns;
   std::printf("%s\n", cal_table.ToString().c_str());
   std::printf(
-      "hash-join probe slope: measured %.1f ns/row [%.1f, %.1f] "
-      "(r^2 %.3f) vs model %.1f ns/row (hash_probe + join_output)\n"
+      "hash-join probe slope (ns/row): measured %s (95%% bootstrap CI "
+      "over (probe rows, run) samples; r^2 %.3f) vs model %.1f "
+      "(hash_probe + join_output)\n"
       "absolute constants drift with the host; the DP only needs the "
       "*ordering* to hold, which parts 1 and 3 check.\n\n",
-      fit.slope, fit.slope_ci.lower, fit.slope_ci.upper, fit.r_squared,
-      model_slope);
+      slope.ToString(1).c_str(), r_squared, model_slope);
 
   // ---- Part 2: per-operator Q-error over all 22 TPC-H plans. ----
   std::map<std::string, QErrorAccum> by_op;
@@ -436,12 +440,20 @@ int main(int argc, char** argv) {
   json += StrFormat("  \"scale_factor\": %.4f,\n", sf);
   json += StrFormat("  \"runs\": %d,\n", runs);
   json += "  \"calibration\": [\n" + cal_json + "\n  ],\n";
+  // Below kMinBootstrapSamples there is no interval: lower/upper are null
+  // and only the range of pairwise slopes is reported.
+  std::string slope_lower =
+      slope.has_ci ? StrFormat("%.2f", slope.ci.lower) : "null";
+  std::string slope_upper =
+      slope.has_ci ? StrFormat("%.2f", slope.ci.upper) : "null";
   json += StrFormat(
       "  \"hash_probe_slope\": {\"measured_ns_per_row\": %.2f, "
-      "\"lower\": %.2f, \"upper\": %.2f, \"r_squared\": %.4f, "
+      "\"n\": %zu, \"lower\": %s, \"upper\": %s, \"range_min\": %.2f, "
+      "\"range_max\": %.2f, \"r_squared\": %.4f, "
       "\"model_ns_per_row\": %.2f},\n",
-      fit.slope, fit.slope_ci.lower, fit.slope_ci.upper, fit.r_squared,
-      model_slope);
+      slope.slope, slope.n,
+      slope_lower.c_str(), slope_upper.c_str(),
+      slope.min, slope.max, r_squared, model_slope);
   json += "  \"qerror_per_operator\": [\n" + qerr_json + "\n  ],\n";
   json += "  \"selectivity_sweep\": [\n" + sweep_json + "\n  ],\n";
   json += "  \"tpch_crossover\": [\n" + tpch_json + "\n  ],\n";
@@ -464,7 +476,7 @@ int main(int argc, char** argv) {
       "optimizer within 1.1x of best hand-picked (by CI) on %d/22 TPC-H "
       "queries, not within on %d, unresolved on %d; hash-probe slope "
       "measured %.1f vs model %.1f ns/row",
-      within, verdicts["NO"], verdicts["unresolved"], fit.slope,
+      within, verdicts["NO"], verdicts["unresolved"], slope.slope,
       model_slope));
   ctx.Finish();
   return 0;

@@ -262,9 +262,7 @@ int main(int argc, char** argv) {
          StrFormat("%.1f", cell.capacity_qps),
          StrFormat("%.2fx [%.2f,%.2f]", cell.speedup.mean, cell.speedup.lower,
                    cell.speedup.upper),
-         StrFormat("%.2f [%.2f,%.2f]", full.percentiles[2].ms,
-                   full.percentiles[2].ci.lower,
-                   full.percentiles[2].ci.upper)});
+         full.percentiles[2].ToString(/*with_ci=*/true)});
   }
   std::printf("Scale-out sweep (open loop through the front-end):\n%s\n",
               scale_table.ToString().c_str());

@@ -174,7 +174,8 @@ Result<bool> BenchContext::DbOpt() const {
       StrFormat("usage: --dbOpt=on|off (got \"%s\")", text.c_str()));
 }
 
-Status BenchContext::ApplyDbKnobs(db::Database* database) {
+Status BenchContext::ApplyDbKnobs(db::Database* database,
+                                  PlanSource plans) {
   PERFEVAL_CHECK(db_knobs_ == DbKnobs::kApplied)
       << experiment_id_ << " applies database knobs it declared ignored";
   Result<int> threads = DbThreads();
@@ -189,18 +190,27 @@ Status BenchContext::ApplyDbKnobs(db::Database* database) {
   database->set_join_algo(join.value());
   database->set_radix_bits(
       static_cast<int>(properties_.GetInt("radixBits", 0)));
-  Result<bool> optimize = DbOpt();
-  if (!optimize.ok()) {
-    return optimize.status();
-  }
-  database->set_optimize(optimize.value());
   // Treatment knobs are part of the experimental setup (paper, slides
   // 149–156). Read them back from the database the bench runs, so the
   // report names the configuration that ran, not the command line.
   std::string applied = StrFormat(
-      "db knobs: threads=%d join=%s radix_bits=%d opt=%s",
-      database->threads(), db::JoinAlgoName(database->join_algo()),
-      database->radix_bits(), database->optimize() ? "on" : "off");
+      "db knobs: threads=%d join=%s radix_bits=%d", database->threads(),
+      db::JoinAlgoName(database->join_algo()), database->radix_bits());
+  if (plans == PlanSource::kRuleOrderAndOptimized) {
+    if (properties_.Has("dbOpt")) {
+      return Status::InvalidArgument(
+          "usage: --dbOpt does not apply: this bench runs rule-order and "
+          "optimized plans side by side");
+    }
+    applied += " plans=rule-order+optimized";
+  } else {
+    Result<bool> optimize = DbOpt();
+    if (!optimize.ok()) {
+      return optimize.status();
+    }
+    database->set_optimize(optimize.value());
+    applied += database->optimize() ? " opt=on" : " opt=off";
+  }
   std::printf("%s\n", applied.c_str());
   AddNote(applied);
   return Status::OK();

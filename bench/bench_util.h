@@ -26,6 +26,18 @@ enum class DbKnobs {
   kApplied,  ///< the bench calls ApplyDbKnobs on the database it runs.
 };
 
+/// Which plans a bench that applies the database knobs runs, so its
+/// `db knobs:` line names them.
+enum class PlanSource {
+  /// The session's: `--dbOpt` decides whether the SQL planner hands its
+  /// plans to opt::Optimize, and the line reports it as `opt=on|off`.
+  kSession,
+  /// The bench runs rule-order plans and opt::Optimize's plans side by
+  /// side itself, so `--dbOpt` has nothing to set and is a usage error;
+  /// the line reports `plans=rule-order+optimized`.
+  kRuleOrderAndOptimized,
+};
+
 /// Whether a bench schedules its trials through
 /// BenchContext::ScheduleOptions (`--jobs`, `--order`, `--isolation`,
 /// `--schedSeed`, `--progress`).
@@ -93,10 +105,12 @@ class BenchContext {
   /// first usage error. Only a bench constructed with DbKnobs::kApplied
   /// may call it. Benches call this once after constructing their
   /// Database so every binary honours the uniform flags identically. On
-  /// success it prints one `db knobs:` line read back from `database` and
-  /// adds the same line to the manifest; benches that never call it
-  /// report no knobs, because none were applied.
-  Status ApplyDbKnobs(db::Database* database);
+  /// success it prints one `db knobs:` line read back from `database`,
+  /// naming the plans per `plans`, and adds the same line to the
+  /// manifest; benches that never call it report no knobs, because none
+  /// were applied.
+  Status ApplyDbKnobs(db::Database* database,
+                      PlanSource plans = PlanSource::kSession);
 
   /// `--smoke` (equivalently `-Dsmoke=true`): ask the bench for its
   /// seconds-scale fast path — tiny configs, few repetitions — so ctest

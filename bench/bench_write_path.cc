@@ -31,6 +31,7 @@
 #include "core/metrics.h"
 #include "core/timer.h"
 #include "db/database.h"
+#include "load_sweep.h"
 #include "report/gnuplot.h"
 #include "report/svg.h"
 #include "report/table_format.h"
@@ -162,31 +163,6 @@ RecoveryCell MeasureRecovery(int commits, bool checkpointed, int reps,
   }
   cell.recover_ms = stats::EstimateMean(samples, kConfidence, seed);
   return cell;
-}
-
-struct PercentileRow {
-  double ms = 0.0;
-  stats::ConfidenceInterval ci;  ///< in ms.
-};
-
-PercentileRow Pct(const serve::LatencyHistogram& latency, double percentile,
-                  uint64_t ci_seed, int resamples) {
-  PercentileRow row;
-  row.ms = latency.ValueAtPercentile(percentile) / 1e6;
-  stats::ConfidenceInterval ci =
-      latency.PercentileCI(percentile, kConfidence, ci_seed, resamples);
-  ci.mean /= 1e6;
-  ci.lower /= 1e6;
-  ci.upper /= 1e6;
-  row.ci = ci;
-  return row;
-}
-
-std::string PercentileJson(const PercentileRow& row) {
-  return StrFormat(
-      "{\"ms\": %.4f, \"ci_lower_ms\": %.4f, \"ci_upper_ms\": %.4f, "
-      "\"confidence\": %.2f}",
-      row.ms, row.ci.lower, row.ci.upper, kConfidence);
 }
 
 }  // namespace
@@ -426,28 +402,23 @@ int main(int argc, char** argv) {
   double ingest_rows_per_sec =
       static_cast<double>(ingest_commits) * ingest_batch / window_s;
 
-  PercentileRow quiet_p50 =
-      Pct(quiet.client_latency, 50.0, run_seed * 977, resamples);
-  PercentileRow quiet_p99 =
-      Pct(quiet.client_latency, 99.0, run_seed * 977 + 1, resamples);
-  PercentileRow busy_p50 =
-      Pct(busy.client_latency, 50.0, run_seed * 1979, resamples);
-  PercentileRow busy_p99 =
-      Pct(busy.client_latency, 99.0, run_seed * 1979 + 1, resamples);
+  // Percentiles the sample cannot support print as "n/a (n=…)".
+  bench::LatencyPercentile quiet_p50 = bench::SummarizePercentile(
+      quiet.client_latency, 50.0, run_seed * 977, resamples);
+  bench::LatencyPercentile quiet_p99 = bench::SummarizePercentile(
+      quiet.client_latency, 99.0, run_seed * 977 + 1, resamples);
+  bench::LatencyPercentile busy_p50 = bench::SummarizePercentile(
+      busy.client_latency, 50.0, run_seed * 1979, resamples);
+  bench::LatencyPercentile busy_p99 = bench::SummarizePercentile(
+      busy.client_latency, 99.0, run_seed * 1979 + 1, resamples);
   report::TextTable read_table;
   read_table.SetHeader({"condition", "achieved qph", "p50 (ms)", "p99 (ms)"});
-  read_table.AddRow(
-      {"quiet", StrFormat("%.0f", quiet.qph),
-       StrFormat("%.2f [%.2f,%.2f]", quiet_p50.ms, quiet_p50.ci.lower,
-                 quiet_p50.ci.upper),
-       StrFormat("%.2f [%.2f,%.2f]", quiet_p99.ms, quiet_p99.ci.lower,
-                 quiet_p99.ci.upper)});
-  read_table.AddRow(
-      {"under ingest", StrFormat("%.0f", busy.qph),
-       StrFormat("%.2f [%.2f,%.2f]", busy_p50.ms, busy_p50.ci.lower,
-                 busy_p50.ci.upper),
-       StrFormat("%.2f [%.2f,%.2f]", busy_p99.ms, busy_p99.ci.lower,
-                 busy_p99.ci.upper)});
+  read_table.AddRow({"quiet", StrFormat("%.0f", quiet.qph),
+                     quiet_p50.ToString(/*with_ci=*/true),
+                     quiet_p99.ToString(/*with_ci=*/true)});
+  read_table.AddRow({"under ingest", StrFormat("%.0f", busy.qph),
+                     busy_p50.ToString(/*with_ci=*/true),
+                     busy_p99.ToString(/*with_ci=*/true)});
   std::printf(
       "Read latency: closed loop (%d clients, %d requests) on TPC-H sf "
       "%.3g, quiet vs under concurrent ingest (%.0f rows/s committed into "
@@ -542,12 +513,10 @@ int main(int argc, char** argv) {
                     ingest_rows_per_sec);
   json += StrFormat(
       "    \"quiet\": {\"qph\": %.0f, \"p50\": %s, \"p99\": %s},\n",
-      quiet.qph, PercentileJson(quiet_p50).c_str(),
-      PercentileJson(quiet_p99).c_str());
+      quiet.qph, quiet_p50.ToJson().c_str(), quiet_p99.ToJson().c_str());
   json += StrFormat(
       "    \"under_ingest\": {\"qph\": %.0f, \"p50\": %s, \"p99\": %s}\n",
-      busy.qph, PercentileJson(busy_p50).c_str(),
-      PercentileJson(busy_p99).c_str());
+      busy.qph, busy_p50.ToJson().c_str(), busy_p99.ToJson().c_str());
   json += "  }\n";
   json += "}\n";
 

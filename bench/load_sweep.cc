@@ -3,6 +3,7 @@
 #include "common/string_util.h"
 #include "report/gnuplot.h"
 #include "report/svg.h"
+#include "stats/descriptive.h"
 
 namespace perfeval {
 namespace bench {
@@ -12,6 +13,43 @@ const double kSweepPercentiles[kSweepNumPercentiles] = {50.0, 90.0, 99.0,
 const char* const kSweepPercentileNames[kSweepNumPercentiles] = {
     "p50", "p90", "p99", "p99.9"};
 
+std::string LatencyPercentile::ToString(bool with_ci) const {
+  if (!supported) {
+    return StrFormat("n/a (n=%zu)", n);
+  }
+  if (!with_ci) {
+    return StrFormat("%.2f", ms);
+  }
+  return StrFormat("%.2f [%.2f,%.2f]", ms, ci.lower, ci.upper);
+}
+
+std::string LatencyPercentile::ToJson() const {
+  if (!supported) {
+    return "null";
+  }
+  return StrFormat(
+      "{\"ms\": %.4f, \"ci_lower_ms\": %.4f, \"ci_upper_ms\": %.4f, "
+      "\"confidence\": %.2f}",
+      ms, ci.lower, ci.upper, ci.confidence);
+}
+
+LatencyPercentile SummarizePercentile(const serve::LatencyHistogram& latency,
+                                      double p, uint64_t ci_seed,
+                                      int resamples) {
+  LatencyPercentile out;
+  out.n = static_cast<size_t>(latency.TotalCount());
+  out.supported = stats::PercentileSupported(out.n, p);
+  out.ms = latency.ValueAtPercentile(p) / 1e6;
+  if (!out.supported) {
+    return out;
+  }
+  out.ci = latency.PercentileCI(p, kSweepConfidence, ci_seed, resamples);
+  out.ci.mean /= 1e6;
+  out.ci.lower /= 1e6;
+  out.ci.upper /= 1e6;
+  return out;
+}
+
 LoadCell SummarizeLoadRun(double offered_qps, const serve::LoadResult& run,
                           uint64_t ci_seed, int resamples) {
   LoadCell cell;
@@ -19,15 +57,9 @@ LoadCell SummarizeLoadRun(double offered_qps, const serve::LoadResult& run,
   cell.achieved_qph = run.qph;
   cell.errors = run.errors;
   for (int i = 0; i < kSweepNumPercentiles; ++i) {
-    cell.percentiles[i].ms =
-        run.client_latency.ValueAtPercentile(kSweepPercentiles[i]) / 1e6;
-    stats::ConfidenceInterval ci = run.client_latency.PercentileCI(
-        kSweepPercentiles[i], kSweepConfidence,
+    cell.percentiles[i] = SummarizePercentile(
+        run.client_latency, kSweepPercentiles[i],
         ci_seed + static_cast<uint64_t>(i), resamples);
-    ci.mean /= 1e6;
-    ci.lower /= 1e6;
-    ci.upper /= 1e6;
-    cell.percentiles[i].ci = ci;
   }
   return cell;
 }
@@ -35,12 +67,9 @@ LoadCell SummarizeLoadRun(double offered_qps, const serve::LoadResult& run,
 std::string LoadCellJson(const LoadCell& cell) {
   std::string percentiles = "{";
   for (int i = 0; i < kSweepNumPercentiles; ++i) {
-    percentiles += StrFormat(
-        "%s\"%s\": {\"ms\": %.4f, \"ci_lower_ms\": %.4f, "
-        "\"ci_upper_ms\": %.4f, \"confidence\": %.2f}",
-        i == 0 ? "" : ", ", kSweepPercentileNames[i], cell.percentiles[i].ms,
-        cell.percentiles[i].ci.lower, cell.percentiles[i].ci.upper,
-        kSweepConfidence);
+    percentiles += StrFormat("%s\"%s\": %s", i == 0 ? "" : ", ",
+                             kSweepPercentileNames[i],
+                             cell.percentiles[i].ToJson().c_str());
   }
   percentiles += "}";
   return StrFormat(
@@ -101,15 +130,12 @@ report::TextTable SweepTable(const std::vector<LoadCell>& cells) {
   table.SetHeader({"offered q/s", "achieved qph", "p50 (ms)", "p90 (ms)",
                    "p99 (ms)", "p99.9 (ms)"});
   for (const LoadCell& cell : cells) {
-    table.AddRow(
-        {StrFormat("%.1f", cell.offered_qps),
-         StrFormat("%.0f", cell.achieved_qph),
-         StrFormat("%.2f [%.2f,%.2f]", cell.percentiles[0].ms,
-                   cell.percentiles[0].ci.lower, cell.percentiles[0].ci.upper),
-         StrFormat("%.2f", cell.percentiles[1].ms),
-         StrFormat("%.2f [%.2f,%.2f]", cell.percentiles[2].ms,
-                   cell.percentiles[2].ci.lower, cell.percentiles[2].ci.upper),
-         StrFormat("%.2f", cell.percentiles[3].ms)});
+    table.AddRow({StrFormat("%.1f", cell.offered_qps),
+                  StrFormat("%.0f", cell.achieved_qph),
+                  cell.percentiles[0].ToString(/*with_ci=*/true),
+                  cell.percentiles[1].ToString(/*with_ci=*/false),
+                  cell.percentiles[2].ToString(/*with_ci=*/true),
+                  cell.percentiles[3].ToString(/*with_ci=*/false)});
   }
   return table;
 }

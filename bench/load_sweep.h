@@ -29,10 +29,30 @@ inline constexpr int kSweepNumPercentiles = 4;
 extern const double kSweepPercentiles[kSweepNumPercentiles];
 extern const char* const kSweepPercentileNames[kSweepNumPercentiles];
 
+/// One client-latency percentile of a run. Reported only where the run's
+/// sample supports it (stats::PercentileSupported): further out, the
+/// estimate rests on the few slowest requests and the upper end of its
+/// bootstrap interval is just the sample maximum.
 struct LatencyPercentile {
-  double ms = 0.0;
-  stats::ConfidenceInterval ci;  ///< bootstrap CI, in ms.
+  size_t n = 0;            ///< latencies the percentile is taken over.
+  bool supported = false;  ///< whether reports may print it.
+  double ms = 0.0;         ///< point estimate, for charts and verdicts.
+  stats::ConfidenceInterval ci;  ///< bootstrap CI in ms; zero unless
+                                 ///< supported.
+
+  /// "12.30 [11.80,12.90]" (or "12.30" without `with_ci`); "n/a (n=48)"
+  /// when unsupported.
+  std::string ToString(bool with_ci) const;
+  /// {"ms": ..., "ci_lower_ms": ..., "ci_upper_ms": ..., "confidence":
+  /// ...}, or null when unsupported.
+  std::string ToJson() const;
 };
+
+/// The p-th percentile of `latency` (p in [0, 100]) in ms, with its
+/// deterministic bootstrap CI when the sample supports it.
+LatencyPercentile SummarizePercentile(const serve::LatencyHistogram& latency,
+                                      double p, uint64_t ci_seed,
+                                      int resamples);
 
 /// One measured cell of an offered-load sweep.
 struct LoadCell {
@@ -43,7 +63,7 @@ struct LoadCell {
 };
 
 /// Summarizes one load-generator run into a cell: client-observed
-/// percentiles with deterministic bootstrap CIs.
+/// percentiles with deterministic bootstrap CIs (SummarizePercentile).
 LoadCell SummarizeLoadRun(double offered_qps, const serve::LoadResult& run,
                           uint64_t ci_seed, int resamples);
 
@@ -77,7 +97,8 @@ struct LoadSweepResult {
   LoadCell closed_cell;
   /// One open-loop cell per fraction, in `fractions` order.
   std::vector<LoadCell> cells;
-  /// p50/p99 vs offered q/s with CI half-width error bars, chart-ready.
+  /// p50/p99 vs offered q/s, chart-ready: point estimates, with CI
+  /// half-width error bars where the sample supports the percentile.
   core::Series p50_series;
   core::Series p99_series;
 };
@@ -88,7 +109,8 @@ LoadSweepResult RunLoadSweep(serve::QueryService* service,
                              const LoadSweepOptions& options);
 
 /// The sweep rendered as the standard text table (offered/achieved/
-/// percentile columns, CI brackets on p50 and p99).
+/// percentile columns, CI brackets on p50 and p99, "n/a (n=…)" where the
+/// sample does not support a percentile).
 report::TextTable SweepTable(const std::vector<LoadCell>& cells);
 
 /// The sweep cells as a JSON array literal, one cell per line, indented by

@@ -140,22 +140,12 @@ QueryResult Database::Run(const PlanPtr& plan, ExecMode mode, SinkKind sink,
   ctx.use_zone_maps = use_zone_maps;
   ctx.parallel_sim = &result.parallel;
 
-  // Server phase: execute the plan. Stats are read through the
-  // thread-safe snapshot so concurrent query streams never race on the
-  // counters (the per-query deltas are then only meaningful when streams
-  // run serially; the result table is deterministic either way).
-  StorageStats stats_before = storage_->StatsSnapshot();
-  int64_t stall_before = storage_->total_stall_ns();
+  // Server phase: execute the plan. The query is charged the I/O its own
+  // page touches returned (ctx.io), never a concurrent neighbour's.
   Relation relation;
   result.server = core::MeasureOnce([&] { relation = plan->Execute(ctx); });
-  result.server.simulated_stall_ns =
-      storage_->total_stall_ns() - stall_before;
-  StorageStats stats_after = storage_->StatsSnapshot();
-  result.storage.page_hits = stats_after.page_hits - stats_before.page_hits;
-  result.storage.page_misses =
-      stats_after.page_misses - stats_before.page_misses;
-  result.storage.bytes_read = stats_after.bytes_read - stats_before.bytes_read;
-  result.storage.stall_ns = stats_after.stall_ns - stats_before.stall_ns;
+  result.storage = ctx.io;
+  result.server.simulated_stall_ns = ctx.io.stall_ns;
 
   // Plans can return a selection over a base table.
   result.table = relation.Materialize();

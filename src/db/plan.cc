@@ -126,42 +126,6 @@ int ParallelMorsels(ExecContext& ctx, size_t input_rows, size_t count,
   return stats.workers_spawned;
 }
 
-/// RAII operator trace: measures wall time and attributes storage stalls.
-class TraceScope {
- public:
-  TraceScope(ExecContext& ctx, std::string op, size_t rows_in)
-      : ctx_(ctx), op_(std::move(op)), rows_in_(rows_in) {
-    stall_before_ = ctx_.storage ? ctx_.storage->total_stall_ns() : 0;
-  }
-
-  /// Workers the operator's parallel region used (the ParallelMorsels
-  /// return value); left at 0 for operators without a parallel region.
-  void set_threads_used(int threads) { threads_used_ = threads; }
-
-  void Finish(size_t rows_out) {
-    if (ctx_.profiler == nullptr) {
-      return;
-    }
-    OpTrace trace;
-    trace.op = std::move(op_);
-    trace.rows_in = rows_in_;
-    trace.rows_out = rows_out;
-    trace.wall_ns = timer_.ElapsedNs();
-    trace.stall_ns =
-        (ctx_.storage ? ctx_.storage->total_stall_ns() : 0) - stall_before_;
-    trace.threads_used = threads_used_;
-    ctx_.profiler->Record(std::move(trace));
-  }
-
- private:
-  ExecContext& ctx_;
-  std::string op_;
-  size_t rows_in_;
-  int64_t stall_before_;
-  int threads_used_ = 0;
-  core::WallTimer timer_;
-};
-
 /// Gather: appends `rows` of every column of `source`, in order, to the
 /// (empty) columns `first_col`, `first_col + 1`, ... of `out`. Optimized
 /// mode runs typed tight loops, morsel-parallel when the adaptive policy
@@ -334,17 +298,15 @@ void FilterRowRange(const ExecContext& ctx, const Table& table,
   ApplyPredicate(ctx, table, pred, out);
 }
 
-/// Touches the buffer-pool pages of the named columns (all when empty).
+/// Touches the buffer-pool pages of the named columns (all when empty)
+/// and charges them to the query (ctx.io).
 /// Delegates to the shared scan-I/O walk (db/scan_io.h) so the shard
 /// coordinator's logical replay issues identical touches by construction.
 void TouchColumns(ExecContext& ctx, const TableVersion& version,
                   const std::vector<std::string>& columns) {
-  if (ctx.storage == nullptr) {
-    return;
-  }
-  TouchScanColumns(ctx.storage, ScanTableInfo{&version.table->schema(),
-                                              &version.layout},
-                   columns);
+  ctx.io += TouchScanColumns(
+      ctx.storage, ScanTableInfo{&version.table->schema(), &version.layout},
+      columns);
 }
 
 class ScanNode : public PlanNode {
@@ -355,7 +317,7 @@ class ScanNode : public PlanNode {
   Relation Execute(ExecContext& ctx) const override {
     PERFEVAL_CHECK(ctx.catalog != nullptr);
     const TableVersion& version = ctx.catalog->Get(table_name_);
-    TraceScope trace(ctx, "Scan(" + table_name_ + ")",
+    TraceScope trace(ctx.profiler, ctx.io, "Scan(" + table_name_ + ")",
                      version.table->num_rows());
     TouchColumns(ctx, version, columns_);
     Relation out;
@@ -393,7 +355,7 @@ class FilterScanNode : public PlanNode {
     PERFEVAL_CHECK(ctx.catalog != nullptr);
     const TableVersion& version = ctx.catalog->Get(table_name_);
     const std::shared_ptr<const Table>& table = version.table;
-    TraceScope trace(ctx, "FilterScan(" + table_name_ + ")",
+    TraceScope trace(ctx.profiler, ctx.io, "FilterScan(" + table_name_ + ")",
                      table->num_rows());
 
     // Zone-map page skipping: a chunk participates only when all simple
@@ -465,7 +427,8 @@ class FilterScanNode : public PlanNode {
       // walk (db/scan_io.h) — the same code the shard coordinator replays,
       // so sharded logical I/O matches this path by construction.
       ScanTableInfo info{&table->schema(), &version.layout};
-      FilterScanChunkWalk(ctx.storage, info, column_ids, simple, add_range);
+      ctx.io += FilterScanChunkWalk(ctx.storage, info, column_ids, simple,
+                                    add_range);
     } else {
       TouchColumns(ctx, version, columns_);
       for (size_t begin = 0; begin < num_rows; begin += compute_rows) {
@@ -528,7 +491,7 @@ class FilterNode : public PlanNode {
 
   Relation Execute(ExecContext& ctx) const override {
     Relation input = child_->Execute(ctx);
-    TraceScope trace(ctx, "Filter", input.num_rows());
+    TraceScope trace(ctx.profiler, ctx.io, "Filter", input.num_rows());
     std::vector<uint32_t> ids = input.RowIds();
     auto rows = std::make_shared<std::vector<uint32_t>>();
     CompiledPredicate pred = CompilePredicate(predicate_);
@@ -608,7 +571,7 @@ class ProjectNode : public PlanNode {
 
   Relation Execute(ExecContext& ctx) const override {
     Relation input = child_->Execute(ctx);
-    TraceScope trace(ctx, "Project", input.num_rows());
+    TraceScope trace(ctx.profiler, ctx.io, "Project", input.num_rows());
     std::vector<uint32_t> rows = input.RowIds();
 
     std::vector<ColumnSpec> specs;
@@ -791,7 +754,7 @@ class HashJoinNode : public PlanNode {
     Relation left = left_->Execute(ctx);
     Relation right = right_->Execute(ctx);
     TraceScope trace(
-        ctx,
+        ctx.profiler, ctx.io,
         std::string("HashJoin(") + left_keys_[0] + "=" + right_keys_[0] +
             ", " + JoinAlgoName(algo) + ")",
         left.num_rows() + right.num_rows());
@@ -912,7 +875,7 @@ class AggregateNode : public PlanNode {
 
   Relation Execute(ExecContext& ctx) const override {
     Relation input = child_->Execute(ctx);
-    TraceScope trace(ctx, "Aggregate", input.num_rows());
+    TraceScope trace(ctx.profiler, ctx.io, "Aggregate", input.num_rows());
     const Table& table = *input.table;
     std::vector<uint32_t> rows = input.RowIds();
 
@@ -1336,7 +1299,7 @@ class SortNode : public PlanNode {
 
   Relation Execute(ExecContext& ctx) const override {
     Relation input = child_->Execute(ctx);
-    TraceScope trace(ctx, "Sort", input.num_rows());
+    TraceScope trace(ctx.profiler, ctx.io, "Sort", input.num_rows());
     const Table& table = *input.table;
     std::vector<uint32_t> rows = input.RowIds();
 
@@ -1402,7 +1365,7 @@ class LimitNode : public PlanNode {
 
   Relation Execute(ExecContext& ctx) const override {
     Relation input = child_->Execute(ctx);
-    TraceScope trace(ctx, "Limit", input.num_rows());
+    TraceScope trace(ctx.profiler, ctx.io, "Limit", input.num_rows());
     std::vector<uint32_t> rows = input.RowIds();
     if (rows.size() > n_) {
       rows.resize(n_);
@@ -1444,7 +1407,7 @@ class TopNNode : public PlanNode {
 
   Relation Execute(ExecContext& ctx) const override {
     Relation input = child_->Execute(ctx);
-    TraceScope trace(ctx, "TopN", input.num_rows());
+    TraceScope trace(ctx.profiler, ctx.io, "TopN", input.num_rows());
     const Table& table = *input.table;
     std::vector<uint32_t> rows = input.RowIds();
 

@@ -86,6 +86,10 @@ struct ExecContext : ExecKnobs {
   /// table, zone maps and page geometry from it.
   const Catalog* catalog = nullptr;
   StorageManager* storage = nullptr;   ///< optional: page I/O accounting.
+  /// The query's I/O so far: the sum of the deltas its own page touches
+  /// returned, accumulated on the coordinating thread in touch order.
+  /// Database::Run reports it; TraceScope reads operator stalls from it.
+  StorageStats io;
   Profiler* profiler = nullptr;        ///< optional: operator traces.
   bool use_zone_maps = true;           ///< page skipping in FilterScan.
   /// Optional: accumulates parallel-region wall/critical-path times for

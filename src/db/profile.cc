@@ -21,6 +21,20 @@ int64_t Profiler::TotalStallNs() const {
   return total;
 }
 
+void TraceScope::Finish(size_t rows_out) {
+  if (profiler_ == nullptr) {
+    return;
+  }
+  OpTrace trace;
+  trace.op = std::move(op_);
+  trace.rows_in = rows_in_;
+  trace.rows_out = rows_out;
+  trace.wall_ns = timer_.ElapsedNs();
+  trace.stall_ns = query_io_.stall_ns - stall_before_;
+  trace.threads_used = threads_used_;
+  profiler_->Record(std::move(trace));
+}
+
 std::string Profiler::ToString() const {
   std::string out =
       StrFormat("%-40s %10s %10s %12s %12s %4s\n", "operator", "rows in",

@@ -3,7 +3,11 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "core/timer.h"
+#include "db/storage.h"
 
 namespace perfeval {
 namespace db {
@@ -41,6 +45,40 @@ class Profiler {
 
  private:
   std::vector<OpTrace> traces_;
+};
+
+/// RAII operator trace, shared by the columnar executor and the row
+/// store: times an operator's own work from construction to Finish() and
+/// charges it the simulated stall its query accumulated meanwhile.
+/// `query_io` is the query's running sum of the deltas its own page
+/// touches returned, so an operator is charged only pages its query
+/// touched, whatever other queries do to the shared pool. Finish()
+/// records the OpTrace (nothing when `profiler` is null); a scope left
+/// without Finish(), as when the operator throws, records nothing.
+class TraceScope {
+ public:
+  TraceScope(Profiler* profiler, const StorageStats& query_io,
+             std::string op, size_t rows_in)
+      : profiler_(profiler),
+        query_io_(query_io),
+        op_(std::move(op)),
+        rows_in_(rows_in),
+        stall_before_(query_io.stall_ns) {}
+
+  /// Workers the operator's parallel region used; left at 0 for
+  /// operators without a parallel region.
+  void set_threads_used(int threads) { threads_used_ = threads; }
+
+  void Finish(size_t rows_out);
+
+ private:
+  Profiler* profiler_;
+  const StorageStats& query_io_;
+  std::string op_;
+  size_t rows_in_;
+  int64_t stall_before_;
+  int threads_used_ = 0;
+  core::WallTimer timer_;
 };
 
 }  // namespace db

@@ -36,31 +36,35 @@ std::vector<SimplePredicate> SimpleConjuncts(const ExprPtr& predicate) {
   return simple;
 }
 
-void TouchScanColumns(StorageManager* storage, const ScanTableInfo& table,
-                      const std::vector<std::string>& columns) {
+StorageStats TouchScanColumns(StorageManager* storage,
+                              const ScanTableInfo& table,
+                              const std::vector<std::string>& columns) {
+  StorageStats charged;
   if (storage == nullptr) {
-    return;
+    return charged;
   }
   CheckLaidOut(table);
   if (columns.empty()) {
     for (size_t c = 0; c < table.schema->num_columns(); ++c) {
-      storage->TouchColumn(*table.layout, static_cast<uint32_t>(c));
+      charged += storage->TouchColumn(*table.layout, static_cast<uint32_t>(c));
     }
-    return;
+    return charged;
   }
   for (const std::string& name : columns) {
-    storage->TouchColumn(
+    charged += storage->TouchColumn(
         *table.layout,
         static_cast<uint32_t>(table.schema->MustIndexOf(name)));
   }
+  return charged;
 }
 
-void FilterScanChunkWalk(
+StorageStats FilterScanChunkWalk(
     StorageManager* storage, const ScanTableInfo& table,
     const std::vector<uint32_t>& column_ids,
     const std::vector<SimplePredicate>& simple,
     const std::function<void(size_t, size_t)>& on_chunk) {
   PERFEVAL_CHECK(storage != nullptr);
+  StorageStats charged;
   CheckLaidOut(table);
   const TableLayout& layout = *table.layout;
   size_t page_rows = std::max<size_t>(storage->rows_per_page(), 1);
@@ -83,30 +87,32 @@ void FilterScanChunkWalk(
     // I/O accounting happens here, on the coordinating thread, one page
     // at a time in chunk order — never from the workers — so
     // hits/misses/bytes/stall are identical at any thread count.
-    storage->TouchMorsel(layout, column_ids, begin, end);
+    charged += storage->TouchMorsel(layout, column_ids, begin, end);
     if (on_chunk) {
       on_chunk(begin, end);
     }
   }
+  return charged;
 }
 
-void ReplayScanIo(const PlanNode& plan, const ScanIoCatalog& catalog,
-                  StorageManager* storage, bool use_zone_maps) {
+StorageStats ReplayScanIo(const PlanNode& plan, const ScanIoCatalog& catalog,
+                          StorageManager* storage, bool use_zone_maps) {
   PERFEVAL_CHECK(storage != nullptr);
   // Children first, left to right — the order Execute() visits them (every
   // operator evaluates its inputs before itself; joins run left then
   // right), so the page-touch sequence matches a real execution exactly.
+  StorageStats charged;
   for (const PlanNode* child : plan.Children()) {
-    ReplayScanIo(*child, catalog, storage, use_zone_maps);
+    charged += ReplayScanIo(*child, catalog, storage, use_zone_maps);
   }
   PlanSpec spec = plan.Spec();
   if (spec.kind == PlanKind::kScan) {
     ScanTableInfo table = catalog.Lookup(spec.table_name);
-    TouchScanColumns(storage, table, spec.columns);
-    return;
+    charged += TouchScanColumns(storage, table, spec.columns);
+    return charged;
   }
   if (spec.kind != PlanKind::kFilterScan) {
-    return;
+    return charged;
   }
   ScanTableInfo table = catalog.Lookup(spec.table_name);
   std::vector<SimplePredicate> simple = SimpleConjuncts(spec.predicate);
@@ -114,8 +120,8 @@ void ReplayScanIo(const PlanNode& plan, const ScanIoCatalog& catalog,
   // conjunct to prune with and rows to scan; otherwise the node touches
   // the named columns in full.
   if (!use_zone_maps || simple.empty() || table.layout->num_rows == 0) {
-    TouchScanColumns(storage, table, spec.columns);
-    return;
+    charged += TouchScanColumns(storage, table, spec.columns);
+    return charged;
   }
   PERFEVAL_CHECK(table.schema != nullptr);
   std::vector<uint32_t> column_ids;
@@ -124,7 +130,8 @@ void ReplayScanIo(const PlanNode& plan, const ScanIoCatalog& catalog,
     column_ids.push_back(
         static_cast<uint32_t>(table.schema->MustIndexOf(name)));
   }
-  FilterScanChunkWalk(storage, table, column_ids, simple, nullptr);
+  charged += FilterScanChunkWalk(storage, table, column_ids, simple, nullptr);
+  return charged;
 }
 
 }  // namespace db

@@ -50,17 +50,20 @@ class ScanIoCatalog {
 std::vector<SimplePredicate> SimpleConjuncts(const ExprPtr& predicate);
 
 /// Scan: touches every page of the named columns (all columns when the
-/// list is empty), in column order, chunks ascending.
-void TouchScanColumns(StorageManager* storage, const ScanTableInfo& table,
-                      const std::vector<std::string>& columns);
+/// list is empty), in column order, chunks ascending. Returns the stats
+/// delta charged to exactly these touches (zero without a `storage`).
+StorageStats TouchScanColumns(StorageManager* storage,
+                              const ScanTableInfo& table,
+                              const std::vector<std::string>& columns);
 
 /// FilterScan's page walk: for every chunk of the table, consult the zone
 /// maps of the simple conjuncts' columns; a prunable chunk is skipped
 /// entirely (no I/O, no callback), a surviving chunk's pages are touched
 /// via TouchMorsel (column order given, from the coordinating thread) and
 /// reported to `on_chunk(row_begin, row_end)` — which the engine uses to
-/// assemble compute morsels and the replay ignores.
-void FilterScanChunkWalk(
+/// assemble compute morsels and the replay ignores. Returns the stats
+/// delta charged to the walk's touches.
+StorageStats FilterScanChunkWalk(
     StorageManager* storage, const ScanTableInfo& table,
     const std::vector<uint32_t>& column_ids,
     const std::vector<SimplePredicate>& simple,
@@ -71,13 +74,16 @@ void FilterScanChunkWalk(
 /// the Scan/FilterScan page touches each leaf would perform, with the same
 /// zone-map pruning decisions. Non-leaf operators do no I/O in this engine
 /// (intermediates are in-memory), so this reproduces the complete
-/// single-node I/O sequence of the plan.
-void ReplayScanIo(const PlanNode& plan, const ScanIoCatalog& catalog,
-                  StorageManager* storage, bool use_zone_maps = true);
+/// single-node I/O sequence of the plan. Returns the stats delta charged
+/// to the replay's touches.
+StorageStats ReplayScanIo(const PlanNode& plan, const ScanIoCatalog& catalog,
+                          StorageManager* storage, bool use_zone_maps = true);
 
-inline void ReplayScanIo(const PlanPtr& plan, const ScanIoCatalog& catalog,
-                         StorageManager* storage, bool use_zone_maps = true) {
-  ReplayScanIo(*plan, catalog, storage, use_zone_maps);
+inline StorageStats ReplayScanIo(const PlanPtr& plan,
+                                 const ScanIoCatalog& catalog,
+                                 StorageManager* storage,
+                                 bool use_zone_maps = true) {
+  return ReplayScanIo(*plan, catalog, storage, use_zone_maps);
 }
 
 }  // namespace db

@@ -161,7 +161,8 @@ void StorageManager::EvictTable(uint32_t table_id, uint32_t keep_version) {
 }
 
 void StorageManager::TouchPageLocked(const TableLayout& table,
-                                     uint32_t column_id, uint32_t chunk) {
+                                     uint32_t column_id, uint32_t chunk,
+                                     StorageStats* charged) {
   PERFEVAL_CHECK_LT(column_id, table.columns.size())
       << "page outside the table layout";
   PERFEVAL_CHECK_LT(chunk, table.num_chunks)
@@ -176,7 +177,7 @@ void StorageManager::TouchPageLocked(const TableLayout& table,
     // next miss look like a random access and pay a spurious seek.
     lru_.splice(lru_.begin(), lru_, it->second);
     stream_heads_[stream] = chunk;
-    ++stats_.page_hits;
+    ++charged->page_hits;
     return;
   }
   // Miss: charge the disk model. Sequential pages of the same column skip
@@ -190,10 +191,9 @@ void StorageManager::TouchPageLocked(const TableLayout& table,
     stall += disk_.seek_ns;
   }
   stream_heads_[stream] = chunk;
-  ++stats_.page_misses;
-  stats_.bytes_read += static_cast<int64_t>(bytes);
-  stats_.stall_ns += stall;
-  total_stall_ns_.fetch_add(stall, std::memory_order_relaxed);
+  ++charged->page_misses;
+  charged->bytes_read += static_cast<int64_t>(bytes);
+  charged->stall_ns += stall;
 
   // Insert at MRU; evict from LRU tail as needed.
   lru_.push_front(key);
@@ -208,33 +208,32 @@ void StorageManager::TouchPageLocked(const TableLayout& table,
 StorageStats StorageManager::TouchMorsel(
     const TableLayout& table, const std::vector<uint32_t>& column_ids,
     size_t row_begin, size_t row_end) {
+  StorageStats charged;
   if (row_end <= row_begin || column_ids.empty()) {
-    return StorageStats();
+    return charged;
   }
   std::lock_guard<std::mutex> lock(mu_);
-  StorageStats before = stats_;
   uint32_t first_chunk = static_cast<uint32_t>(row_begin / rows_per_page_);
   uint32_t last_chunk =
       static_cast<uint32_t>((row_end - 1) / rows_per_page_);
   for (uint32_t column_id : column_ids) {
     for (uint32_t chunk = first_chunk; chunk <= last_chunk; ++chunk) {
-      TouchPageLocked(table, column_id, chunk);
+      TouchPageLocked(table, column_id, chunk, &charged);
     }
   }
-  StorageStats delta;
-  delta.page_hits = stats_.page_hits - before.page_hits;
-  delta.page_misses = stats_.page_misses - before.page_misses;
-  delta.bytes_read = stats_.bytes_read - before.bytes_read;
-  delta.stall_ns = stats_.stall_ns - before.stall_ns;
-  return delta;
+  stats_ += charged;
+  return charged;
 }
 
-void StorageManager::TouchColumn(const TableLayout& table,
-                                 uint32_t column_id) {
+StorageStats StorageManager::TouchColumn(const TableLayout& table,
+                                         uint32_t column_id) {
+  StorageStats charged;
   std::lock_guard<std::mutex> lock(mu_);
   for (uint32_t chunk = 0; chunk < table.num_chunks; ++chunk) {
-    TouchPageLocked(table, column_id, chunk);
+    TouchPageLocked(table, column_id, chunk, &charged);
   }
+  stats_ += charged;
+  return charged;
 }
 
 void StorageManager::FlushCaches() {

@@ -1,7 +1,6 @@
 #ifndef PERFEVAL_DB_STORAGE_H_
 #define PERFEVAL_DB_STORAGE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <mutex>
@@ -130,6 +129,16 @@ struct StorageStats {
 /// morsel at a time), so hits/misses/bytes/stall are independent of how
 /// the compute morsels interleave across workers.
 ///
+/// Attribution: every page-touch entry point returns the stats delta it
+/// charged, and a query reports the sum of its own touches' deltas. So
+/// a query is charged exactly the pages it touched, even while other
+/// queries share the pool, and the queries' charges sum to the pool's
+/// counters.
+///
+/// Both executors page through this class: the columnar engine with one
+/// page per column chunk, the row store (engine::RowStoreBackend) with
+/// one page per run of complete tuples (engine::BuildRowLayout).
+///
 /// The pool keeps no catalog of its own: every touch passes the
 /// TableLayout of the table version being read (a Database passes the
 /// one its query pinned), so a running scan never sees metadata change
@@ -145,8 +154,9 @@ class StorageManager {
   size_t rows_per_page() const { return rows_per_page_; }
   size_t buffer_pool_pages() const { return buffer_pool_pages_; }
 
-  /// Touches all pages of one column of a table version (a full scan).
-  void TouchColumn(const TableLayout& table, uint32_t column_id);
+  /// Touches all pages of one column of a table version (a full scan)
+  /// and returns the stats delta charged to exactly this call.
+  StorageStats TouchColumn(const TableLayout& table, uint32_t column_id);
 
   /// One morsel's I/O, accounted as a unit: touches the pages of every
   /// column in `column_ids` overlapping rows [row_begin, row_end) — in
@@ -176,17 +186,12 @@ class StorageManager {
 
   void ResetStats();
 
-  /// Stall accumulated since construction; diff two readings to attribute
-  /// stalls to a measured interval. Thread-safe (atomic).
-  int64_t total_stall_ns() const {
-    return total_stall_ns_.load(std::memory_order_relaxed);
-  }
-
  private:
   /// Marks one page accessed: buffer-pool hit (free) or miss (charges
-  /// the disk model and evicts LRU pages as needed). mu_ must be held.
+  /// the disk model and evicts LRU pages as needed), adding the charge to
+  /// `charged`; the caller folds it into stats_. mu_ must be held.
   void TouchPageLocked(const TableLayout& table, uint32_t column_id,
-                       uint32_t chunk);
+                       uint32_t chunk, StorageStats* charged);
 
   DiskModel disk_;
   size_t buffer_pool_pages_;
@@ -208,7 +213,6 @@ class StorageManager {
   std::unordered_map<uint64_t, uint32_t> stream_heads_;
 
   StorageStats stats_;
-  std::atomic<int64_t> total_stall_ns_{0};
 };
 
 }  // namespace db

@@ -93,9 +93,9 @@ class Backend {
 
 /// Builds a backend over `database`'s catalog and storage configuration:
 /// kColumnar adapts the database itself; kRowStore packs every catalog
-/// table into row form with a matching pager budget (same DiskModel, same
-/// buffer_pool_pages, same rows_per_page — the held-constant half of the
-/// comparison protocol). `database` must outlive the returned backend.
+/// table into row form over a db::StorageManager of its own with the
+/// same configuration (same DiskModel, same buffer_pool_pages, same
+/// rows_per_page — the held-constant half of the comparison protocol). `database` must outlive the returned backend.
 std::unique_ptr<Backend> CreateBackend(db::BackendKind kind,
                                        db::Database* database);
 

@@ -31,7 +31,7 @@ int64_t NsSince(Clock::time_point start) {
 
 struct CatalogView {
   RowBlockPtr block;
-  uint32_t table_id = 0;
+  const db::TableLayout* layout = nullptr;
 };
 
 /// Everything one execution threads down the plan tree.
@@ -41,51 +41,11 @@ struct RowExecCtx {
   bool check = false;
   size_t batch_rows = 1024;
   db::Profiler* profiler = nullptr;
-  RowPager* pager = nullptr;
+  db::StorageManager* storage = nullptr;
   const std::unordered_map<std::string, CatalogView>* catalog = nullptr;
-  /// I/O charged to this execution so far (deltas returned by the pager,
+  /// I/O charged to this execution so far (deltas returned by the pool,
   /// accumulated on the coordinating thread in row order).
   db::StorageStats io;
-};
-
-/// Times one operator's own work (children already executed) and records
-/// an OpTrace on destruction — the row-store analogue of plan.cc's
-/// TraceScope, with identical op naming so per-operator attribution lines
-/// up across backends.
-class RowTrace {
- public:
-  RowTrace(RowExecCtx& ctx, std::string op, size_t rows_in)
-      : ctx_(ctx),
-        op_(std::move(op)),
-        rows_in_(rows_in),
-        stall_before_(ctx.io.stall_ns),
-        start_(Clock::now()) {}
-
-  ~RowTrace() {
-    if (ctx_.profiler == nullptr) {
-      return;
-    }
-    db::OpTrace trace;
-    trace.op = std::move(op_);
-    trace.rows_in = rows_in_;
-    trace.rows_out = rows_out_;
-    trace.wall_ns = NsSince(start_);
-    trace.stall_ns = ctx_.io.stall_ns - stall_before_;
-    trace.threads_used = threads_used_;
-    ctx_.profiler->Record(std::move(trace));
-  }
-
-  void set_rows_out(size_t n) { rows_out_ = n; }
-  void set_threads_used(int n) { threads_used_ = n; }
-
- private:
-  RowExecCtx& ctx_;
-  std::string op_;
-  size_t rows_in_;
-  size_t rows_out_ = 0;
-  int threads_used_ = 0;
-  int64_t stall_before_;
-  Clock::time_point start_;
 };
 
 const CatalogView& LookupTable(const RowExecCtx& ctx,
@@ -140,7 +100,8 @@ bool EvalSimpleAt(const RowBlock& block, size_t r,
 /// any `threads`), then copies surviving tuples into a fresh block
 /// sharing the input's heap.
 RowBlockPtr FilterBlock(const RowBlock& input, const db::Expr& predicate,
-                        RowExecCtx& ctx, RowTrace* trace, const char* op) {
+                        RowExecCtx& ctx, db::TraceScope* trace,
+                        const char* op) {
   size_t n = input.num_rows();
   size_t batch = ctx.batch_rows;
   size_t num_batches = n == 0 ? 0 : (n + batch - 1) / batch;
@@ -207,8 +168,8 @@ RowBlockPtr FilterBlock(const RowBlock& input, const db::Expr& predicate,
       out->AppendRowCopy(input, r);
     }
   }
-  trace->set_rows_out(out->num_rows());
   trace->set_threads_used(threads_used);
+  trace->Finish(out->num_rows());
   return out;
 }
 
@@ -340,7 +301,7 @@ RowBlockPtr ExecJoin(const db::PlanSpec& spec, const RowBlockPtr& left,
 }
 
 RowBlockPtr ExecProject(const db::PlanSpec& spec, const RowBlockPtr& input,
-                        RowExecCtx& ctx, RowTrace* trace) {
+                        RowExecCtx& ctx, db::TraceScope* trace) {
   size_t n = input->num_rows();
   size_t ncols = spec.exprs.size();
   std::vector<db::ColumnSpec> specs(ncols);
@@ -386,8 +347,8 @@ RowBlockPtr ExecProject(const db::PlanSpec& spec, const RowBlockPtr& input,
         copy_range(b);
       }
     }
-    trace->set_rows_out(n);
     trace->set_threads_used(threads_used);
+    trace->Finish(n);
     return out;
   }
 
@@ -408,8 +369,8 @@ RowBlockPtr ExecProject(const db::PlanSpec& spec, const RowBlockPtr& input,
       }
     }
   }
-  trace->set_rows_out(n);
   trace->set_threads_used(1);
+  trace->Finish(n);
   return out;
 }
 
@@ -625,70 +586,73 @@ RowBlockPtr ExecNode(const db::PlanNode& node, RowExecCtx& ctx) {
   switch (spec.kind) {
     case db::PlanKind::kScan: {
       const CatalogView& entry = LookupTable(ctx, spec.table_name);
-      RowTrace trace(ctx, "Scan(" + spec.table_name + ")",
-                     entry.block->num_rows());
+      db::TraceScope trace(ctx.profiler, ctx.io,
+                           "Scan(" + spec.table_name + ")",
+                           entry.block->num_rows());
       // A row scan reads whole tuples: every page of the table is
       // touched no matter which columns the query wants — the layout's
       // defining I/O cost, charged in row order from the coordinator.
-      ctx.io += ctx.pager->TouchRows(entry.table_id, 0,
-                                     entry.block->num_rows());
-      trace.set_rows_out(entry.block->num_rows());
+      ctx.io += ctx.storage->TouchColumn(*entry.layout, 0);
+      trace.Finish(entry.block->num_rows());
       return entry.block;
     }
     case db::PlanKind::kFilterScan: {
       const CatalogView& entry = LookupTable(ctx, spec.table_name);
-      RowTrace trace(ctx, "FilterScan(" + spec.table_name + ")",
-                     entry.block->num_rows());
-      ctx.io += ctx.pager->TouchRows(entry.table_id, 0,
-                                     entry.block->num_rows());
+      db::TraceScope trace(ctx.profiler, ctx.io,
+                           "FilterScan(" + spec.table_name + ")",
+                           entry.block->num_rows());
+      ctx.io += ctx.storage->TouchColumn(*entry.layout, 0);
       return FilterBlock(*entry.block, *spec.predicate, ctx, &trace,
                          "FilterScan");
     }
     case db::PlanKind::kFilter: {
       RowBlockPtr input = ExecNode(*children[0], ctx);
-      RowTrace trace(ctx, "Filter", input->num_rows());
+      db::TraceScope trace(ctx.profiler, ctx.io, "Filter",
+                           input->num_rows());
       return FilterBlock(*input, *spec.predicate, ctx, &trace, "Filter");
     }
     case db::PlanKind::kProject: {
       RowBlockPtr input = ExecNode(*children[0], ctx);
-      RowTrace trace(ctx, "Project", input->num_rows());
+      db::TraceScope trace(ctx.profiler, ctx.io, "Project",
+                           input->num_rows());
       return ExecProject(spec, input, ctx, &trace);
     }
     case db::PlanKind::kHashJoin: {
       RowBlockPtr left = ExecNode(*children[0], ctx);
       RowBlockPtr right = ExecNode(*children[1], ctx);
-      RowTrace trace(ctx,
-                     "HashJoin(" + spec.left_keys[0] + "=" +
-                         spec.right_keys[0] + ")",
-                     left->num_rows() + right->num_rows());
+      db::TraceScope trace(ctx.profiler, ctx.io,
+                           "HashJoin(" + spec.left_keys[0] + "=" +
+                               spec.right_keys[0] + ")",
+                           left->num_rows() + right->num_rows());
       RowBlockPtr out = ExecJoin(spec, left, right, ctx);
-      trace.set_rows_out(out->num_rows());
+      trace.Finish(out->num_rows());
       return out;
     }
     case db::PlanKind::kAggregate: {
       RowBlockPtr input = ExecNode(*children[0], ctx);
-      RowTrace trace(ctx, "Aggregate", input->num_rows());
+      db::TraceScope trace(ctx.profiler, ctx.io, "Aggregate",
+                           input->num_rows());
       RowBlockPtr out = ExecAggregate(spec, input, ctx, "Aggregate");
-      trace.set_rows_out(out->num_rows());
+      trace.Finish(out->num_rows());
       return out;
     }
     case db::PlanKind::kSort: {
       RowBlockPtr input = ExecNode(*children[0], ctx);
-      RowTrace trace(ctx, "Sort", input->num_rows());
+      db::TraceScope trace(ctx.profiler, ctx.io, "Sort", input->num_rows());
       RowBlockPtr out = ExecSort(spec, input, ctx, /*top_n=*/false, "Sort");
-      trace.set_rows_out(out->num_rows());
+      trace.Finish(out->num_rows());
       return out;
     }
     case db::PlanKind::kTopN: {
       RowBlockPtr input = ExecNode(*children[0], ctx);
-      RowTrace trace(ctx, "TopN", input->num_rows());
+      db::TraceScope trace(ctx.profiler, ctx.io, "TopN", input->num_rows());
       RowBlockPtr out = ExecSort(spec, input, ctx, /*top_n=*/true, "TopN");
-      trace.set_rows_out(out->num_rows());
+      trace.Finish(out->num_rows());
       return out;
     }
     case db::PlanKind::kLimit: {
       RowBlockPtr input = ExecNode(*children[0], ctx);
-      RowTrace trace(ctx, "Limit", input->num_rows());
+      db::TraceScope trace(ctx.profiler, ctx.io, "Limit", input->num_rows());
       std::vector<uint32_t> rows;
       size_t keep = std::min(input->num_rows(), spec.limit);
       rows.reserve(keep);
@@ -696,7 +660,7 @@ RowBlockPtr ExecNode(const db::PlanNode& node, RowExecCtx& ctx) {
         rows.push_back(static_cast<uint32_t>(r));
       }
       RowBlockPtr out = GatherRows(*input, rows);
-      trace.set_rows_out(out->num_rows());
+      trace.Finish(out->num_rows());
       return out;
     }
   }
@@ -707,9 +671,8 @@ RowBlockPtr ExecNode(const db::PlanNode& node, RowExecCtx& ctx) {
 
 RowStoreBackend::RowStoreBackend(Options options)
     : options_(options),
-      pager_(std::make_unique<RowPager>(options.disk,
-                                        options.buffer_pool_pages,
-                                        options.rows_per_page)) {
+      storage_(std::make_unique<db::StorageManager>(
+          options.disk, options.buffer_pool_pages, options.rows_per_page)) {
   PERFEVAL_CHECK_GT(options_.batch_rows, 0u);
 }
 
@@ -724,17 +687,25 @@ std::unique_ptr<RowStoreBackend> RowStoreBackend::Over(
   return backend;
 }
 
+RowStoreBackend::CatalogEntry RowStoreBackend::Pack(
+    std::shared_ptr<const db::Table> source, uint32_t table_id,
+    uint32_t version) const {
+  PERFEVAL_CHECK_LT(table_id, db::kMaxTableIds);
+  CatalogEntry entry;
+  entry.block = std::make_shared<RowBlock>(PackTable(*source));
+  entry.source = std::move(source);
+  entry.layout = BuildRowLayout(*entry.block, options_.rows_per_page);
+  entry.layout.table_id = table_id;
+  entry.layout.version = version;
+  return entry;
+}
+
 void RowStoreBackend::RegisterTable(const std::string& name,
                                     std::shared_ptr<db::Table> table) {
   std::unique_lock<std::shared_mutex> lock(catalog_mu_);
   PERFEVAL_CHECK(tables_.find(name) == tables_.end())
       << "duplicate table " << name;
-  CatalogEntry entry;
-  entry.block = std::make_shared<RowBlock>(PackTable(*table));
-  entry.source = std::move(table);
-  entry.table_id = next_table_id_++;
-  pager_->RegisterTable(entry.table_id, *entry.block);
-  tables_[name] = std::move(entry);
+  tables_[name] = Pack(std::move(table), next_table_id_++, 0);
 }
 
 void RowStoreBackend::SyncFrom(db::Database* database) {
@@ -744,18 +715,15 @@ void RowStoreBackend::SyncFrom(db::Database* database) {
     std::shared_ptr<const db::Table> source = database->GetTableShared(name);
     auto it = tables_.find(name);
     if (it == tables_.end()) {
-      CatalogEntry entry;
-      entry.block = std::make_shared<RowBlock>(PackTable(*source));
-      entry.source = std::move(source);
-      entry.table_id = next_table_id_++;
-      pager_->RegisterTable(entry.table_id, *entry.block);
-      tables_[name] = std::move(entry);
+      tables_[name] = Pack(std::move(source), next_table_id_++, 0);
     } else if (it->second.source != source) {
-      // The write path installed a new snapshot: re-pack; the new block's
-      // pages are cold, as after Database::ReplaceTables.
-      it->second.block = std::make_shared<RowBlock>(PackTable(*source));
-      it->second.source = std::move(source);
-      pager_->ReplaceTable(it->second.table_id, *it->second.block);
+      // The write path installed a new snapshot: re-pack it as the next
+      // version and evict the older ones, so its pages are cold, as after
+      // Database::ReplaceTables.
+      uint32_t table_id = it->second.layout.table_id;
+      uint32_t version = it->second.layout.version + 1;
+      it->second = Pack(std::move(source), table_id, version);
+      storage_->EvictTable(table_id, version);
     }
   }
 }
@@ -766,7 +734,7 @@ BackendResult RowStoreBackend::Execute(const db::PlanPtr& plan,
   std::unordered_map<std::string, CatalogView> catalog;
   catalog.reserve(tables_.size());
   for (const auto& [name, entry] : tables_) {
-    catalog[name] = CatalogView{entry.block, entry.table_id};
+    catalog[name] = CatalogView{entry.block, &entry.layout};
   }
 
   BackendResult result;
@@ -776,7 +744,7 @@ BackendResult RowStoreBackend::Execute(const db::PlanPtr& plan,
   ctx.check = options.check;
   ctx.batch_rows = options_.batch_rows;
   ctx.profiler = &result.profile;
-  ctx.pager = pager_.get();
+  ctx.storage = storage_.get();
   ctx.catalog = &catalog;
 
   Clock::time_point start = Clock::now();
@@ -802,7 +770,7 @@ uint32_t RowStoreBackend::TableId(const std::string& name) const {
   std::shared_lock<std::shared_mutex> lock(catalog_mu_);
   auto it = tables_.find(name);
   PERFEVAL_CHECK(it != tables_.end()) << "unknown table " << name;
-  return it->second.table_id;
+  return it->second.layout.table_id;
 }
 
 }  // namespace engine

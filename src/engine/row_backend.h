@@ -7,9 +7,9 @@
 #include <string>
 #include <unordered_map>
 
+#include "db/storage.h"
 #include "engine/backend.h"
 #include "engine/row_layout.h"
-#include "engine/row_pager.h"
 
 namespace perfeval {
 namespace engine {
@@ -29,7 +29,8 @@ namespace engine {
 ///    simple predicates and column-reference projections that read packed
 ///    slots directly).
 ///  - Row-major cache/I/O behavior: a scan touches full tuples no matter
-///    how few columns the query needs (RowPager charges accordingly), and
+///    how few columns the query needs (each table pages through the
+///    backend's db::StorageManager as one BuildRowLayout column), and
 ///    strings move by (offset, length) slot over a shared heap instead of
 ///    std::string copies.
 ///
@@ -49,7 +50,7 @@ namespace engine {
 /// compute fans out.
 ///
 /// Thread safety: concurrent Execute() calls are safe (blocks are
-/// immutable, the pager locks internally, the catalog is read under a
+/// immutable, the pool locks internally, the catalog is read under a
 /// shared mutex); RegisterTable/SyncFrom take the catalog mutex
 /// exclusively and must not race in-flight executions of the tables they
 /// replace.
@@ -68,7 +69,7 @@ class RowStoreBackend : public Backend {
   RowStoreBackend() : RowStoreBackend(Options()) {}
   explicit RowStoreBackend(Options options);
 
-  /// Convenience: a backend whose pager matches `database`'s storage
+  /// Convenience: a backend whose pool matches `database`'s storage
   /// configuration (same DiskModel / pool budget / rows per page), with
   /// every catalog table imported.
   static std::unique_ptr<RowStoreBackend> Over(db::Database* database);
@@ -82,18 +83,19 @@ class RowStoreBackend : public Backend {
 
   /// Runs the database's refresh hook, then re-packs every table whose
   /// installed snapshot changed identity since the last sync (and imports
-  /// tables this backend has not seen). Re-packed tables are cold in the
-  /// pager, mirroring the columnar install (Database::ReplaceTables).
+  /// tables this backend has not seen). A re-packed table gets the next
+  /// layout version and its older pages are evicted, so it is cold, as
+  /// after the columnar install (Database::ReplaceTables).
   void SyncFrom(db::Database* database) override;
 
   BackendResult Execute(const db::PlanPtr& plan,
                         const ExecOptions& options) override;
 
   db::StorageStats StorageSnapshot() const override {
-    return pager_->StatsSnapshot();
+    return storage_->StatsSnapshot();
   }
 
-  void FlushCaches() override { pager_->FlushCaches(); }
+  void FlushCaches() override { storage_->FlushCaches(); }
 
   const Options& options() const { return options_; }
 
@@ -101,7 +103,6 @@ class RowStoreBackend : public Backend {
   /// page accounting through this).
   RowBlockPtr GetBlock(const std::string& name) const;
   uint32_t TableId(const std::string& name) const;
-  RowPager& pager() { return *pager_; }
 
  private:
   struct CatalogEntry {
@@ -109,11 +110,15 @@ class RowStoreBackend : public Backend {
     /// Identity of the columnar snapshot this block was packed from;
     /// SyncFrom re-packs when the database's pointer differs.
     std::shared_ptr<const db::Table> source;
-    uint32_t table_id = 0;
+    db::TableLayout layout;  ///< BuildRowLayout of `block`.
   };
 
+  /// Packs `source` and lays the block out as `table_id` at `version`.
+  CatalogEntry Pack(std::shared_ptr<const db::Table> source,
+                    uint32_t table_id, uint32_t version) const;
+
   Options options_;
-  std::unique_ptr<RowPager> pager_;
+  std::unique_ptr<db::StorageManager> storage_;
 
   /// Guards the catalog map. Executions hold it shared; registration and
   /// sync hold it exclusively.

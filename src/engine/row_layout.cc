@@ -1,5 +1,6 @@
 #include "engine/row_layout.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -113,6 +114,36 @@ std::shared_ptr<db::Table> UnpackToTable(const RowBlock& block) {
   out->ReserveRows(block.num_rows());
   UnpackRows(block, 0, block.num_rows(), out.get());
   return out;
+}
+
+db::TableLayout BuildRowLayout(const RowBlock& block, size_t rows_per_page) {
+  PERFEVAL_CHECK_GT(rows_per_page, 0u);
+  std::vector<size_t> string_cols;
+  for (size_t c = 0; c < block.schema().num_columns(); ++c) {
+    if (block.schema().column(c).type == db::DataType::kString) {
+      string_cols.push_back(c);
+    }
+  }
+  db::TableLayout layout;
+  layout.num_rows = block.num_rows();
+  layout.num_chunks = (layout.num_rows + rows_per_page - 1) / rows_per_page;
+  db::ColumnLayout& pages = layout.columns.emplace_back();
+  pages.chunk_bytes.resize(layout.num_chunks, 0);
+  pages.zone_maps.resize(layout.num_chunks);
+  for (size_t p = 0; p < layout.num_chunks; ++p) {
+    size_t begin = p * rows_per_page;
+    size_t end = std::min(layout.num_rows, begin + rows_per_page);
+    size_t bytes = (end - begin) * block.layout().stride();
+    for (size_t r = begin; r < end; ++r) {
+      for (size_t c : string_cols) {
+        if (!block.IsNull(r, c)) {
+          bytes += StringHeap::SlotLength(block.RawSlotAt(r, c));
+        }
+      }
+    }
+    pages.chunk_bytes[p] = bytes;
+  }
+  return layout;
 }
 
 }  // namespace engine

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "db/storage.h"
 #include "db/table.h"
 #include "db/value.h"
 
@@ -61,7 +62,8 @@ class StringHeap {
                     static_cast<uint32_t>(slot >> 32));
   }
   /// Byte length encoded in a slot — what a serialized row-major page
-  /// would carry inline for this cell (RowPager charges it per occurrence).
+  /// would carry inline for this cell (BuildRowLayout charges it per
+  /// occurrence).
   static uint32_t SlotLength(uint64_t slot) {
     return static_cast<uint32_t>(slot >> 32);
   }
@@ -94,7 +96,7 @@ class RowLayout {
   const db::Schema& schema() const { return schema_; }
   size_t num_columns() const { return schema_.num_columns(); }
   /// Bytes per packed row (excluding string payload, which lives in the
-  /// heap but is charged per row by the pager).
+  /// heap but is charged per row by BuildRowLayout).
   size_t stride() const { return stride_; }
   size_t SlotOffset(size_t col) const { return slot_base_ + 8 * col; }
 
@@ -229,6 +231,19 @@ void UnpackRows(const RowBlock& block, size_t begin, size_t end,
 /// Materializes the whole block as a columnar table (the backend-neutral
 /// result format every backend's output is diffed in).
 std::shared_ptr<db::Table> UnpackToTable(const RowBlock& block);
+
+/// The buffer-pool layout of a packed table, so the row store pages
+/// through the same db::StorageManager as the columnar engine: a single
+/// "column" whose page p holds rows [p * rows_per_page, (p + 1) *
+/// rows_per_page) as complete tuples. A page's bytes are the packed
+/// stride of its rows plus the string payload those rows reference,
+/// counted per occurrence as an inline row-major serialization would
+/// store it; over all pages of a PackTable block they sum to its
+/// ByteSize(). That shape is the design point under test:
+/// a row scan pays full-tuple bytes no matter how few columns the query
+/// touches (DESIGN.md, "Comparing backends defensibly"). Zone maps are
+/// left invalid. The caller assigns the table id and version.
+db::TableLayout BuildRowLayout(const RowBlock& block, size_t rows_per_page);
 
 }  // namespace engine
 }  // namespace perfeval

@@ -188,17 +188,11 @@ ShardedResult ShardCluster::Execute(const db::PlanPtr& plan, db::ExecMode mode,
   // Logical-I/O replay against the reference (single-node) layout — the
   // exact page-touch sequence the undistributed plan would have issued,
   // via the same scan_io code path the engine itself uses. Per-query
-  // atomic; see the class comment for the concurrency caveat.
+  // atomic, so concurrent queries' touch sequences never interleave.
   {
     std::lock_guard<std::mutex> lock(replay_mu_);
-    db::StorageStats before = replay_storage_->StatsSnapshot();
-    db::ReplayScanIo(dp.original, *this, replay_storage_.get(),
-                     use_zone_maps);
-    db::StorageStats after = replay_storage_->StatsSnapshot();
-    out.result.storage.page_hits = after.page_hits - before.page_hits;
-    out.result.storage.page_misses = after.page_misses - before.page_misses;
-    out.result.storage.bytes_read = after.bytes_read - before.bytes_read;
-    out.result.storage.stall_ns = after.stall_ns - before.stall_ns;
+    out.result.storage = db::ReplayScanIo(dp.original, *this,
+                                          replay_storage_.get(), use_zone_maps);
   }
   // The coordinator's observed time = measured wall + the logical stall,
   // mirroring how the single-node engine reports simulated I/O.

@@ -105,9 +105,8 @@ struct ShardedResult {
 /// use (db/scan_io.h) — against one StorageManager, touching the global
 /// unpartitioned layout of each table, making the merged logical StorageStats
 /// bit-identical to single-node by construction. The replay is per-query
-/// atomic (a mutex), so deltas are meaningful exactly when queries are
-/// issued serially — the same caveat db::Database::Run's stats carry under
-/// concurrency.
+/// atomic (a mutex), and each query reports the delta its own replay
+/// returned.
 class ShardCluster : public db::ScanIoCatalog {
  public:
   explicit ShardCluster(ShardClusterOptions options);

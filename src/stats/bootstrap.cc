@@ -39,6 +39,32 @@ double Quantile(const std::vector<double>& sorted, double q) {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
+/// Least-squares slope of y on x; NaN when every x is equal.
+double OlsSlope(const std::vector<double>& x, const std::vector<double>& y) {
+  double mean_x = MeanOf(x);
+  double mean_y = MeanOf(y);
+  double sxx = 0.0;
+  double sxy = 0.0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    sxx += (x[i] - mean_x) * (x[i] - mean_x);
+    sxy += (x[i] - mean_x) * (y[i] - mean_y);
+  }
+  return sxx > 0.0 ? sxy / sxx : std::nan("");
+}
+
+/// "12.3 [11.8,12.9] n=8" with an interval, "12.3 (range 11.8-12.9,
+/// n=2)" without.
+std::string FormatEstimate(double point, size_t n, bool has_ci,
+                           const ConfidenceInterval& ci, double min,
+                           double max, int precision) {
+  if (has_ci) {
+    return StrFormat("%.*f [%.*f,%.*f] n=%zu", precision, point, precision,
+                     ci.lower, precision, ci.upper, n);
+  }
+  return StrFormat("%.*f (range %.*f-%.*f, n=%zu)", precision, point,
+                   precision, min, precision, max, n);
+}
+
 ConfidenceInterval FromResamples(std::vector<double>* resamples, double mean,
                                  double confidence) {
   std::sort(resamples->begin(), resamples->end());
@@ -70,12 +96,7 @@ ConfidenceInterval BootstrapMeanCI(const std::vector<double>& samples,
 }
 
 std::string MeanEstimate::ToString(int precision) const {
-  if (has_ci) {
-    return StrFormat("%.*f [%.*f,%.*f] n=%zu", precision, mean, precision,
-                     ci.lower, precision, ci.upper, n);
-  }
-  return StrFormat("%.*f (range %.*f-%.*f, n=%zu)", precision, mean,
-                   precision, min, precision, max, n);
+  return FormatEstimate(mean, n, has_ci, ci, min, max, precision);
 }
 
 MeanEstimate EstimateMean(const std::vector<double>& samples,
@@ -133,6 +154,64 @@ ConfidenceInterval BootstrapPercentileCI(const std::vector<double>& samples,
   }
   return FromResamples(&statistics, Percentile(samples, percentile),
                        confidence);
+}
+
+ConfidenceInterval BootstrapSlopeCI(const std::vector<double>& x,
+                                    const std::vector<double>& y,
+                                    double confidence, uint64_t seed) {
+  PERFEVAL_CHECK_EQ(x.size(), y.size());
+  PERFEVAL_CHECK_GE(x.size(), 3u);
+  PERFEVAL_CHECK(confidence > 0.0 && confidence < 1.0);
+  double slope = OlsSlope(x, y);
+  PERFEVAL_CHECK(!std::isnan(slope)) << "slope of a constant x";
+  Pcg32 rng(SplitMix64(seed), SplitMix64(seed ^ 0x510e527fULL));
+  uint32_t n = static_cast<uint32_t>(x.size());
+  std::vector<double> rx(x.size());
+  std::vector<double> ry(y.size());
+  std::vector<double> resamples(kBootstrapResamples);
+  for (double& stat : resamples) {
+    do {
+      for (uint32_t i = 0; i < n; ++i) {
+        uint32_t pick = rng.NextBounded(n);
+        rx[i] = x[pick];
+        ry[i] = y[pick];
+      }
+      stat = OlsSlope(rx, ry);
+    } while (std::isnan(stat));
+  }
+  return FromResamples(&resamples, slope, confidence);
+}
+
+std::string SlopeEstimate::ToString(int precision) const {
+  return FormatEstimate(slope, n, has_ci, ci, min, max, precision);
+}
+
+SlopeEstimate EstimateSlope(const std::vector<double>& x,
+                            const std::vector<double>& y, double confidence,
+                            uint64_t seed) {
+  PERFEVAL_CHECK_EQ(x.size(), y.size());
+  PERFEVAL_CHECK_GE(x.size(), 2u);
+  SlopeEstimate estimate;
+  estimate.n = x.size();
+  estimate.slope = OlsSlope(x, y);
+  PERFEVAL_CHECK(!std::isnan(estimate.slope)) << "slope of a constant x";
+  bool first = true;
+  for (size_t i = 0; i < x.size(); ++i) {
+    for (size_t j = i + 1; j < x.size(); ++j) {
+      if (x[i] == x[j]) {
+        continue;
+      }
+      double pair = (y[j] - y[i]) / (x[j] - x[i]);
+      estimate.min = first ? pair : std::min(estimate.min, pair);
+      estimate.max = first ? pair : std::max(estimate.max, pair);
+      first = false;
+    }
+  }
+  estimate.has_ci = x.size() >= kMinBootstrapSamples;
+  if (estimate.has_ci) {
+    estimate.ci = BootstrapSlopeCI(x, y, confidence, seed);
+  }
+  return estimate;
 }
 
 }  // namespace stats

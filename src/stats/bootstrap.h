@@ -79,6 +79,39 @@ ConfidenceInterval BootstrapPercentileCI(const std::vector<double>& samples,
                                          uint64_t seed,
                                          int resamples = kBootstrapResamples);
 
+/// Case-resampling bootstrap interval for the least-squares slope of y on
+/// x: each resample draws n (x, y) pairs with replacement and refits the
+/// slope (a resample whose x values are all equal has no slope and is
+/// drawn again); the interval is the empirical (alpha/2, 1-alpha/2) band
+/// of the refitted slopes. Unlike the Student-t slope interval it needs
+/// no normal, equal-variance residuals, which timing samples rarely have.
+/// `mean` is the full-sample slope. Requires >= 3 points and at least two
+/// distinct x values.
+ConfidenceInterval BootstrapSlopeCI(const std::vector<double>& x,
+                                    const std::vector<double>& y,
+                                    double confidence, uint64_t seed);
+
+/// A least-squares slope with its bootstrap interval when the sample
+/// reaches kMinBootstrapSamples points, and below that with only the
+/// range of the slopes through every pair of points with distinct x.
+struct SlopeEstimate {
+  size_t n = 0;
+  double slope = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+  bool has_ci = false;
+  ConfidenceInterval ci;  ///< BootstrapSlopeCI; meaningful iff has_ci.
+
+  /// Formatted like MeanEstimate::ToString.
+  std::string ToString(int precision = 2) const;
+};
+
+/// The slope of y on x (>= 2 points, two distinct x values), estimated as
+/// SlopeEstimate describes.
+SlopeEstimate EstimateSlope(const std::vector<double>& x,
+                            const std::vector<double>& y, double confidence,
+                            uint64_t seed);
+
 }  // namespace stats
 }  // namespace perfeval
 

@@ -76,6 +76,15 @@ double Percentile(const std::vector<double>& samples, double p) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
+bool PercentileSupported(size_t n, double p) {
+  PERFEVAL_CHECK_GE(p, 0.0);
+  PERFEVAL_CHECK_LE(p, 100.0);
+  // The tolerance absorbs rounding: 100 - 99.9 is a hair below 0.1, and
+  // p99.9 at n = 10000 must count exactly 10 samples beyond it.
+  double beyond = static_cast<double>(n) * (100.0 - p) / 100.0;
+  return beyond + 1e-6 >= static_cast<double>(kMinTailSamples);
+}
+
 double GeometricMean(const std::vector<double>& samples) {
   PERFEVAL_CHECK(!samples.empty());
   double log_sum = 0.0;

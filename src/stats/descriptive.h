@@ -35,6 +35,17 @@ double Median(const std::vector<double>& samples);
 /// ordering and make the reported quantile depend on input order.
 double Percentile(const std::vector<double>& samples, double p);
 
+/// Fewest samples that must lie beyond a percentile for a sample to
+/// support it.
+inline constexpr size_t kMinTailSamples = 10;
+
+/// Whether n samples support reporting their p-th percentile (p in
+/// [0, 100]): at least kMinTailSamples of them lie beyond it. Below that
+/// the estimate rests on the few largest samples, and the upper end of
+/// its bootstrap interval is the sample maximum. A p99 needs n >= 1000,
+/// a p99.9 n >= 10000.
+bool PercentileSupported(size_t n, double p);
+
 /// Geometric mean; all samples must be positive. The correct mean for
 /// normalized ratios such as the paper's DBG/OPT relative execution times.
 double GeometricMean(const std::vector<double>& samples);

@@ -230,6 +230,44 @@ TEST(BenchUtilTest, ApplyDbKnobsWithoutFlagsReportsTheDefaults) {
   EXPECT_EQ(out, "db knobs: threads=1 join=radix radix_bits=0 opt=off\n");
 }
 
+TEST(BenchUtilTest, ABenchRunningBothPlanKindsNamesThemNotTheOptKnob) {
+  // A11 runs rule-order plans and opt::Optimize's plans itself; its
+  // header and manifest must say so, not "opt=off".
+  std::string dir = ::testing::TempDir() + "bench_util_plans";
+  BenchContext ctx = MakeContext({"--dbJoin=hash", "-DresultsDir=" + dir});
+  db::Database database;
+  ::testing::internal::CaptureStdout();
+  Status status =
+      ctx.ApplyDbKnobs(&database, PlanSource::kRuleOrderAndOptimized);
+  std::string out = ::testing::internal::GetCapturedStdout();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  const std::string line =
+      "db knobs: threads=1 join=hash radix_bits=0 "
+      "plans=rule-order+optimized";
+  EXPECT_EQ(out, line + "\n");
+  std::ifstream manifest(ctx.Finish());
+  std::stringstream text;
+  text << manifest.rdbuf();
+  EXPECT_NE(text.str().find(line), std::string::npos) << text.str();
+  EXPECT_EQ(text.str().find("opt="), std::string::npos) << text.str();
+}
+
+TEST(BenchUtilTest, DbOptGivenToABenchRunningBothPlanKindsIsAUsageError) {
+  for (const char* flag : {"--dbOpt=on", "--dbOpt=off"}) {
+    BenchContext ctx = MakeContext({flag});
+    db::Database database;
+    ::testing::internal::CaptureStdout();
+    Status status =
+        ctx.ApplyDbKnobs(&database, PlanSource::kRuleOrderAndOptimized);
+    std::string out = ::testing::internal::GetCapturedStdout();
+    ASSERT_FALSE(status.ok()) << flag;
+    EXPECT_NE(status.message().find("usage: --dbOpt"), std::string::npos)
+        << status.message();
+    EXPECT_EQ(out, "") << flag;
+    EXPECT_FALSE(database.optimize()) << flag;
+  }
+}
+
 TEST(BenchUtilTest, FailedApplyPrintsNoKnobs) {
   BenchContext ctx = MakeContext({"--dbOpt=maybe"});
   db::Database database;

@@ -1,6 +1,8 @@
 #include "db/database.h"
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -286,6 +288,104 @@ TEST(CatalogVersionTest, ConcurrentQueriesAndInstallsAreClean) {
     reader.join();
   }
   EXPECT_EQ(failures.load(), 0);
+}
+
+/// Lets `parties` threads continue only once all of them have arrived.
+class Rendezvous {
+ public:
+  explicit Rendezvous(int parties) : parties_(parties) {}
+
+  void ArriveAndWait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (++arrived_ == parties_) {
+      cv_.notify_all();
+      return;
+    }
+    cv_.wait(lock, [this] { return arrived_ == parties_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int parties_;
+  int arrived_ = 0;
+};
+
+/// Runs its child, then waits at `gate` until every query sharing the
+/// gate has run its own child: each query's page touches all land while
+/// every other query is still in flight.
+class RendezvousNode : public PlanNode {
+ public:
+  RendezvousNode(PlanPtr child, Rendezvous* gate)
+      : child_(std::move(child)), gate_(gate) {}
+
+  Relation Execute(ExecContext& ctx) const override {
+    Relation out = child_->Execute(ctx);
+    gate_->ArriveAndWait();
+    return out;
+  }
+  std::string Describe() const override { return "Rendezvous"; }
+  PlanSpec Spec() const override { return child_->Spec(); }
+  std::vector<const PlanNode*> Children() const override {
+    return {child_.get()};
+  }
+
+ private:
+  PlanPtr child_;
+  Rendezvous* gate_;
+};
+
+TEST(DatabaseTest, ConcurrentQueriesAreChargedExactlyTheirOwnIo) {
+  // A pool smaller than the working set, so queries evict each other's
+  // pages. However the queries interleave, each is charged exactly the
+  // pages it touched: their charges sum to what the pool recorded, and
+  // each query's operators sum to its own stall.
+  DatabaseOptions options;
+  options.rows_per_page = 64;
+  options.buffer_pool_pages = 24;
+  Database database(options);
+  database.set_threads(2);
+  database.RegisterTable("t", MakeTable(4000));
+  database.RegisterTable("u", MakeTable(2500));
+  const Schema schema = MakeTable(0)->schema();
+  const std::vector<PlanPtr> plans = {
+      Scan("t"),
+      FilterScan("t", {"k", "v"}, Lt(Col(schema, "k"), LitInt(1500))),
+      Scan("u", {"v"}),
+      Aggregate(FilterScan("u", {"k", "v"},
+                           Ge(Col(schema, "k"), LitInt(1000))),
+                {}, {{AggOp::kSum, Col(schema, "v"), "s"}}),
+  };
+
+  StorageStats before = database.storage().StatsSnapshot();
+  StorageStats charged;
+  int64_t server_stall_ns = 0;
+  std::mutex mu;
+  for (int round = 0; round < 4; ++round) {
+    Rendezvous gate(static_cast<int>(plans.size()));
+    std::vector<std::thread> clients;
+    for (const PlanPtr& plan : plans) {
+      clients.emplace_back([&, plan] {
+        QueryResult result =
+            database.Run(std::make_shared<RendezvousNode>(plan, &gate));
+        EXPECT_EQ(result.profile.TotalStallNs(), result.storage.stall_ns);
+        EXPECT_EQ(result.server.simulated_stall_ns, result.storage.stall_ns);
+        std::lock_guard<std::mutex> lock(mu);
+        charged += result.storage;
+        server_stall_ns += result.server.simulated_stall_ns;
+      });
+    }
+    for (std::thread& client : clients) {
+      client.join();
+    }
+  }
+  StorageStats after = database.storage().StatsSnapshot();
+  EXPECT_GT(charged.page_misses, 0);
+  EXPECT_EQ(charged.page_hits, after.page_hits - before.page_hits);
+  EXPECT_EQ(charged.page_misses, after.page_misses - before.page_misses);
+  EXPECT_EQ(charged.bytes_read, after.bytes_read - before.bytes_read);
+  EXPECT_EQ(charged.stall_ns, after.stall_ns - before.stall_ns);
+  EXPECT_EQ(server_stall_ns, after.stall_ns - before.stall_ns);
 }
 
 }  // namespace

@@ -34,10 +34,10 @@ TableLayout LayoutOf(const StorageManager& storage, uint32_t table_id,
 }
 
 /// Touches exactly one page: `chunk` of column `column_id`.
-void TouchPage(StorageManager* storage, const TableLayout& layout,
-               uint32_t column_id, uint32_t chunk) {
+StorageStats TouchPage(StorageManager* storage, const TableLayout& layout,
+                       uint32_t column_id, uint32_t chunk) {
   size_t begin = chunk * storage->rows_per_page();
-  storage->TouchMorsel(layout, {column_id}, begin, begin + 1);
+  return storage->TouchMorsel(layout, {column_id}, begin, begin + 1);
 }
 
 TEST(StorageTest, RegistrationComputesChunks) {
@@ -93,13 +93,12 @@ TEST(StorageTest, MissesChargeStallTime) {
   StorageManager storage(slow, 16, 100);
   auto table = MakeIntTable(100);
   TableLayout layout = LayoutOf(storage, 1, *table);
-  EXPECT_EQ(storage.total_stall_ns(), 0);
-  storage.TouchColumn(layout, 0);
+  EXPECT_EQ(storage.stats().stall_ns, 0);
   // One page: seek + 800 bytes * 100 ns.
-  EXPECT_EQ(storage.total_stall_ns(), 1'000'000 + 80'000);
-  int64_t after_miss = storage.total_stall_ns();
-  storage.TouchColumn(layout, 0);  // hit: no extra charge.
-  EXPECT_EQ(storage.total_stall_ns(), after_miss);
+  EXPECT_EQ(storage.TouchColumn(layout, 0).stall_ns, 1'000'000 + 80'000);
+  // A hit: no extra charge.
+  EXPECT_EQ(storage.TouchColumn(layout, 0).stall_ns, 0);
+  EXPECT_EQ(storage.stats().stall_ns, 1'000'000 + 80'000);
 }
 
 TEST(StorageTest, SequentialReadsSkipSeek) {
@@ -109,9 +108,8 @@ TEST(StorageTest, SequentialReadsSkipSeek) {
   StorageManager storage(model, 16, 10);
   auto table = MakeIntTable(40);  // 4 chunks per column.
   TableLayout layout = LayoutOf(storage, 1, *table);
-  storage.TouchColumn(layout, 0);
   // First page seeks, the following three are sequential.
-  EXPECT_EQ(storage.total_stall_ns(), 1'000'000);
+  EXPECT_EQ(storage.TouchColumn(layout, 0).stall_ns, 1'000'000);
 }
 
 TEST(StorageTest, LruEvictionUnderPressure) {
@@ -199,9 +197,9 @@ TEST(StorageTest, HitAdvancesStreamHead) {
   // chunk 1 hits — and must advance the stream head — so chunks 2 and 3
   // continue the sequential stream seek-free. The old code left the head
   // at 0 across the hit and charged a third, spurious seek on chunk 2.
-  TouchPage(&storage, layout, 0, 1);
-  storage.TouchColumn(layout, 0);
-  EXPECT_EQ(storage.total_stall_ns(), 2'000'000);
+  int64_t stall = TouchPage(&storage, layout, 0, 1).stall_ns;
+  stall += storage.TouchColumn(layout, 0).stall_ns;
+  EXPECT_EQ(stall, 2'000'000);
 }
 
 TEST(StorageTest, ZoneMapsAreNanSafe) {

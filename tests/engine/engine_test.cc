@@ -1,7 +1,8 @@
 // Unit coverage for the src/engine subsystem: the packed row layout
 // (pack/unpack round-trips every column type including NULL masks), the
-// row pager's I/O accounting (full-tuple cold charges, warm hits,
-// eviction, ReplaceTable cold), the row-store executor's determinism
+// row pages' I/O accounting in the shared db::StorageManager (full-tuple
+// cold charges, warm hits, eviction, a new version cold), exact
+// per-query I/O under concurrency, the row-store executor's determinism
 // contract (results and StorageStats identical at any thread count),
 // checked execution, overflow propagation, concurrent Execute safety
 // (the TSan surface), and the backend-kind knob parsing.
@@ -10,6 +11,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,7 +28,6 @@
 #include "engine/columnar_backend.h"
 #include "engine/row_backend.h"
 #include "engine/row_layout.h"
-#include "engine/row_pager.h"
 #include "workload/tpch_gen.h"
 #include "workload/tpch_queries.h"
 
@@ -143,17 +144,28 @@ TEST(RowLayoutTest, StringHeapSlotMath) {
   EXPECT_EQ(merged.At(a), "hello");  // original slots stay valid.
 }
 
-// ---- Row pager ----
+// ---- Row pages in the shared buffer pool ----
 
-TEST(RowPagerTest, ColdChargesFullTupleBytesThenWarmHits) {
+/// `block` laid out as row pages of `storage`'s geometry, as table 1.
+db::TableLayout RowLayoutOf(const db::StorageManager& storage,
+                            const RowBlock& block, uint32_t version = 0) {
+  db::TableLayout layout = BuildRowLayout(block, storage.rows_per_page());
+  layout.table_id = 1;
+  layout.version = version;
+  return layout;
+}
+
+TEST(RowStorageTest, ColdChargesFullTupleBytesThenWarmHits) {
   std::shared_ptr<db::Table> table = AllTypesTable(100);
   RowBlock block = PackTable(*table);
   db::DiskModel disk;
-  RowPager pager(disk, /*buffer_pool_pages=*/64, /*rows_per_page=*/16);
-  pager.RegisterTable(1, block);
-  EXPECT_EQ(pager.NumPages(1), 7u);  // ceil(100 / 16).
+  db::StorageManager storage(disk, /*buffer_pool_pages=*/64,
+                             /*rows_per_page=*/16);
+  db::TableLayout layout = RowLayoutOf(storage, block);
+  EXPECT_EQ(layout.num_chunks, 7u);  // ceil(100 / 16).
+  ASSERT_EQ(layout.columns.size(), 1u);
 
-  db::StorageStats cold = pager.TouchRows(1, 0, 100);
+  db::StorageStats cold = storage.TouchColumn(layout, 0);
   EXPECT_EQ(cold.page_misses, 7);
   EXPECT_EQ(cold.page_hits, 0);
   // A row page carries complete tuples: packed stride bytes plus the
@@ -165,39 +177,42 @@ TEST(RowPagerTest, ColdChargesFullTupleBytesThenWarmHits) {
       static_cast<int64_t>(cold.bytes_read * disk.ns_per_byte);
   EXPECT_EQ(cold.stall_ns, expect_stall);
 
-  db::StorageStats warm = pager.TouchRows(1, 0, 100);
+  db::StorageStats warm = storage.TouchColumn(layout, 0);
   EXPECT_EQ(warm.page_misses, 0);
   EXPECT_EQ(warm.page_hits, 7);
   EXPECT_EQ(warm.bytes_read, 0);
   EXPECT_EQ(warm.stall_ns, 0);
 
-  pager.FlushCaches();
-  db::StorageStats again = pager.TouchRows(1, 0, 100);
+  storage.FlushCaches();
+  db::StorageStats again = storage.TouchColumn(layout, 0);
   EXPECT_EQ(again.page_misses, 7);
 }
 
-TEST(RowPagerTest, EvictsPastPoolBudgetAndReplaceTableGoesCold) {
+TEST(RowStorageTest, EvictsPastPoolBudgetAndANewVersionGoesCold) {
   std::shared_ptr<db::Table> table = AllTypesTable(100);
   RowBlock block = PackTable(*table);
   // Pool holds 4 of the 7 pages: a full sweep always evicts the head of
   // the scan, so the next sweep misses everything (sequential flooding).
-  RowPager pager(db::DiskModel(), /*buffer_pool_pages=*/4,
-                 /*rows_per_page=*/16);
-  pager.RegisterTable(1, block);
-  (void)pager.TouchRows(1, 0, 100);
-  db::StorageStats sweep = pager.TouchRows(1, 0, 100);
+  db::StorageManager storage(db::DiskModel(), /*buffer_pool_pages=*/4,
+                             /*rows_per_page=*/16);
+  db::TableLayout layout = RowLayoutOf(storage, block);
+  (void)storage.TouchColumn(layout, 0);
+  db::StorageStats sweep = storage.TouchColumn(layout, 0);
   EXPECT_EQ(sweep.page_misses, 7);
 
   // Touch a prefix that fits: resident afterwards.
-  RowPager fits(db::DiskModel(), /*buffer_pool_pages=*/4,
-                /*rows_per_page=*/16);
-  fits.RegisterTable(1, block);
-  (void)fits.TouchRows(1, 0, 48);
-  EXPECT_EQ(fits.TouchRows(1, 0, 48).page_hits, 3);
+  db::StorageManager fits(db::DiskModel(), /*buffer_pool_pages=*/4,
+                          /*rows_per_page=*/16);
+  db::TableLayout v0 = RowLayoutOf(fits, block);
+  (void)fits.TouchMorsel(v0, {0}, 0, 48);
+  EXPECT_EQ(fits.TouchMorsel(v0, {0}, 0, 48).page_hits, 3);
 
-  // ReplaceTable evicts the old version: the new pages are cold.
-  fits.ReplaceTable(1, block);
-  db::StorageStats replaced = fits.TouchRows(1, 0, 48);
+  // Installing the next version evicts the old one, and the new
+  // version's pages are cold.
+  fits.EvictTable(1, /*keep_version=*/1);
+  EXPECT_EQ(fits.TouchMorsel(v0, {0}, 0, 48).page_misses, 3);
+  db::TableLayout v1 = RowLayoutOf(fits, block, /*version=*/1);
+  db::StorageStats replaced = fits.TouchMorsel(v1, {0}, 0, 48);
   EXPECT_EQ(replaced.page_misses, 3);
   EXPECT_EQ(replaced.page_hits, 0);
 }
@@ -390,7 +405,7 @@ TEST(RowBackendTest, SharedSemanticsMatchReference) {
 }
 
 /// Concurrent executions over one backend share immutable blocks and a
-/// locked pager; run the same plan from several threads and require every
+/// locked pool; run the same plan from several threads and require every
 /// result identical (the TSan job drives this test).
 TEST(RowBackendTest, ConcurrentExecuteIsSafeAndAgrees) {
   RowStoreBackend backend;
@@ -421,6 +436,48 @@ TEST(RowBackendTest, ConcurrentExecuteIsSafeAndAgrees) {
   }
 }
 
+/// Queries running concurrently over one row store, through a pool
+/// smaller than their working set, are each charged exactly the pages
+/// they touched: their charges sum to what the pool recorded.
+TEST(RowBackendTest, ConcurrentQueriesAreChargedExactlyTheirOwnIo) {
+  db::DatabaseOptions options;
+  options.rows_per_page = 256;
+  options.buffer_pool_pages = 16;
+  db::Database database(options);
+  workload::TpchGenerator gen(0.002);
+  gen.LoadAll(&database);
+  std::unique_ptr<RowStoreBackend> backend = RowStoreBackend::Over(&database);
+  const int kQueries[] = {1, 3, 6, 14};
+
+  db::StorageStats before = backend->StorageSnapshot();
+  db::StorageStats charged;
+  int64_t stall_ns = 0;
+  std::mutex mu;
+  std::vector<std::thread> clients;
+  for (int q : kQueries) {
+    db::PlanPtr plan = workload::GetTpchQuery(q).Build(database);
+    clients.emplace_back([&, plan] {
+      for (int round = 0; round < 3; ++round) {
+        BackendResult result = backend->Execute(plan, ExecOptions());
+        EXPECT_EQ(result.profile.TotalStallNs(), result.storage.stall_ns);
+        std::lock_guard<std::mutex> lock(mu);
+        charged += result.storage;
+        stall_ns += result.stall_ns;
+      }
+    });
+  }
+  for (std::thread& client : clients) {
+    client.join();
+  }
+  db::StorageStats after = backend->StorageSnapshot();
+  EXPECT_GT(charged.page_misses, 0);
+  EXPECT_EQ(charged.page_hits, after.page_hits - before.page_hits);
+  EXPECT_EQ(charged.page_misses, after.page_misses - before.page_misses);
+  EXPECT_EQ(charged.bytes_read, after.bytes_read - before.bytes_read);
+  EXPECT_EQ(charged.stall_ns, after.stall_ns - before.stall_ns);
+  EXPECT_EQ(stall_ns, after.stall_ns - before.stall_ns);
+}
+
 // ---- The two backends side by side ----
 
 TEST(BackendFactoryTest, CreatesBothKindsOverOneDatabase) {
@@ -444,7 +501,7 @@ TEST(BackendFactoryTest, CreatesBothKindsOverOneDatabase) {
                            /*ignore_row_order=*/true),
             "");
   // The columnar adapter reports the database's own storage counters; the
-  // row store accounts through its private pager.
+  // row store accounts through a pool of its own.
   EXPECT_GT(a.storage.page_misses + a.storage.page_hits, 0);
   EXPECT_GT(b.storage.page_misses + b.storage.page_hits, 0);
 }

@@ -196,6 +196,76 @@ TEST(EstimateMean, AtTheFloorCarriesTheBootstrapInterval) {
   EXPECT_FALSE(EstimateMean(samples, 0.95, 9).has_ci);
 }
 
+/// y = 3 + 2x plus deterministic noise, `reps` samples at each x.
+void NoisyLine(int reps, std::vector<double>* x, std::vector<double>* y) {
+  Pcg32 rng(17);
+  for (double xi : {10.0, 20.0, 40.0}) {
+    for (int r = 0; r < reps; ++r) {
+      x->push_back(xi);
+      y->push_back(3.0 + 2.0 * xi + (rng.NextDouble() - 0.5) * 4.0);
+    }
+  }
+}
+
+TEST(BootstrapSlopeCI, BracketsTheTrueSlope) {
+  std::vector<double> x;
+  std::vector<double> y;
+  NoisyLine(10, &x, &y);
+  ConfidenceInterval ci = BootstrapSlopeCI(x, y, 0.95, 3);
+  EXPECT_TRUE(ci.Contains(2.0));
+  EXPECT_TRUE(ci.Contains(ci.mean));
+  EXPECT_LT(ci.upper - ci.lower, 0.2);
+  EXPECT_DOUBLE_EQ(ci.confidence, 0.95);
+}
+
+TEST(BootstrapSlopeCI, DeterministicForFixedSeed) {
+  std::vector<double> x;
+  std::vector<double> y;
+  NoisyLine(3, &x, &y);
+  ConfidenceInterval a = BootstrapSlopeCI(x, y, 0.95, 8);
+  ConfidenceInterval b = BootstrapSlopeCI(x, y, 0.95, 8);
+  EXPECT_DOUBLE_EQ(a.lower, b.lower);
+  EXPECT_DOUBLE_EQ(a.upper, b.upper);
+  EXPECT_DOUBLE_EQ(a.mean, b.mean);
+}
+
+TEST(BootstrapSlopeCI, ExactLineCollapsesToItsSlope) {
+  // Three points, so many resamples repeat one x and must be redrawn.
+  std::vector<double> x = {1.0, 2.0, 3.0};
+  std::vector<double> y = {5.0, 7.0, 9.0};
+  ConfidenceInterval ci = BootstrapSlopeCI(x, y, 0.95, 1);
+  EXPECT_NEAR(ci.lower, 2.0, 1e-9);
+  EXPECT_NEAR(ci.upper, 2.0, 1e-9);
+  EXPECT_NEAR(ci.mean, 2.0, 1e-9);
+}
+
+TEST(BootstrapSlopeCIDeathTest, RejectsConstantX) {
+  EXPECT_DEATH(BootstrapSlopeCI({1.0, 1.0, 1.0}, {1.0, 2.0, 3.0}, 0.95, 1),
+               "CHECK failed");
+}
+
+TEST(EstimateSlope, BelowTheFloorReportsThePairwiseRange) {
+  // Pairwise slopes: (1,2)-(2,6) = 4, (1,2)-(3,4) = 1, (2,6)-(3,4) = -2.
+  SlopeEstimate small = EstimateSlope({1.0, 2.0, 3.0}, {2.0, 6.0, 4.0},
+                                      0.95, 1);
+  EXPECT_FALSE(small.has_ci);
+  EXPECT_EQ(small.n, 3u);
+  EXPECT_DOUBLE_EQ(small.slope, 1.0);
+  EXPECT_EQ(small.ToString(), "1.00 (range -2.00-4.00, n=3)");
+}
+
+TEST(EstimateSlope, AtTheFloorCarriesTheBootstrapInterval) {
+  std::vector<double> x;
+  std::vector<double> y;
+  NoisyLine(3, &x, &y);
+  SlopeEstimate estimate = EstimateSlope(x, y, 0.95, 4);
+  ASSERT_TRUE(estimate.has_ci);
+  ConfidenceInterval expected = BootstrapSlopeCI(x, y, 0.95, 4);
+  EXPECT_DOUBLE_EQ(estimate.ci.lower, expected.lower);
+  EXPECT_DOUBLE_EQ(estimate.ci.upper, expected.upper);
+  EXPECT_NE(estimate.ToString().find(" n=9"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace stats
 }  // namespace perfeval

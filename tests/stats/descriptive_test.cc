@@ -56,6 +56,20 @@ TEST(DescriptiveTest, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(Percentile(xs, 25.0), 2.5);
 }
 
+TEST(DescriptiveTest, PercentileSupportedNeedsTenSamplesBeyondIt) {
+  EXPECT_TRUE(PercentileSupported(20, 50.0));
+  EXPECT_FALSE(PercentileSupported(19, 50.0));
+  EXPECT_TRUE(PercentileSupported(1000, 99.0));
+  EXPECT_FALSE(PercentileSupported(999, 99.0));
+  EXPECT_TRUE(PercentileSupported(10000, 99.9));
+  EXPECT_FALSE(PercentileSupported(9999, 99.9));
+  EXPECT_TRUE(PercentileSupported(10, 0.0));
+  EXPECT_FALSE(PercentileSupported(9, 0.0));
+  // Nothing lies beyond the maximum.
+  EXPECT_FALSE(PercentileSupported(1000000, 100.0));
+  EXPECT_FALSE(PercentileSupported(0, 50.0));
+}
+
 TEST(DescriptiveTest, GeometricMeanOfRatios) {
   // gm(2, 8) = 4; the right mean for normalized ratios.
   EXPECT_NEAR(GeometricMean({2.0, 8.0}), 4.0, 1e-12);

@@ -119,9 +119,10 @@ txn() {
   # crash-point fuzz sweep and the A9 bench's fast path in Release, then
   # the crash fuzzer again under ASan+UBSan (recovery code paths shuffle
   # buffers around torn/corrupt frames — exactly where an OOB hides), and
-  # the concurrent ingest+scan tests and the catalog-version tests
-  # (pinned snapshots, version lifetime, installs racing queries) under
-  # ThreadSanitizer. The string-heap and join-gather tests (views that
+  # the concurrent ingest+scan tests, the catalog-version tests
+  # (pinned snapshots, version lifetime, installs racing queries) and the
+  # per-query I/O attribution test (concurrent queries sharing one pool)
+  # under ThreadSanitizer. The string-heap and join-gather tests (views that
   # outlive their source table, readers gathering while a writer appends
   # to a shared heap) run under both sanitizers.
   cmake -B build -S .
@@ -134,16 +135,17 @@ txn() {
   cmake --build build-tsan "$jobs_flag" --target txn_test db_test
   # -R keeps the TSan pass to the named txn_test and db_test cases (the
   # bench smoke under the txn label is built only in the Release tree).
-  ctest --test-dir build-tsan --output-on-failure -R 'DeltaStore|CatalogVersion|StringHeapTest|JoinGatherTest'
+  ctest --test-dir build-tsan --output-on-failure -R 'DeltaStore|CatalogVersion|StringHeapTest|JoinGatherTest|ConcurrentQueriesAreCharged'
 }
 
 engine() {
-  # Multi-backend job: the engine suite (row layout pack/unpack, pager
+  # Multi-backend job: the engine suite (row layout pack/unpack, row-page
   # I/O accounting, row-store determinism/overflow contracts) plus the
   # A12 faceoff bench's fast path in Release, then engine_test again
   # under ASan+UBSan (the packed-row kernels do raw stride arithmetic —
-  # exactly where an OOB hides), and the concurrent-Execute test under
-  # ThreadSanitizer (shared catalog + pager behind concurrent queries).
+  # exactly where an OOB hides), and the concurrent-Execute and per-query
+  # I/O attribution tests under ThreadSanitizer (shared catalog + buffer
+  # pool behind concurrent queries).
   cmake -B build -S .
   cmake --build build "$jobs_flag" --target engine_test bench_backend_faceoff
   ctest --test-dir build --output-on-failure -L engine
@@ -151,10 +153,10 @@ engine() {
   cmake --build build-asan "$jobs_flag" --target engine_test
   # -R keeps the ASan pass to the engine_test cases (the bench smoke
   # under the same label is built only in the Release tree).
-  ctest --test-dir build-asan --output-on-failure -L engine -R 'RowLayout|RowPager|RowBackend|BackendFactory|BackendKind|ColumnarBackend'
+  ctest --test-dir build-asan --output-on-failure -L engine -R 'RowLayout|RowStorage|RowBackend|BackendFactory|BackendKind|ColumnarBackend'
   cmake -B build-tsan -S . -DPERFEVAL_SANITIZE=thread
   cmake --build build-tsan "$jobs_flag" --target engine_test
-  ctest --test-dir build-tsan --output-on-failure -L engine -R 'ConcurrentExecute'
+  ctest --test-dir build-tsan --output-on-failure -L engine -R 'ConcurrentExecute|ConcurrentQueriesAreCharged'
 }
 
 perf() {
