@@ -113,7 +113,8 @@ int main(int argc, char** argv) {
   db::Database database;
   workload::TpchGenerator gen(sf);
   gen.LoadAll(&database);
-  Status knobs = ctx.ApplyDbKnobs(&database);
+  Status knobs =
+      ctx.ApplyDbKnobs(&database, bench::PlanSource::kRuleOrder);
   if (!knobs.ok()) {
     std::fprintf(stderr, "%s\n", knobs.ToString().c_str());
     return 2;
@@ -249,7 +250,8 @@ int main(int argc, char** argv) {
                                          all_columns.begin() + width);
       db::ExprPtr pred = db::Lt(db::Col(lineitem, "l_quantity"),
                                 db::LitDouble(threshold));
-      db::PlanPtr plan = db::FilterScan("lineitem", projected, pred);
+      db::PlanPtr plan =
+          db::FilterScan("lineitem", lineitem, projected, pred);
       std::vector<double> col_samples;
       std::vector<double> row_samples;
       engine::BackendResult col_result;

@@ -56,11 +56,11 @@ int main(int argc, char** argv) {
 
   // (a) Cheap vs expensive plan: selectivity 10% vs 90% of a scan.
   db::PlanPtr cheap = db::FilterScan(
-      "micro", {"v"},
+      "micro", schema, {"v"},
       workload::PredicateForSelectivity(database.GetTable("micro"), "v",
                                         0.1));
   db::PlanPtr expensive = db::Filter(
-      db::FilterScan("micro", {"v"},
+      db::FilterScan("micro", schema, {"v"},
                      workload::PredicateForSelectivity(
                          database.GetTable("micro"), "v", 0.9)),
       db::Ge(db::Col(schema, "v"), db::LitInt(0)));

@@ -152,10 +152,11 @@ int main(int argc, char** argv) {
       int64_t range = static_cast<int64_t>(rows) * 4;
       database.RegisterTable("l", MakeKeyed(rows, range, sorted, 1));
       database.RegisterTable("r", MakeKeyed(rows, range, sorted, 2));
-      db::PlanPtr hash = db::HashJoin(db::Scan("l"), db::Scan("r"), "k",
-                                      "k");
-      db::PlanPtr merge = db::HashJoinWith(db::Scan("l"), db::Scan("r"),
-                                           {"k"}, {"k"}, db::JoinAlgo::kMerge);
+      db::PlanPtr l = db::Scan("l", database.GetTable("l").schema());
+      db::PlanPtr r = db::Scan("r", database.GetTable("r").schema());
+      db::PlanPtr hash = db::HashJoin(l, r, "k", "k");
+      db::PlanPtr merge =
+          db::HashJoinWith(l, r, {"k"}, {"k"}, db::JoinAlgo::kMerge);
       double hash_ms = MinOpMs(database, hash, {"HashJoin("});
       double merge_ms = MinOpMs(database, merge, {"HashJoin("});
       bool hash_wins = hash_ms < merge_ms;
@@ -207,9 +208,9 @@ int main(int argc, char** argv) {
     db::Database database;
     database.RegisterTable(
         "t", MakeKeyed(rows, static_cast<int64_t>(rows) * 100, false, 3));
-    db::PlanPtr sorted_plan =
-        db::Limit(db::Sort(db::Scan("t"), {{"k", true}}), k);
-    db::PlanPtr topn_plan = db::TopN(db::Scan("t"), {{"k", true}}, k);
+    db::PlanPtr t = db::Scan("t", database.GetTable("t").schema());
+    db::PlanPtr sorted_plan = db::Limit(db::Sort(t, {{"k", true}}), k);
+    db::PlanPtr topn_plan = db::TopN(t, {{"k", true}}, k);
     double sort_ms = MinOpMs(database, sorted_plan, {"Sort", "Limit"});
     double topn_ms = MinOpMs(database, topn_plan, {"TopN"});
     top_table.AddRow({StrFormat("%zu", rows), StrFormat("%zu", k),
@@ -254,8 +255,9 @@ int main(int argc, char** argv) {
                          MakeKeyed(build_rows, range, false, 11));
   database.RegisterTable("probe",
                          MakeKeyed(probe_rows, range, false, 12));
-  db::PlanPtr sweep_plan =
-      db::HashJoin(db::Scan("probe"), db::Scan("build"), "k", "k");
+  db::PlanPtr sweep_plan = db::HashJoin(
+      db::Scan("probe", database.GetTable("probe").schema()),
+      db::Scan("build", database.GetTable("build").schema()), "k", "k");
 
   std::printf(
       "radix sweep: build %zu rows, probe %zu rows, %d measured runs, "

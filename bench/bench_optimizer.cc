@@ -194,8 +194,9 @@ int main(int argc, char** argv) {
   int64_t range = static_cast<int64_t>(cal_build) * 2;
   cal_db.RegisterTable("build", MakeKeyed(cal_build, range, 21));
   cal_db.RegisterTable("probe", MakeKeyed(cal_probe, range, 22));
-  db::PlanPtr cal_plan =
-      db::HashJoin(db::Scan("probe"), db::Scan("build"), "k", "k");
+  db::PlanPtr cal_plan = db::HashJoin(
+      db::Scan("probe", cal_db.GetTable("probe").schema()),
+      db::Scan("build", cal_db.GetTable("build").schema()), "k", "k");
   double cal_out =
       static_cast<double>(cal_db.Run(cal_plan).table->num_rows());
 
@@ -237,8 +238,9 @@ int main(int argc, char** argv) {
     fit_db.set_join_algo(db::JoinAlgo::kHash);
     fit_db.RegisterTable("build", MakeKeyed(cal_build, range, 21));
     fit_db.RegisterTable("probe", MakeKeyed(probe, range, 23));
-    db::PlanPtr plan =
-        db::HashJoin(db::Scan("probe"), db::Scan("build"), "k", "k");
+    db::PlanPtr plan = db::HashJoin(
+        db::Scan("probe", fit_db.GetTable("probe").schema()),
+        db::Scan("build", fit_db.GetTable("build").schema()), "k", "k");
     (void)fit_db.Run(plan);
     for (int r = 0; r < runs; ++r) {
       fit_x.push_back(static_cast<double>(probe));
@@ -330,22 +332,27 @@ int main(int argc, char** argv) {
   const int64_t kThresholds[] = {3, 10, 25, 50};
   double lineitem_rows =
       static_cast<double>(database.GetTable("lineitem").num_rows());
+  db::PlanPtr orders =
+      db::Scan("orders", database.GetTable("orders").schema());
+  db::PlanPtr customer =
+      db::Scan("customer", database.GetTable("customer").schema());
   first = true;
   for (int64_t threshold : kThresholds) {
     db::ExprPtr pred =
         db::Lt(db::Col(lineitem, "l_quantity"), db::LitInt(threshold));
     db::PlanPtr rule_plan = db::Aggregate(
         db::HashJoin(
-            db::HashJoin(db::FilterScan("lineitem", {}, pred),
-                         db::Scan("orders"), "l_orderkey", "o_orderkey"),
-            db::Scan("customer"), "o_custkey", "c_custkey"),
+            db::HashJoin(db::FilterScan("lineitem", lineitem, {}, pred),
+                         orders, "l_orderkey", "o_orderkey"),
+            customer, "o_custkey", "c_custkey"),
         {"c_mktsegment"},
         {{db::AggOp::kSum, db::Col(lineitem, "l_extendedprice"),
           "revenue"}});
     double selectivity =
         static_cast<double>(
             database
-                .Run(db::FilterScan("lineitem", {"l_orderkey"}, pred))
+                .Run(db::FilterScan("lineitem", lineitem, {"l_orderkey"},
+                                    pred))
                 .table->num_rows()) /
         lineitem_rows;
 

@@ -62,6 +62,7 @@ struct ScaleoutCell {
   double capacity_qps = 0.0;
   stats::ConfidenceInterval speedup;  ///< vs the 1-shard cluster.
   std::vector<bench::LoadCell> sweep;
+  core::Series p50_series;
   core::Series p99_series;
   /// Per-request closed-loop client latencies (ms), the ratio-CI samples.
   std::vector<double> closed_latencies_ms;
@@ -234,6 +235,8 @@ int main(int argc, char** argv) {
     cell.shards = num_shards;
     cell.capacity_qps = sweep.capacity_qps;
     cell.sweep = sweep.cells;
+    cell.p50_series = sweep.p50_series;
+    cell.p50_series.name = StrFormat("p50 N=%d", num_shards);
     cell.p99_series = sweep.p99_series;
     cell.p99_series.name = StrFormat("p99 N=%d", num_shards);
     for (double v : sweep.closed_run.client_latency.RepresentativeValues()) {
@@ -323,15 +326,21 @@ int main(int argc, char** argv) {
       "slow disk pins the whole cluster's tail to itself.\n\n",
       straggler_cell.slow_shard, straggler_cell.slow_shard_share * 100.0);
 
-  // --- Charts: p99 vs offered load, one curve per shard count.
+  // --- Charts: p50 and p99 vs offered load, one curve each per shard
+  // count, where the cells support the percentile.
   report::ChartSpec chart;
-  chart.title = "Sharded front-end p99 vs offered load";
+  chart.title = "Sharded front-end latency vs offered load";
   chart.x_label = "Offered load (queries/s)";
-  chart.y_label = "Client p99 latency (ms)";
+  chart.y_label = "Client latency (ms)";
   chart.style = report::ChartStyle::kErrorBars;
+  std::vector<core::Series> p50_curves;
+  std::vector<core::Series> p99_curves;
   for (const ScaleoutCell& cell : scaleout) {
-    chart.series.push_back(cell.p99_series);
+    p50_curves.push_back(cell.p50_series);
+    p99_curves.push_back(cell.p99_series);
   }
+  bench::AddPercentileCurves("p50", p50_curves, &chart);
+  bench::AddPercentileCurves("p99", p99_curves, &chart);
   std::string stem = ctx.ResultPath("a10_shard_scaleout");
   if (!report::WriteChart(chart, stem).ok() ||
       !report::WriteSvgChart(chart, stem).ok()) {

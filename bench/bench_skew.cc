@@ -72,12 +72,14 @@ core::Measurement MeasureTrial(const SkewTables& tables, bool join_op) {
   database.RegisterTable("part", tables.part);
   database.RegisterTable("orders", tables.orders);
   database.RegisterTable("lineitem", tables.lineitem);
+  db::PlanPtr lineitem = db::Scan(
+      "lineitem", tables.lineitem->schema(), {"l_partkey"});
   db::PlanPtr plan =
-      join_op ? db::HashJoin(db::Scan("lineitem", {"l_partkey"}),
-                             db::Scan("part", {"p_partkey"}), "l_partkey",
-                             "p_partkey")
-              : db::Aggregate(db::Scan("lineitem", {"l_partkey"}),
-                              {"l_partkey"},
+      join_op ? db::HashJoin(lineitem,
+                             db::Scan("part", tables.part->schema(),
+                                      {"p_partkey"}),
+                             "l_partkey", "p_partkey")
+              : db::Aggregate(lineitem, {"l_partkey"},
                               {{db::AggOp::kCount, nullptr, "n"}});
   (void)database.Run(plan);  // Warm this trial's own instance.
   core::Measurement m;

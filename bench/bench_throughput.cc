@@ -27,7 +27,8 @@ int main(int argc, char** argv) {
   int max_streams =
       static_cast<int>(ctx.properties().GetInt("maxStreams", 4));
   db::Database database;
-  Status knobs = ctx.ApplyDbKnobs(&database);
+  Status knobs =
+      ctx.ApplyDbKnobs(&database, bench::PlanSource::kRuleOrder);
   if (!knobs.ok()) {
     std::fprintf(stderr, "%s\n", knobs.ToString().c_str());
     return 2;

@@ -28,7 +28,7 @@ bool ConsumeScheduleFlag(const std::string& arg,
       {"--dbThreads=", "dbThreads"},
       {"--dbJoin=", "dbJoin"},
       {"--radixBits=", "radixBits"},
-      {"--dbOpt=", "dbOpt"},
+      {"--dbOpt=", "dbOpt"},  // rejected in every bench, see below.
   };
   for (const auto& flag : kFlags) {
     std::string prefix = flag.prefix;
@@ -48,8 +48,7 @@ bool ConsumeScheduleFlag(const std::string& arg,
   return false;
 }
 
-constexpr const char* kDbKnobKeys[] = {"dbThreads", "dbJoin", "radixBits",
-                                       "dbOpt"};
+constexpr const char* kDbKnobKeys[] = {"dbThreads", "dbJoin", "radixBits"};
 constexpr const char* kScheduleKeys[] = {"jobs", "order", "isolation",
                                          "schedSeed", "progress"};
 
@@ -91,6 +90,12 @@ BenchContext::BenchContext(const std::string& experiment_id,
     }
   }
   properties_.OverrideFromEnv("PERFEVAL_");
+  // Which plans a bench runs is its declared PlanSource, not a knob.
+  if (properties_.Has("dbOpt")) {
+    UsageError(StrFormat(
+        "usage: --dbOpt is not a knob: %s declares the plans it runs",
+        experiment_id_.c_str()));
+  }
   // A knob given to a bench that never applies it would run on with a
   // value it never reads and label its results with it.
   auto reject_given = [this](const auto& keys, const char* reason) {
@@ -162,18 +167,6 @@ Result<db::JoinAlgo> BenchContext::DbJoin() const {
   return algo;
 }
 
-Result<bool> BenchContext::DbOpt() const {
-  const std::string text = properties_.GetOr("dbOpt", "off");
-  if (text == "on" || text == "true") {
-    return true;
-  }
-  if (text == "off" || text == "false") {
-    return false;
-  }
-  return Status::InvalidArgument(
-      StrFormat("usage: --dbOpt=on|off (got \"%s\")", text.c_str()));
-}
-
 Status BenchContext::ApplyDbKnobs(db::Database* database,
                                   PlanSource plans) {
   PERFEVAL_CHECK(db_knobs_ == DbKnobs::kApplied)
@@ -196,21 +189,9 @@ Status BenchContext::ApplyDbKnobs(db::Database* database,
   std::string applied = StrFormat(
       "db knobs: threads=%d join=%s radix_bits=%d", database->threads(),
       db::JoinAlgoName(database->join_algo()), database->radix_bits());
-  if (plans == PlanSource::kRuleOrderAndOptimized) {
-    if (properties_.Has("dbOpt")) {
-      return Status::InvalidArgument(
-          "usage: --dbOpt does not apply: this bench runs rule-order and "
-          "optimized plans side by side");
-    }
-    applied += " plans=rule-order+optimized";
-  } else {
-    Result<bool> optimize = DbOpt();
-    if (!optimize.ok()) {
-      return optimize.status();
-    }
-    database->set_optimize(optimize.value());
-    applied += database->optimize() ? " opt=on" : " opt=off";
-  }
+  applied += plans == PlanSource::kRuleOrderAndOptimized
+                 ? " plans=rule-order+optimized"
+                 : " plans=rule-order";
   std::printf("%s\n", applied.c_str());
   AddNote(applied);
   return Status::OK();

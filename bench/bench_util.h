@@ -20,21 +20,19 @@ namespace perfeval {
 namespace bench {
 
 /// Whether a bench applies the database knobs (`--dbThreads`, `--dbJoin`,
-/// `--radixBits`, `--dbOpt`) through BenchContext::ApplyDbKnobs.
+/// `--radixBits`) through BenchContext::ApplyDbKnobs.
 enum class DbKnobs {
   kIgnored,  ///< the bench never applies them; giving one is a usage error.
   kApplied,  ///< the bench calls ApplyDbKnobs on the database it runs.
 };
 
 /// Which plans a bench that applies the database knobs runs, so its
-/// `db knobs:` line names them.
+/// `db knobs:` line names them. A bench declares this; no flag sets it.
 enum class PlanSource {
-  /// The session's: `--dbOpt` decides whether the SQL planner hands its
-  /// plans to opt::Optimize, and the line reports it as `opt=on|off`.
-  kSession,
-  /// The bench runs rule-order plans and opt::Optimize's plans side by
-  /// side itself, so `--dbOpt` has nothing to set and is a usage error;
-  /// the line reports `plans=rule-order+optimized`.
+  /// Rule-order plans only (`plans=rule-order`).
+  kRuleOrder,
+  /// Rule-order plans and opt::Optimize's plans side by side
+  /// (`plans=rule-order+optimized`).
   kRuleOrderAndOptimized,
 };
 
@@ -59,10 +57,11 @@ class BenchContext {
   /// `experiment_id` is the DESIGN.md id ("T2", "F1", ...). An argument
   /// that is neither a -Dkey=value property nor a known flag is a usage
   /// error: it prints `usage: unknown argument ...` and exits with 2. So
-  /// is an unparsable `--order`/`--isolation`, and a database or
-  /// scheduler knob (as a flag or a -D property) given to a bench that
-  /// declares it `kIgnored`: it would run on with a value it never reads
-  /// and label its results with it.
+  /// is an unparsable `--order`/`--isolation`, a database or scheduler
+  /// knob (as a flag or a -D property) given to a bench that declares it
+  /// `kIgnored`: it would run on with a value it never reads and label
+  /// its results with it, and `-DdbOpt` in every bench: which plans a
+  /// bench runs is its declared PlanSource.
   BenchContext(const std::string& experiment_id,
                const std::string& protocol_description, int argc,
                char** argv, DbKnobs db_knobs = DbKnobs::kIgnored,
@@ -95,22 +94,15 @@ class BenchContext {
   /// error, never a fallback.
   Result<db::JoinAlgo> DbJoin() const;
 
-  /// Cost-based-optimizer knob (`--dbOpt=<on|off>`, equivalently the
-  /// `dbOpt` property; default off). Same strictness as DbJoin(): any
-  /// value other than on/off/true/false is a usage error.
-  Result<bool> DbOpt() const;
-
   /// Applies the validated database knobs (`--dbThreads`, `--dbJoin`,
-  /// `--radixBits`, `--dbOpt`) to `database`, returning the
-  /// first usage error. Only a bench constructed with DbKnobs::kApplied
-  /// may call it. Benches call this once after constructing their
-  /// Database so every binary honours the uniform flags identically. On
-  /// success it prints one `db knobs:` line read back from `database`,
-  /// naming the plans per `plans`, and adds the same line to the
-  /// manifest; benches that never call it report no knobs, because none
-  /// were applied.
-  Status ApplyDbKnobs(db::Database* database,
-                      PlanSource plans = PlanSource::kSession);
+  /// `--radixBits`) to `database`, returning the first usage error. Only
+  /// a bench constructed with DbKnobs::kApplied may call it. Benches call
+  /// this once after constructing their Database so every binary honours
+  /// the uniform flags identically. On success it prints one `db knobs:`
+  /// line read back from `database`, naming the plans per `plans`, and
+  /// adds the same line to the manifest; benches that never call it
+  /// report no knobs, because none were applied.
+  Status ApplyDbKnobs(db::Database* database, PlanSource plans);
 
   /// `--smoke` (equivalently `-Dsmoke=true`): ask the bench for its
   /// seconds-scale fast path — tiny configs, few repetitions — so ctest

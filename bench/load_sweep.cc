@@ -50,6 +50,29 @@ LatencyPercentile SummarizePercentile(const serve::LatencyHistogram& latency,
   return out;
 }
 
+void AppendSupportedPoint(core::Series* series, double x,
+                          const LatencyPercentile& percentile) {
+  if (percentile.supported) {
+    series->AppendWithError(x, percentile.ms, percentile.ci.HalfWidth());
+  }
+}
+
+void AddPercentileCurves(const std::string& percentile,
+                         const std::vector<core::Series>& curves,
+                         report::ChartSpec* chart) {
+  bool left_off = false;
+  for (const core::Series& curve : curves) {
+    if (curve.size() == 0) {
+      left_off = true;
+    } else {
+      chart->series.push_back(curve);
+    }
+  }
+  if (left_off) {
+    chart->title += " (" + percentile + " left off: too few requests per cell)";
+  }
+}
+
 LoadCell SummarizeLoadRun(double offered_qps, const serve::LoadResult& run,
                           uint64_t ci_seed, int resamples) {
   LoadCell cell;
@@ -117,10 +140,8 @@ LoadSweepResult RunLoadSweep(serve::QueryService* service,
         offered, run, options.run_seed * 977 + static_cast<uint64_t>(i),
         options.resamples);
     result.cells.push_back(cell);
-    result.p50_series.AppendWithError(offered, cell.percentiles[0].ms,
-                                      cell.percentiles[0].ci.HalfWidth());
-    result.p99_series.AppendWithError(offered, cell.percentiles[2].ms,
-                                      cell.percentiles[2].ci.HalfWidth());
+    AppendSupportedPoint(&result.p50_series, offered, cell.percentiles[0]);
+    AppendSupportedPoint(&result.p99_series, offered, cell.percentiles[2]);
   }
   return result;
 }
@@ -159,7 +180,8 @@ Status WriteThroughputLatencyChart(const LoadSweepResult& sweep,
   chart.x_label = "Offered load (queries/s)";
   chart.y_label = "Client latency (ms)";
   chart.style = report::ChartStyle::kErrorBars;
-  chart.series = {sweep.p50_series, sweep.p99_series};
+  AddPercentileCurves("p50", {sweep.p50_series}, &chart);
+  AddPercentileCurves("p99", {sweep.p99_series}, &chart);
   Status status = report::WriteChart(chart, stem);
   if (!status.ok()) {
     return status;

@@ -15,6 +15,7 @@
 
 #include "common/status.h"
 #include "core/metrics.h"
+#include "report/gnuplot.h"
 #include "report/table_format.h"
 #include "serve/loadgen.h"
 #include "serve/service.h"
@@ -53,6 +54,19 @@ struct LatencyPercentile {
 LatencyPercentile SummarizePercentile(const serve::LatencyHistogram& latency,
                                       double p, uint64_t ci_seed,
                                       int resamples);
+
+/// Appends `percentile` at `x` to a chart series, with its CI half-width
+/// as the error bar, only where the sample supports it: a point the
+/// table prints as "n/a" would claim what the table does not.
+void AppendSupportedPoint(core::Series* series, double x,
+                          const LatencyPercentile& percentile);
+
+/// Adds the curves of one percentile (one per sweep) that have a point
+/// to `chart`. A curve with none is left off, and the chart's title names
+/// the percentile and says why.
+void AddPercentileCurves(const std::string& percentile,
+                         const std::vector<core::Series>& curves,
+                         report::ChartSpec* chart);
 
 /// One measured cell of an offered-load sweep.
 struct LoadCell {
@@ -97,8 +111,9 @@ struct LoadSweepResult {
   LoadCell closed_cell;
   /// One open-loop cell per fraction, in `fractions` order.
   std::vector<LoadCell> cells;
-  /// p50/p99 vs offered q/s, chart-ready: point estimates, with CI
-  /// half-width error bars where the sample supports the percentile.
+  /// p50/p99 vs offered q/s, chart-ready: a point estimate with its CI
+  /// half-width error bar for each cell whose sample supports the
+  /// percentile (AppendSupportedPoint), none for the others.
   core::Series p50_series;
   core::Series p99_series;
 };
@@ -118,9 +133,8 @@ report::TextTable SweepTable(const std::vector<LoadCell>& cells);
 std::string SweepJson(const std::vector<LoadCell>& cells, int indent);
 
 /// Writes the throughput–latency curve (p50 + p99 with error bars) as
-/// gnuplot script and SVG at `stem`.{gnu,svg}. Extra series (e.g. one p99
-/// curve per shard count) can be appended by the caller before writing —
-/// this helper covers the common one-sweep case.
+/// gnuplot script and SVG at `stem`.{gnu,svg}, leaving off a curve no
+/// cell supports (AddPercentileCurves).
 Status WriteThroughputLatencyChart(const LoadSweepResult& sweep,
                                    const std::string& title,
                                    const std::string& stem);

@@ -49,8 +49,8 @@ double MeasureConfig(const std::shared_ptr<db::Table>& data, bool big_pool,
   database.RegisterTable("readings", data);
   db::ExprPtr predicate = workload::PredicateForSelectivity(
       database.GetTable("readings"), "sensor", 0.02);
-  db::PlanPtr plan = db::FilterScan("readings", {"sensor", "value"},
-                                    predicate);
+  db::PlanPtr plan = db::FilterScan("readings", data->schema(),
+                                    {"sensor", "value"}, predicate);
   database.FlushCaches();
   return database
       .Run(plan, db::ExecMode::kOptimized, db::SinkKind::kDiscard,
@@ -150,8 +150,8 @@ int main() {
     database.RegisterTable("readings", data);
     db::ExprPtr predicate = workload::PredicateForSelectivity(
         database.GetTable("readings"), "sensor", 0.02);
-    db::PlanPtr plan =
-        db::FilterScan("readings", {"sensor", "value"}, predicate);
+    db::PlanPtr plan = db::FilterScan("readings", data->schema(),
+                                      {"sensor", "value"}, predicate);
     std::vector<double> samples;
     for (int i = 0; i < 3; ++i) {
       database.FlushCaches();

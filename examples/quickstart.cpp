@@ -32,7 +32,8 @@ int main() {
   database.RegisterTable("events", workload::GenerateMicroTable(spec));
   db::ExprPtr predicate = workload::PredicateForSelectivity(
       database.GetTable("events"), "v", 0.05);
-  db::PlanPtr query = db::FilterScan("events", {"v"}, predicate);
+  db::PlanPtr query = db::FilterScan(
+      "events", database.GetTable("events").schema(), {"v"}, predicate);
 
   // ---- 1. Factors and design: a 2^2 full factorial. ----
   doe::Design design = doe::TwoLevelFullFactorial(

@@ -32,8 +32,8 @@ struct DatabaseOptions : ExecKnobs {
   /// Cost-based optimization: when set, the SQL planner hands its rule-
   /// built plan to opt::Optimize, which re-derives join order and picks a
   /// physical join algorithm per node from the table statistics. Opt-in
-  /// (SQL shell `\opt on`, bench `--dbOpt=on`); results are oracle-diffed
-  /// identical to the rule-only plans.
+  /// (SQL shell `\opt on`); results are oracle-diffed identical to the
+  /// rule-only plans.
   bool optimize = false;
 };
 
@@ -165,7 +165,7 @@ class Database {
   void set_check(bool check) { options_.check = check; }
 
   /// Cost-based optimization knob; adjustable at runtime (SQL shell
-  /// `\opt on|off`, bench `--dbOpt=on|off`).
+  /// `\opt on|off`).
   bool optimize() const { return options_.optimize; }
   void set_optimize(bool optimize) { options_.optimize = optimize; }
 

@@ -11,7 +11,7 @@ namespace perfeval {
 namespace db {
 
 /// Physical algorithm executed by equi-join plan nodes (HashJoin /
-/// HashJoin2). The knob is `ExecKnobs::join_algo` (db/plan.h), which both
+/// HashJoinWith). The knob is `ExecKnobs::join_algo` (db/plan.h), which both
 /// ExecContext and DatabaseOptions inherit, and the SQL shell sets it with
 /// `\join <algo>` — so the same plan can be re-run under every algorithm,
 /// the paper's "compare alternatives under one protocol" discipline

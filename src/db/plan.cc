@@ -298,6 +298,21 @@ void FilterRowRange(const ExecContext& ctx, const Table& table,
   ApplyPredicate(ctx, table, pred, out);
 }
 
+/// The version of `table_name` the query pinned. A scan declares its
+/// table's schema when it is built and its parents bound their
+/// expressions against it; installs never change a table's schema, so a
+/// pinned version with another one means the scan was built wrong.
+const TableVersion& PinnedVersion(const ExecContext& ctx,
+                                  const std::string& table_name,
+                                  const Schema& declared) {
+  PERFEVAL_CHECK(ctx.catalog != nullptr);
+  const TableVersion& version = ctx.catalog->Get(table_name);
+  PERFEVAL_CHECK(version.table->schema() == declared)
+      << "scan of " << table_name << " declared " << declared.ToString()
+      << " but the pinned version has " << version.table->schema().ToString();
+  return version;
+}
+
 /// Touches the buffer-pool pages of the named columns (all when empty)
 /// and charges them to the query (ctx.io).
 /// Delegates to the shared scan-I/O walk (db/scan_io.h) so the shard
@@ -311,12 +326,14 @@ void TouchColumns(ExecContext& ctx, const TableVersion& version,
 
 class ScanNode : public PlanNode {
  public:
-  ScanNode(std::string table_name, std::vector<std::string> columns)
-      : table_name_(std::move(table_name)), columns_(std::move(columns)) {}
+  ScanNode(std::string table_name, Schema schema,
+           std::vector<std::string> columns)
+      : PlanNode(std::move(schema)),
+        table_name_(std::move(table_name)),
+        columns_(std::move(columns)) {}
 
   Relation Execute(ExecContext& ctx) const override {
-    PERFEVAL_CHECK(ctx.catalog != nullptr);
-    const TableVersion& version = ctx.catalog->Get(table_name_);
+    const TableVersion& version = PinnedVersion(ctx, table_name_, schema());
     TraceScope trace(ctx.profiler, ctx.io, "Scan(" + table_name_ + ")",
                      version.table->num_rows());
     TouchColumns(ctx, version, columns_);
@@ -345,15 +362,15 @@ class ScanNode : public PlanNode {
 
 class FilterScanNode : public PlanNode {
  public:
-  FilterScanNode(std::string table_name, std::vector<std::string> columns,
-                 ExprPtr predicate)
-      : table_name_(std::move(table_name)),
+  FilterScanNode(std::string table_name, Schema schema,
+                 std::vector<std::string> columns, ExprPtr predicate)
+      : PlanNode(std::move(schema)),
+        table_name_(std::move(table_name)),
         columns_(std::move(columns)),
         predicate_(std::move(predicate)) {}
 
   Relation Execute(ExecContext& ctx) const override {
-    PERFEVAL_CHECK(ctx.catalog != nullptr);
-    const TableVersion& version = ctx.catalog->Get(table_name_);
+    const TableVersion& version = PinnedVersion(ctx, table_name_, schema());
     const std::shared_ptr<const Table>& table = version.table;
     TraceScope trace(ctx.profiler, ctx.io, "FilterScan(" + table_name_ + ")",
                      table->num_rows());
@@ -487,7 +504,9 @@ class FilterScanNode : public PlanNode {
 class FilterNode : public PlanNode {
  public:
   FilterNode(PlanPtr child, ExprPtr predicate)
-      : child_(std::move(child)), predicate_(std::move(predicate)) {}
+      : PlanNode(child->schema()),
+        child_(std::move(child)),
+        predicate_(std::move(predicate)) {}
 
   Relation Execute(ExecContext& ctx) const override {
     Relation input = child_->Execute(ctx);
@@ -563,24 +582,17 @@ class ProjectNode : public PlanNode {
  public:
   ProjectNode(PlanPtr child, std::vector<ExprPtr> exprs,
               std::vector<std::string> names)
-      : child_(std::move(child)),
+      : PlanNode(OutputSchema(child->schema(), exprs, names)),
+        child_(std::move(child)),
         exprs_(std::move(exprs)),
-        names_(std::move(names)) {
-    PERFEVAL_CHECK_EQ(exprs_.size(), names_.size());
-  }
+        names_(std::move(names)) {}
 
   Relation Execute(ExecContext& ctx) const override {
     Relation input = child_->Execute(ctx);
     TraceScope trace(ctx.profiler, ctx.io, "Project", input.num_rows());
     std::vector<uint32_t> rows = input.RowIds();
 
-    std::vector<ColumnSpec> specs;
-    specs.reserve(exprs_.size());
-    for (size_t i = 0; i < exprs_.size(); ++i) {
-      specs.push_back(
-          {names_[i], exprs_[i]->ResultType(input.table->schema())});
-    }
-    auto out_table = std::make_shared<Table>(Schema(std::move(specs)));
+    auto out_table = std::make_shared<Table>(schema());
     out_table->ReserveRows(rows.size());
 
     for (size_t i = 0; i < exprs_.size(); ++i) {
@@ -642,6 +654,19 @@ class ProjectNode : public PlanNode {
   std::vector<PlanPtr> SharedChildren() const override { return {child_}; }
 
  private:
+  /// One column per expression, typed by ResultType over the input.
+  static Schema OutputSchema(const Schema& input,
+                             const std::vector<ExprPtr>& exprs,
+                             const std::vector<std::string>& names) {
+    PERFEVAL_CHECK_EQ(exprs.size(), names.size());
+    std::vector<ColumnSpec> specs;
+    specs.reserve(exprs.size());
+    for (size_t i = 0; i < exprs.size(); ++i) {
+      specs.push_back({names[i], exprs[i]->ResultType(input)});
+    }
+    return Schema(std::move(specs));
+  }
+
   PlanPtr child_;
   std::vector<ExprPtr> exprs_;
   std::vector<std::string> names_;
@@ -736,8 +761,9 @@ class HashJoinNode : public PlanNode {
   HashJoinNode(PlanPtr left, PlanPtr right,
                std::vector<std::string> left_keys,
                std::vector<std::string> right_keys,
-               std::optional<JoinAlgo> algo = std::nullopt)
-      : left_(std::move(left)),
+               std::optional<JoinAlgo> algo)
+      : PlanNode(OutputSchema(left->schema(), right->schema())),
+        left_(std::move(left)),
         right_(std::move(right)),
         left_keys_(std::move(left_keys)),
         right_keys_(std::move(right_keys)),
@@ -795,14 +821,7 @@ class HashJoinNode : public PlanNode {
     }
 
     // Materialize: left columns then right columns.
-    std::vector<ColumnSpec> specs;
-    for (const ColumnSpec& spec : left.table->schema().columns()) {
-      specs.push_back(spec);
-    }
-    for (const ColumnSpec& spec : right.table->schema().columns()) {
-      specs.push_back(spec);
-    }
-    auto out_table = std::make_shared<Table>(Schema(std::move(specs)));
+    auto out_table = std::make_shared<Table>(schema());
     GatherColumns(ctx, *left.table, out_left, out_table.get(), 0);
     GatherColumns(ctx, *right.table, out_right, out_table.get(),
                   left.table->num_columns());
@@ -847,6 +866,14 @@ class HashJoinNode : public PlanNode {
   }
 
  private:
+  /// Left columns followed by right columns (TPC-H names are globally
+  /// unique, so no renaming is needed).
+  static Schema OutputSchema(const Schema& left, const Schema& right) {
+    std::vector<ColumnSpec> specs = left.columns();
+    specs.insert(specs.end(), right.columns().begin(), right.columns().end());
+    return Schema(std::move(specs));
+  }
+
   PlanPtr left_;
   PlanPtr right_;
   std::vector<std::string> left_keys_;
@@ -869,7 +896,8 @@ class AggregateNode : public PlanNode {
  public:
   AggregateNode(PlanPtr child, std::vector<std::string> group_by,
                 std::vector<AggSpec> aggregates)
-      : child_(std::move(child)),
+      : PlanNode(OutputSchema(child->schema(), group_by, aggregates)),
+        child_(std::move(child)),
         group_by_(std::move(group_by)),
         aggregates_(std::move(aggregates)) {}
 
@@ -992,18 +1020,7 @@ class AggregateNode : public PlanNode {
       }
     }
 
-    // Output schema: group columns keep their types; aggregate output
-    // types come from AggOutputType (counts and int SUM/MIN/MAX are
-    // int64, everything else double).
-    std::vector<ColumnSpec> specs;
-    for (size_t c : group_cols) {
-      specs.push_back(table.schema().column(c));
-    }
-    for (const AggSpec& spec : aggregates_) {
-      specs.push_back({spec.output_name,
-                       AggOutputType(spec, table.schema())});
-    }
-    auto out_table = std::make_shared<Table>(Schema(std::move(specs)));
+    auto out_table = std::make_shared<Table>(schema());
     size_t emitted_groups =
         group_cols.empty() ? 1 : first_row_of_group.size();
     out_table->ReserveRows(emitted_groups);
@@ -1068,6 +1085,22 @@ class AggregateNode : public PlanNode {
   std::vector<PlanPtr> SharedChildren() const override { return {child_}; }
 
  private:
+  /// Group columns keep their types; aggregate output types come from
+  /// AggOutputType (counts and int SUM/MIN/MAX are int64, everything
+  /// else double).
+  static Schema OutputSchema(const Schema& input,
+                             const std::vector<std::string>& group_by,
+                             const std::vector<AggSpec>& aggregates) {
+    std::vector<ColumnSpec> specs;
+    for (const std::string& name : group_by) {
+      specs.push_back(input.column(input.MustIndexOf(name)));
+    }
+    for (const AggSpec& spec : aggregates) {
+      specs.push_back({spec.output_name, AggOutputType(spec, input)});
+    }
+    return Schema(std::move(specs));
+  }
+
   /// Builds one morsel's partial state from `rows[0..n)`: local dense
   /// group ids in first-occurrence order, then one accumulator per
   /// (aggregate, local group). Runs on a worker thread; reads only shared
@@ -1295,7 +1328,9 @@ class AggregateNode : public PlanNode {
 class SortNode : public PlanNode {
  public:
   SortNode(PlanPtr child, std::vector<SortKey> keys)
-      : child_(std::move(child)), keys_(std::move(keys)) {}
+      : PlanNode(child->schema()),
+        child_(std::move(child)),
+        keys_(std::move(keys)) {}
 
   Relation Execute(ExecContext& ctx) const override {
     Relation input = child_->Execute(ctx);
@@ -1361,7 +1396,8 @@ class SortNode : public PlanNode {
 
 class LimitNode : public PlanNode {
  public:
-  LimitNode(PlanPtr child, size_t n) : child_(std::move(child)), n_(n) {}
+  LimitNode(PlanPtr child, size_t n)
+      : PlanNode(child->schema()), child_(std::move(child)), n_(n) {}
 
   Relation Execute(ExecContext& ctx) const override {
     Relation input = child_->Execute(ctx);
@@ -1403,7 +1439,10 @@ class LimitNode : public PlanNode {
 class TopNNode : public PlanNode {
  public:
   TopNNode(PlanPtr child, std::vector<SortKey> keys, size_t n)
-      : child_(std::move(child)), keys_(std::move(keys)), n_(n) {}
+      : PlanNode(child->schema()),
+        child_(std::move(child)),
+        keys_(std::move(keys)),
+        n_(n) {}
 
   Relation Execute(ExecContext& ctx) const override {
     Relation input = child_->Execute(ctx);
@@ -1513,16 +1552,18 @@ bool UsesIntAccumulator(const AggSpec& spec, const Schema& input_schema) {
          spec.expr->ResultType(input_schema) == DataType::kInt64;
 }
 
-PlanPtr Scan(const std::string& table_name,
+PlanPtr Scan(const std::string& table_name, Schema schema,
              std::vector<std::string> columns_used) {
-  return std::make_shared<ScanNode>(table_name, std::move(columns_used));
+  return std::make_shared<ScanNode>(table_name, std::move(schema),
+                                    std::move(columns_used));
 }
 
-PlanPtr FilterScan(const std::string& table_name,
+PlanPtr FilterScan(const std::string& table_name, Schema schema,
                    std::vector<std::string> columns_used,
                    ExprPtr predicate) {
-  return std::make_shared<FilterScanNode>(
-      table_name, std::move(columns_used), std::move(predicate));
+  return std::make_shared<FilterScanNode>(table_name, std::move(schema),
+                                          std::move(columns_used),
+                                          std::move(predicate));
 }
 
 PlanPtr Filter(PlanPtr child, ExprPtr predicate) {
@@ -1540,17 +1581,7 @@ PlanPtr HashJoin(PlanPtr left, PlanPtr right, std::string left_key,
   return std::make_shared<HashJoinNode>(
       std::move(left), std::move(right),
       std::vector<std::string>{std::move(left_key)},
-      std::vector<std::string>{std::move(right_key)});
-}
-
-PlanPtr HashJoin2(PlanPtr left, PlanPtr right, std::string left_key1,
-                  std::string right_key1, std::string left_key2,
-                  std::string right_key2) {
-  return std::make_shared<HashJoinNode>(
-      std::move(left), std::move(right),
-      std::vector<std::string>{std::move(left_key1), std::move(left_key2)},
-      std::vector<std::string>{std::move(right_key1),
-                               std::move(right_key2)});
+      std::vector<std::string>{std::move(right_key)}, std::nullopt);
 }
 
 PlanPtr HashJoinWith(PlanPtr left, PlanPtr right,

@@ -61,7 +61,7 @@ struct ExecKnobs {
   /// parallel boundary wherever they need it. Fields never depend on
   /// `threads`, so changing `threads` can never move a morsel boundary.
   MorselPolicy morsel;
-  /// Physical algorithm for equi-join nodes (HashJoin / HashJoin2). For
+  /// Physical algorithm for unpinned equi-join nodes. For
   /// each algorithm the join output is deterministic at any `threads`
   /// setting; different algorithms may emit matches in different (but
   /// fixed) orders. See db/join.h.
@@ -179,6 +179,12 @@ class PlanNode {
  public:
   virtual ~PlanNode() = default;
 
+  /// The node's output schema, fixed when the factory builds the node:
+  /// scans declare their table's schema, and every other node derives its
+  /// own from its children's. Execute() produces tables of exactly this
+  /// schema, so planners bind expressions against it while they build.
+  const Schema& schema() const { return schema_; }
+
   /// Executes the subtree. Records an OpTrace per node when profiling.
   virtual Relation Execute(ExecContext& ctx) const = 0;
 
@@ -198,6 +204,12 @@ class PlanNode {
       const {
     return {};
   }
+
+ protected:
+  explicit PlanNode(Schema schema) : schema_(std::move(schema)) {}
+
+ private:
+  Schema schema_;
 };
 
 using PlanPtr = std::shared_ptr<const PlanNode>;
@@ -205,8 +217,7 @@ using PlanPtr = std::shared_ptr<const PlanNode>;
 /// Output column type of one aggregate over `input_schema`: counts are
 /// int64; SUM/MIN/MAX of an int64-typed expression stay int64 (computed
 /// with checked accumulators); everything else — including AVG, which is
-/// a ratio — is double. Shared by AggregateNode and the SQL planner so
-/// the planned output schema always matches execution.
+/// a ratio — is double.
 DataType AggOutputType(const AggSpec& spec, const Schema& input_schema);
 
 /// Whether the aggregate accumulates on the exact int64 accumulators
@@ -216,13 +227,15 @@ bool UsesIntAccumulator(const AggSpec& spec, const Schema& input_schema);
 // ---- Plan factories ----
 
 /// Scans base table `table_name`, touching the pages of `columns_used`
-/// through the buffer pool (all columns when empty).
-PlanPtr Scan(const std::string& table_name,
+/// through the buffer pool (all columns when empty). `schema` is the
+/// table's schema (`catalog.Get(table_name).table->schema()`); the scan
+/// aborts at run time when the version it pins has a different one.
+PlanPtr Scan(const std::string& table_name, Schema schema,
              std::vector<std::string> columns_used = {});
 
 /// Fused scan + filter over a base table with zone-map page skipping for
-/// simple predicates.
-PlanPtr FilterScan(const std::string& table_name,
+/// simple predicates. `schema` as for Scan.
+PlanPtr FilterScan(const std::string& table_name, Schema schema,
                    std::vector<std::string> columns_used, ExprPtr predicate);
 
 /// Filters an arbitrary child relation.
@@ -239,22 +252,16 @@ PlanPtr Project(PlanPtr child, std::vector<ExprPtr> exprs,
 PlanPtr HashJoin(PlanPtr left, PlanPtr right, std::string left_key,
                  std::string right_key);
 
-/// Hash join on a composite (two-column) int64 equality key, e.g. TPC-H
-/// Q9's lineitem-partsupp join on (partkey, suppkey). Both key columns must
-/// hold non-negative values below 2^31.
-PlanPtr HashJoin2(PlanPtr left, PlanPtr right, std::string left_key1,
-                  std::string right_key1, std::string left_key2,
-                  std::string right_key2);
-
-/// Equi-join with the physical algorithm pinned per node (the cost-based
-/// optimizer's output form): unlike HashJoin/HashJoin2, which follow
-/// ExecContext::join_algo at run time, this node always executes `algo`;
-/// nullopt builds the unpinned node, so a rewriter can pass
-/// PlanSpec::join_algo through unchanged. JoinAlgo::kMerge is the
-/// sort-merge join, which skips the sort of an input already ordered on
-/// its key (clustered keys such as TPC-H's l_orderkey);
-/// bench_join_crossover measures where it wins. 1 or 2 key columns;
-/// composite keys have the HashJoin2 31-bit bound.
+/// Equi-join on 1 or 2 key columns with the physical algorithm pinned per
+/// node (the cost-based optimizer's output form): this node always
+/// executes `algo`; nullopt builds the unpinned node, which follows
+/// ExecContext::join_algo at run time like HashJoin, so a rewriter can
+/// pass PlanSpec::join_algo through unchanged. A composite key, e.g.
+/// TPC-H Q9's lineitem-partsupp join on (partkey, suppkey), needs both
+/// key columns to hold non-negative values below 2^31. JoinAlgo::kMerge
+/// is the sort-merge join, which skips the sort of an input already
+/// ordered on its key (clustered keys such as TPC-H's l_orderkey);
+/// bench_join_crossover measures where it wins.
 PlanPtr HashJoinWith(PlanPtr left, PlanPtr right,
                      std::vector<std::string> left_keys,
                      std::vector<std::string> right_keys,

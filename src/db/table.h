@@ -15,6 +15,8 @@ namespace db {
 struct ColumnSpec {
   std::string name;
   DataType type;
+
+  friend bool operator==(const ColumnSpec&, const ColumnSpec&) = default;
 };
 
 /// An ordered list of named, typed columns.
@@ -39,6 +41,9 @@ class Schema {
   size_t MustIndexOf(const std::string& name) const;
 
   std::string ToString() const;
+
+  /// Same column names and types, in the same order.
+  friend bool operator==(const Schema&, const Schema&) = default;
 
  private:
   std::vector<ColumnSpec> columns_;

@@ -185,8 +185,9 @@ int64_t JoinKeyAt(const RowBlock& block, size_t col, size_t row,
   return block.Int64At(row, col);
 }
 
-RowBlockPtr ExecJoin(const db::PlanSpec& spec, const RowBlockPtr& left,
-                     const RowBlockPtr& right, RowExecCtx& ctx) {
+RowBlockPtr ExecJoin(const db::PlanSpec& spec, const db::Schema& out_schema,
+                     const RowBlockPtr& left, const RowBlockPtr& right,
+                     RowExecCtx& ctx) {
   size_t nkeys = spec.left_keys.size();
   std::vector<size_t> lk(nkeys);
   std::vector<size_t> rk(nkeys);
@@ -233,14 +234,10 @@ RowBlockPtr ExecJoin(const db::PlanSpec& spec, const RowBlockPtr& left,
                                    "HashJoin");
   }
 
-  // Output layout: left columns then right columns. Heap: share when
-  // possible (same heap, or the only string columns live on one side);
-  // otherwise concatenate both heaps and shift the right side's string
-  // slots by the concatenation offset.
-  std::vector<db::ColumnSpec> specs = left->schema().columns();
-  for (const db::ColumnSpec& s : right->schema().columns()) {
-    specs.push_back(s);
-  }
+  // Output layout: left columns then right columns (`out_schema`). Heap:
+  // share when possible (same heap, or the only string columns live on
+  // one side); otherwise concatenate both heaps and shift the right
+  // side's string slots by the concatenation offset.
   auto has_strings = [](const RowBlock& b) {
     for (const db::ColumnSpec& s : b.schema().columns()) {
       if (s.type == db::DataType::kString) {
@@ -263,8 +260,7 @@ RowBlockPtr ExecJoin(const db::PlanSpec& spec, const RowBlockPtr& left,
     right_delta = heap->AppendHeap(*right->heap());
   }
 
-  auto out = std::make_shared<RowBlock>(
-      RowLayout::For(db::Schema(std::move(specs))), heap);
+  auto out = std::make_shared<RowBlock>(RowLayout::For(out_schema), heap);
   out->ReserveRows(out_left.size());
   size_t lcols = left->schema().num_columns();
   size_t rcols = right->schema().num_columns();
@@ -300,14 +296,12 @@ RowBlockPtr ExecJoin(const db::PlanSpec& spec, const RowBlockPtr& left,
   return out;
 }
 
-RowBlockPtr ExecProject(const db::PlanSpec& spec, const RowBlockPtr& input,
-                        RowExecCtx& ctx, db::TraceScope* trace) {
+RowBlockPtr ExecProject(const db::PlanSpec& spec,
+                        const db::Schema& out_schema,
+                        const RowBlockPtr& input, RowExecCtx& ctx,
+                        db::TraceScope* trace) {
   size_t n = input->num_rows();
   size_t ncols = spec.exprs.size();
-  std::vector<db::ColumnSpec> specs(ncols);
-  for (size_t j = 0; j < ncols; ++j) {
-    specs[j] = {spec.names[j], spec.exprs[j]->ResultType(input->schema())};
-  }
 
   // Fast path: every output is a plain column reference — tuple
   // re-shaping by raw slot copy, string heap shared, parallel over
@@ -318,8 +312,8 @@ RowBlockPtr ExecProject(const db::PlanSpec& spec, const RowBlockPtr& input,
     all_refs = spec.exprs[j]->AsColumnIndex(&src_cols[j]);
   }
   if (all_refs) {
-    auto out = std::make_shared<RowBlock>(
-        RowLayout::For(db::Schema(std::move(specs))), input->heap());
+    auto out =
+        std::make_shared<RowBlock>(RowLayout::For(out_schema), input->heap());
     out->ResizeRows(n);
     size_t batch = ctx.batch_rows;
     size_t num_batches = n == 0 ? 0 : (n + batch - 1) / batch;
@@ -355,8 +349,7 @@ RowBlockPtr ExecProject(const db::PlanSpec& spec, const RowBlockPtr& input,
   // General path: batch-unpack, evaluate each expression tuple-at-a-time
   // (full engine semantics via db::Expr), re-intern computed strings into
   // a fresh heap.
-  auto out = std::make_shared<RowBlock>(
-      RowLayout::For(db::Schema(std::move(specs))));
+  auto out = std::make_shared<RowBlock>(RowLayout::For(out_schema));
   out->ReserveRows(n);
   size_t batch = ctx.batch_rows;
   for (size_t begin = 0; begin < n; begin += batch) {
@@ -374,8 +367,10 @@ RowBlockPtr ExecProject(const db::PlanSpec& spec, const RowBlockPtr& input,
   return out;
 }
 
-RowBlockPtr ExecAggregate(const db::PlanSpec& spec, const RowBlockPtr& input,
-                          RowExecCtx& ctx, const char* op) {
+RowBlockPtr ExecAggregate(const db::PlanSpec& spec,
+                          const db::Schema& out_schema,
+                          const RowBlockPtr& input, RowExecCtx& ctx,
+                          const char* op) {
   const db::Schema& schema = input->schema();
   std::vector<size_t> group_cols;
   for (const std::string& name : spec.group_by) {
@@ -449,17 +444,10 @@ RowBlockPtr ExecAggregate(const db::PlanSpec& spec, const RowBlockPtr& input,
     db::CheckSelectionStrictlyIncreasing(first_rows, op);
   }
 
-  std::vector<db::ColumnSpec> specs;
-  for (size_t c : group_cols) {
-    specs.push_back(schema.column(c));
-  }
-  for (const db::AggSpec& as : aggregates) {
-    specs.push_back({as.output_name, db::AggOutputType(as, schema)});
-  }
   // Group-key strings are raw slot copies out of the input block, so the
   // output shares its heap; aggregate outputs are always numeric.
-  auto out = std::make_shared<RowBlock>(
-      RowLayout::For(db::Schema(std::move(specs))), input->heap());
+  auto out =
+      std::make_shared<RowBlock>(RowLayout::For(out_schema), input->heap());
   size_t emitted = group_cols.empty() ? 1 : first_rows.size();
   out->ReserveRows(emitted);
   for (size_t g = 0; g < emitted; ++g) {
@@ -615,7 +603,7 @@ RowBlockPtr ExecNode(const db::PlanNode& node, RowExecCtx& ctx) {
       RowBlockPtr input = ExecNode(*children[0], ctx);
       db::TraceScope trace(ctx.profiler, ctx.io, "Project",
                            input->num_rows());
-      return ExecProject(spec, input, ctx, &trace);
+      return ExecProject(spec, node.schema(), input, ctx, &trace);
     }
     case db::PlanKind::kHashJoin: {
       RowBlockPtr left = ExecNode(*children[0], ctx);
@@ -624,7 +612,7 @@ RowBlockPtr ExecNode(const db::PlanNode& node, RowExecCtx& ctx) {
                            "HashJoin(" + spec.left_keys[0] + "=" +
                                spec.right_keys[0] + ")",
                            left->num_rows() + right->num_rows());
-      RowBlockPtr out = ExecJoin(spec, left, right, ctx);
+      RowBlockPtr out = ExecJoin(spec, node.schema(), left, right, ctx);
       trace.Finish(out->num_rows());
       return out;
     }
@@ -632,7 +620,8 @@ RowBlockPtr ExecNode(const db::PlanNode& node, RowExecCtx& ctx) {
       RowBlockPtr input = ExecNode(*children[0], ctx);
       db::TraceScope trace(ctx.profiler, ctx.io, "Aggregate",
                            input->num_rows());
-      RowBlockPtr out = ExecAggregate(spec, input, ctx, "Aggregate");
+      RowBlockPtr out =
+          ExecAggregate(spec, node.schema(), input, ctx, "Aggregate");
       trace.Finish(out->num_rows());
       return out;
     }

@@ -17,53 +17,6 @@ constexpr double kDefaultOpaqueSel = 0.25;
 
 double Log2Ceil(double n) { return n <= 2.0 ? 1.0 : std::log2(n); }
 
-db::Schema ConcatSchemas(const db::Schema& a, const db::Schema& b) {
-  std::vector<db::ColumnSpec> specs = a.columns();
-  for (const db::ColumnSpec& spec : b.columns()) {
-    specs.push_back(spec);
-  }
-  return db::Schema(std::move(specs));
-}
-
-db::Schema SchemaOf(const db::PlanNode& node, const db::Catalog& catalog) {
-  db::PlanSpec spec = node.Spec();
-  std::vector<const db::PlanNode*> children = node.Children();
-  switch (spec.kind) {
-    case db::PlanKind::kScan:
-    case db::PlanKind::kFilterScan:
-      return catalog.Get(spec.table_name).table->schema();
-    case db::PlanKind::kFilter:
-    case db::PlanKind::kSort:
-    case db::PlanKind::kLimit:
-    case db::PlanKind::kTopN:
-      return SchemaOf(*children[0], catalog);
-    case db::PlanKind::kProject: {
-      db::Schema child = SchemaOf(*children[0], catalog);
-      std::vector<db::ColumnSpec> specs;
-      specs.reserve(spec.exprs.size());
-      for (size_t i = 0; i < spec.exprs.size(); ++i) {
-        specs.push_back({spec.names[i], spec.exprs[i]->ResultType(child)});
-      }
-      return db::Schema(std::move(specs));
-    }
-    case db::PlanKind::kHashJoin:
-      return ConcatSchemas(SchemaOf(*children[0], catalog),
-                           SchemaOf(*children[1], catalog));
-    case db::PlanKind::kAggregate: {
-      db::Schema child = SchemaOf(*children[0], catalog);
-      std::vector<db::ColumnSpec> specs;
-      for (const std::string& g : spec.group_by) {
-        specs.push_back(child.column(child.MustIndexOf(g)));
-      }
-      for (const db::AggSpec& agg : spec.aggregates) {
-        specs.push_back({agg.output_name, db::AggOutputType(agg, child)});
-      }
-      return db::Schema(std::move(specs));
-    }
-  }
-  return db::Schema();
-}
-
 const char* OpName(db::PlanKind kind) {
   switch (kind) {
     case db::PlanKind::kScan:
@@ -89,11 +42,6 @@ const char* OpName(db::PlanKind kind) {
 }
 
 }  // namespace
-
-db::Schema OutputSchema(const db::PlanNode& node,
-                        const db::Catalog& catalog) {
-  return SchemaOf(node, catalog);
-}
 
 StatsCatalog::StatsCatalog(const db::Database& database)
     : catalog_(database.catalog()) {
@@ -175,13 +123,8 @@ double CardinalityEstimator::Selectivity(const db::ExprPtr& predicate,
   return std::clamp(sel, 0.0, 1.0);
 }
 
-double CardinalityEstimator::EstimateRows(const db::PlanNode& node,
-                                          db::Schema* schema_out) const {
-  SubtreeInfo info = Walk(node, nullptr);
-  if (schema_out != nullptr) {
-    *schema_out = std::move(info.schema);
-  }
-  return info.rows;
+double CardinalityEstimator::EstimateRows(const db::PlanNode& node) const {
+  return Walk(node, nullptr);
 }
 
 void CardinalityEstimator::EstimatePlan(
@@ -189,124 +132,93 @@ void CardinalityEstimator::EstimatePlan(
   Walk(node, out);
 }
 
-CardinalityEstimator::SubtreeInfo CardinalityEstimator::Walk(
-    const db::PlanNode& node, std::vector<NodeEstimate>* out) const {
+double CardinalityEstimator::Walk(const db::PlanNode& node,
+                                  std::vector<NodeEstimate>* out) const {
   db::PlanSpec spec = node.Spec();
   std::vector<const db::PlanNode*> children = node.Children();
-  std::vector<SubtreeInfo> child_info;
-  child_info.reserve(children.size());
+  std::vector<double> child_rows;
+  child_rows.reserve(children.size());
   for (const db::PlanNode* child : children) {
-    child_info.push_back(Walk(*child, out));
+    child_rows.push_back(Walk(*child, out));
   }
 
-  SubtreeInfo info;
+  double rows = 0.0;
   double cost = 0.0;
   switch (spec.kind) {
     case db::PlanKind::kScan: {
       const db::Table& table = *stats_.catalog().Get(spec.table_name).table;
-      info.schema = table.schema();
-      info.rows = static_cast<double>(table.num_rows());
-      cost = info.rows * model_.cpu_tuple_ns;
+      rows = static_cast<double>(table.num_rows());
+      cost = rows * model_.cpu_tuple_ns;
       break;
     }
     case db::PlanKind::kFilterScan: {
       const db::Table& table = *stats_.catalog().Get(spec.table_name).table;
-      info.schema = table.schema();
       double base = static_cast<double>(table.num_rows());
       std::vector<db::ExprPtr> conjuncts;
       if (spec.predicate != nullptr) {
         spec.predicate->CollectConjuncts(&conjuncts, spec.predicate);
       }
-      info.rows = base * Selectivity(spec.predicate, info.schema);
+      rows = base * Selectivity(spec.predicate, node.schema());
       cost = base * (model_.cpu_tuple_ns +
                      static_cast<double>(conjuncts.size()) *
                          model_.cpu_term_ns);
       break;
     }
     case db::PlanKind::kFilter: {
-      info.schema = child_info[0].schema;
       std::vector<db::ExprPtr> conjuncts;
       if (spec.predicate != nullptr) {
         spec.predicate->CollectConjuncts(&conjuncts, spec.predicate);
       }
-      info.rows =
-          child_info[0].rows * Selectivity(spec.predicate, info.schema);
-      cost = child_info[0].rows * static_cast<double>(
+      rows = child_rows[0] * Selectivity(spec.predicate, node.schema());
+      cost = child_rows[0] * static_cast<double>(
                  std::max<size_t>(conjuncts.size(), 1)) *
              model_.cpu_term_ns;
       break;
     }
     case db::PlanKind::kProject: {
-      std::vector<db::ColumnSpec> specs;
-      specs.reserve(spec.exprs.size());
-      for (size_t i = 0; i < spec.exprs.size(); ++i) {
-        specs.push_back(
-            {spec.names[i], spec.exprs[i]->ResultType(child_info[0].schema)});
-      }
-      info.schema = db::Schema(std::move(specs));
-      info.rows = child_info[0].rows;
-      cost = child_info[0].rows *
+      rows = child_rows[0];
+      cost = child_rows[0] *
              static_cast<double>(spec.exprs.size()) * model_.project_ns;
       break;
     }
     case db::PlanKind::kHashJoin: {
-      info.schema =
-          ConcatSchemas(child_info[0].schema, child_info[1].schema);
       double sel = 1.0;
       for (size_t k = 0; k < spec.left_keys.size(); ++k) {
-        sel *= JoinSelectivity(spec.left_keys[k], child_info[0].rows,
-                               spec.right_keys[k], child_info[1].rows);
+        sel *= JoinSelectivity(spec.left_keys[k], child_rows[0],
+                               spec.right_keys[k], child_rows[1]);
       }
-      info.rows =
-          std::max(child_info[0].rows * child_info[1].rows * sel, 1.0);
+      rows = std::max(child_rows[0] * child_rows[1] * sel, 1.0);
       cost = model_.JoinCost(spec.join_algo.value_or(default_algo_),
-                             child_info[0].rows, child_info[1].rows,
-                             info.rows);
+                             child_rows[0], child_rows[1], rows);
       break;
     }
     case db::PlanKind::kAggregate: {
-      std::vector<db::ColumnSpec> specs;
-      for (const std::string& g : spec.group_by) {
-        specs.push_back(child_info[0].schema.column(
-            child_info[0].schema.MustIndexOf(g)));
-      }
-      for (const db::AggSpec& agg : spec.aggregates) {
-        specs.push_back(
-            {agg.output_name, db::AggOutputType(agg, child_info[0].schema)});
-      }
-      info.schema = db::Schema(std::move(specs));
       if (spec.group_by.empty()) {
-        info.rows = 1.0;
+        rows = 1.0;
       } else {
         double groups = 1.0;
         for (const std::string& g : spec.group_by) {
-          groups *= ColumnNdv(g, child_info[0].rows);
+          groups *= ColumnNdv(g, child_rows[0]);
         }
-        info.rows = std::clamp(groups, 1.0, std::max(child_info[0].rows,
-                                                     1.0));
+        rows = std::clamp(groups, 1.0, std::max(child_rows[0], 1.0));
       }
-      cost = child_info[0].rows * model_.agg_group_ns *
+      cost = child_rows[0] * model_.agg_group_ns *
              static_cast<double>(std::max<size_t>(spec.aggregates.size(), 1));
       break;
     }
     case db::PlanKind::kSort: {
-      info.schema = child_info[0].schema;
-      info.rows = child_info[0].rows;
-      cost = model_.SortCost(child_info[0].rows);
+      rows = child_rows[0];
+      cost = model_.SortCost(child_rows[0]);
       break;
     }
     case db::PlanKind::kLimit: {
-      info.schema = child_info[0].schema;
-      info.rows =
-          std::min(child_info[0].rows, static_cast<double>(spec.limit));
-      cost = info.rows * model_.cpu_tuple_ns;
+      rows = std::min(child_rows[0], static_cast<double>(spec.limit));
+      cost = rows * model_.cpu_tuple_ns;
       break;
     }
     case db::PlanKind::kTopN: {
-      info.schema = child_info[0].schema;
-      info.rows =
-          std::min(child_info[0].rows, static_cast<double>(spec.limit));
-      cost = child_info[0].rows *
+      rows = std::min(child_rows[0], static_cast<double>(spec.limit));
+      cost = child_rows[0] *
              Log2Ceil(static_cast<double>(spec.limit) + 2.0) *
              model_.sort_ns;
       break;
@@ -317,11 +229,11 @@ CardinalityEstimator::SubtreeInfo CardinalityEstimator::Walk(
     NodeEstimate estimate;
     estimate.kind = spec.kind;
     estimate.op = OpName(spec.kind);
-    estimate.rows_out = info.rows;
+    estimate.rows_out = rows;
     estimate.cost_ns = cost;
     out->push_back(std::move(estimate));
   }
-  return info;
+  return rows;
 }
 
 }  // namespace opt

@@ -55,10 +55,8 @@ class CardinalityEstimator {
   CardinalityEstimator(const StatsCatalog& stats, const CostModel& model,
                        db::JoinAlgo default_algo = db::JoinAlgo::kRadix);
 
-  /// Estimated output rows of the subtree rooted at `node`; fills
-  /// `schema_out` with the subtree's output schema when non-null.
-  double EstimateRows(const db::PlanNode& node,
-                      db::Schema* schema_out = nullptr) const;
+  /// Estimated output rows of the subtree rooted at `node`.
+  double EstimateRows(const db::PlanNode& node) const;
 
   /// Selectivity in [0, 1] of `predicate` over rows of `input` — the
   /// product over top-level conjuncts of per-conjunct estimates
@@ -86,22 +84,15 @@ class CardinalityEstimator {
   const CostModel& model() const { return model_; }
 
  private:
-  struct SubtreeInfo {
-    db::Schema schema;
-    double rows = 0.0;
-  };
-  SubtreeInfo Walk(const db::PlanNode& node,
-                   std::vector<NodeEstimate>* out) const;
+  /// Estimated output rows of `node`; appends estimates to `out` when
+  /// non-null.
+  double Walk(const db::PlanNode& node,
+              std::vector<NodeEstimate>* out) const;
 
   const StatsCatalog& stats_;
   CostModel model_;
   db::JoinAlgo default_algo_;
 };
-
-/// Output schema of a plan subtree, reconstructed from PlanSpec alone
-/// (the same contract the reference interpreter runs on).
-db::Schema OutputSchema(const db::PlanNode& node,
-                        const db::Catalog& catalog);
 
 }  // namespace opt
 }  // namespace perfeval

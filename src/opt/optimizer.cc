@@ -28,7 +28,7 @@ struct KeyPair {
 };
 
 /// A join-graph edge between two region leaves. 1 key pair normally; 2
-/// when it came from a composite-key join (HashJoin2), whose 31-bit key
+/// when it came from a composite-key join, whose 31-bit key
 /// packing the original plan already proved safe.
 struct Edge {
   size_t a = 0;
@@ -43,12 +43,6 @@ struct Region {
   std::vector<PlanPtr> leaves;
   std::vector<std::vector<KeyPair>> raw_edges;  ///< unresolved, by name.
   bool ok = true;
-};
-
-/// An emitted (sub)plan plus its output schema.
-struct Emitted {
-  PlanPtr plan;
-  db::Schema schema;
 };
 
 class Rewriter {
@@ -163,7 +157,7 @@ void Rewriter::Gather(const PlanPtr& node, Region* region) {
     }
     if (all_equalities) {
       std::vector<PlanPtr> kids = node->SharedChildren();
-      db::Schema child_schema = OutputSchema(*kids[0], stats_.catalog());
+      const db::Schema& child_schema = kids[0]->schema();
       bool indices_ok = true;
       for (const auto& [left, right] : equalities) {
         indices_ok &= left < child_schema.num_columns() &&
@@ -192,17 +186,15 @@ PlanPtr Rewriter::OptimizeRegion(const PlanPtr& root) {
     return root;
   }
 
-  // Leaf schemas, estimates, and the column-name -> leaf map. Bail (keep
-  // the rule-only shape) on any duplicate name across leaves: rebinding
-  // by name would be ambiguous.
-  std::vector<db::Schema> leaf_schemas(n);
+  // Leaf estimates and the column-name -> leaf map. Bail (keep the
+  // rule-only shape) on any duplicate name across leaves: rebinding by
+  // name would be ambiguous.
   std::vector<double> leaf_rows(n);
   std::unordered_map<std::string, size_t> leaf_of;
   for (size_t i = 0; i < n; ++i) {
-    leaf_schemas[i] = OutputSchema(*region.leaves[i], stats_.catalog());
     leaf_rows[i] =
         std::max(estimator_.EstimateRows(*region.leaves[i]), 1.0);
-    for (const db::ColumnSpec& spec : leaf_schemas[i].columns()) {
+    for (const db::ColumnSpec& spec : region.leaves[i]->schema().columns()) {
       auto [it, inserted] = leaf_of.try_emplace(spec.name, i);
       if (!inserted) {
         return root;
@@ -374,26 +366,18 @@ PlanPtr Rewriter::OptimizeRegion(const PlanPtr& root) {
 
   // Emit the chosen tree. Leaves are recursively rewritten (regions
   // below an aggregate or project boundary optimize independently).
-  std::function<Emitted(size_t)> emit = [&](size_t mask) -> Emitted {
+  std::function<PlanPtr(size_t)> emit = [&](size_t mask) -> PlanPtr {
     if (PopCount(mask) == 1) {
       size_t i = 0;
       while (((mask >> i) & 1) == 0) {
         ++i;
       }
-      return {Rewrite(region.leaves[i]), leaf_schemas[i]};
+      return Rewrite(region.leaves[i]);
     }
     size_t left_mask = best_split[mask];
     size_t right_mask = mask ^ left_mask;
-    Emitted left = emit(left_mask);
-    Emitted right = emit(right_mask);
-    db::Schema joined;
-    {
-      std::vector<db::ColumnSpec> specs = left.schema.columns();
-      for (const db::ColumnSpec& spec : right.schema.columns()) {
-        specs.push_back(spec);
-      }
-      joined = db::Schema(std::move(specs));
-    }
+    PlanPtr left = emit(left_mask);
+    PlanPtr right = emit(right_mask);
     const Edge& edge = edges[static_cast<size_t>(best_edge[mask])];
     bool a_is_left = ((left_mask >> edge.a) & 1) != 0;
     std::vector<std::string> left_keys;
@@ -402,9 +386,10 @@ PlanPtr Rewriter::OptimizeRegion(const PlanPtr& root) {
       left_keys.push_back(a_is_left ? pair.left : pair.right);
       right_keys.push_back(a_is_left ? pair.right : pair.left);
     }
-    PlanPtr plan = db::HashJoinWith(left.plan, right.plan,
-                                    std::move(left_keys),
-                                    std::move(right_keys), best_algo[mask]);
+    PlanPtr plan =
+        db::HashJoinWith(std::move(left), std::move(right),
+                         std::move(left_keys), std::move(right_keys),
+                         best_algo[mask]);
     // Any other edge bridging the halves is applied as an equality
     // filter right here, so subset cardinalities stay consistent.
     for (size_t e = 0; e < edges.size(); ++e) {
@@ -420,46 +405,36 @@ PlanPtr Rewriter::OptimizeRegion(const PlanPtr& root) {
         continue;
       }
       for (const KeyPair& pair : edges[e].pairs) {
+        const db::Schema& joined = plan->schema();
         plan = db::Filter(plan, db::Eq(db::Col(joined, pair.left),
                                        db::Col(joined, pair.right)));
       }
     }
-    return {std::move(plan), std::move(joined)};
+    return plan;
   };
-  Emitted emitted = emit(full);
+  PlanPtr plan = emit(full);
 
   // Local (single-leaf) equalities absorbed from filters re-apply on top.
   for (const KeyPair& pair : residual_pairs) {
-    emitted.plan =
-        db::Filter(emitted.plan, db::Eq(db::Col(emitted.schema, pair.left),
-                                        db::Col(emitted.schema, pair.right)));
+    const db::Schema& emitted = plan->schema();
+    plan = db::Filter(plan, db::Eq(db::Col(emitted, pair.left),
+                                   db::Col(emitted, pair.right)));
   }
 
   // Restore the original column order when the reorder changed it, so
   // every downstream index-bound expression still resolves correctly.
-  db::Schema original = OutputSchema(*root, stats_.catalog());
-  bool same_order =
-      original.num_columns() == emitted.schema.num_columns();
-  if (same_order) {
-    for (size_t i = 0; i < original.num_columns(); ++i) {
-      if (original.column(i).name != emitted.schema.column(i).name) {
-        same_order = false;
-        break;
-      }
-    }
-  }
-  if (!same_order) {
+  const db::Schema& original = root->schema();
+  if (original != plan->schema()) {
     ++reordered;
     std::vector<db::ExprPtr> exprs;
     std::vector<std::string> names;
     for (const db::ColumnSpec& spec : original.columns()) {
-      exprs.push_back(db::Col(emitted.schema, spec.name));
+      exprs.push_back(db::Col(plan->schema(), spec.name));
       names.push_back(spec.name);
     }
-    emitted.plan =
-        db::Project(emitted.plan, std::move(exprs), std::move(names));
+    plan = db::Project(plan, std::move(exprs), std::move(names));
   }
-  return emitted.plan;
+  return plan;
 }
 
 OptimizeResult OptimizeWith(const PlanPtr& plan,

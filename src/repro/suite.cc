@@ -289,8 +289,10 @@ const ExperimentSuite& PerfevalSuite() {
         "estimator and a calibrated per-row cost model, and a dynamic "
         "program over connected join subgraphs picks both the join order "
         "and a physical algorithm (hash/radix/merge) per join. "
-        "The rewrite is opt-in (`\\opt on` in the SQL shell, --dbOpt=on "
-        "in the benches) and semantics-preserving by construction: only "
+        "The rewrite is opt-in (`\\opt on` in the SQL shell; A11 runs "
+        "rule-order and optimized plans side by side, and the other "
+        "benches name the plans they run on their `db knobs:` line) and "
+        "semantics-preserving by construction: only "
         "inner equi-join regions are re-ordered, a schema-restoring "
         "Project caps every reordered region, and unconsumed join edges "
         "reappear as filters. Plan choice is a pure function of the "

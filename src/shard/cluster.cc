@@ -87,7 +87,7 @@ db::ScanTableInfo ShardCluster::Lookup(const std::string& table_name) const {
 
 ShardedResult ShardCluster::Execute(const db::PlanPtr& plan, db::ExecMode mode,
                                     bool use_zone_maps) {
-  DistributedPlan dp = PlanDistributed(plan, options_.scheme, *dbs_[0]);
+  DistributedPlan dp = PlanDistributed(plan, options_.scheme);
 
   ShardedResult out;
   out.shards.resize(static_cast<size_t>(options_.num_shards));
@@ -98,7 +98,7 @@ ShardedResult ShardCluster::Execute(const db::PlanPtr& plan, db::ExecMode mode,
   // statistics, no layout: nothing optimizes them) and read without a
   // StorageManager, so they charge no I/O; the reported StorageStats come
   // from the replay below. Operators run with shard 0's live execution
-  // settings, the database PlanDistributed planned against.
+  // settings.
   db::Catalog local;
   db::ExecContext ctx = dbs_[0]->ExecSettings();
   ctx.mode = mode;
@@ -162,8 +162,9 @@ ShardedResult ShardCluster::Execute(const db::PlanPtr& plan, db::ExecMode mode,
         std::string partial_name = FragmentTableName(k) + "_partial";
         local.BindUnlaid(partial_name, std::move(partials));
         std::shared_ptr<const db::Table> merged =
-            db::Aggregate(db::Scan(partial_name), frag.group_by,
-                          frag.agg_split->merge)
+            db::Aggregate(
+                db::Scan(partial_name, frag.agg_split->partial_schema),
+                frag.group_by, frag.agg_split->merge)
                 ->Execute(ctx)
                 .Materialize();
         local.BindUnlaid(
@@ -171,7 +172,7 @@ ShardedResult ShardCluster::Execute(const db::PlanPtr& plan, db::ExecMode mode,
             db::FinalizeMergedAggregates(*merged, frag.group_by.size(),
                                          frag.agg_split->finalize));
       } else {
-        auto gathered = std::make_shared<db::Table>(frag.output_schema);
+        auto gathered = std::make_shared<db::Table>(frag.plan->schema());
         for (const serve::Response* r : responses) {
           gathered->AppendTable(*r->table);
         }

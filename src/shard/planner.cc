@@ -15,65 +15,16 @@ db::PlanPtr Alias(const db::PlanPtr& owner, const db::PlanNode* node) {
   return db::PlanPtr(owner, node);
 }
 
-/// Output schema of one node given its children's schemas — mirrors what
-/// each operator's Execute produces (scans return the FULL table schema;
-/// selections don't reshape; joins concatenate left then right).
-db::Schema OutputSchema(const db::PlanSpec& spec,
-                        const std::vector<const SiteAnnotation*>& children,
-                        const db::Catalog& catalog) {
-  switch (spec.kind) {
-    case db::PlanKind::kScan:
-    case db::PlanKind::kFilterScan:
-      return catalog.Get(spec.table_name).table->schema();
-    case db::PlanKind::kFilter:
-    case db::PlanKind::kSort:
-    case db::PlanKind::kLimit:
-    case db::PlanKind::kTopN:
-      PERFEVAL_CHECK_EQ(children.size(), 1u);
-      return children[0]->schema;
-    case db::PlanKind::kProject: {
-      PERFEVAL_CHECK_EQ(children.size(), 1u);
-      std::vector<db::ColumnSpec> cols;
-      for (size_t i = 0; i < spec.exprs.size(); ++i) {
-        cols.push_back(
-            {spec.names[i], spec.exprs[i]->ResultType(children[0]->schema)});
-      }
-      return db::Schema(std::move(cols));
-    }
-    case db::PlanKind::kHashJoin: {
-      PERFEVAL_CHECK_EQ(children.size(), 2u);
-      std::vector<db::ColumnSpec> cols = children[0]->schema.columns();
-      for (const db::ColumnSpec& c : children[1]->schema.columns()) {
-        cols.push_back(c);
-      }
-      return db::Schema(std::move(cols));
-    }
-    case db::PlanKind::kAggregate: {
-      PERFEVAL_CHECK_EQ(children.size(), 1u);
-      std::vector<db::ColumnSpec> cols;
-      for (const std::string& g : spec.group_by) {
-        cols.push_back(children[0]->schema.column(
-            children[0]->schema.MustIndexOf(g)));
-      }
-      for (const db::AggSpec& agg : spec.aggregates) {
-        cols.push_back(
-            {agg.output_name, db::AggOutputType(agg, children[0]->schema)});
-      }
-      return db::Schema(std::move(cols));
-    }
-  }
-  PERFEVAL_CHECK(false) << "unhandled plan kind";
-  return db::Schema();
-}
-
 /// The co-location test for a P⨝P equi-join: some join-key pair must carry
 /// the same partition domain on both sides — equal key values then hash to
 /// the same shard, so every match is shard-local.
-bool JoinColocated(const db::PlanSpec& spec, const SiteAnnotation& left,
+bool JoinColocated(const db::PlanSpec& spec, const db::PlanNode& left_node,
+                   const SiteAnnotation& left,
+                   const db::PlanNode& right_node,
                    const SiteAnnotation& right) {
   for (size_t i = 0; i < spec.left_keys.size(); ++i) {
-    int li = left.schema.IndexOf(spec.left_keys[i]);
-    int ri = right.schema.IndexOf(spec.right_keys[i]);
+    int li = left_node.schema().IndexOf(spec.left_keys[i]);
+    int ri = right_node.schema().IndexOf(spec.right_keys[i]);
     if (li < 0 || ri < 0) {
       continue;
     }
@@ -87,27 +38,24 @@ bool JoinColocated(const db::PlanSpec& spec, const SiteAnnotation& left,
   return false;
 }
 
-void AnnotateRecursive(const db::PlanPtr& owner, const db::PlanNode* node,
-                       const PartitionScheme& scheme,
-                       const db::Catalog& catalog,
+void AnnotateRecursive(const db::PlanNode* node, const PartitionScheme& scheme,
                        std::map<const db::PlanNode*, SiteAnnotation>* out) {
   std::vector<const db::PlanNode*> children = node->Children();
   std::vector<const SiteAnnotation*> child_annots;
   for (const db::PlanNode* child : children) {
-    AnnotateRecursive(owner, child, scheme, catalog, out);
+    AnnotateRecursive(child, scheme, out);
     child_annots.push_back(&out->at(child));
   }
   db::PlanSpec spec = node->Spec();
 
   SiteAnnotation a;
-  a.schema = OutputSchema(spec, child_annots, catalog);
   switch (spec.kind) {
     case db::PlanKind::kScan:
     case db::PlanKind::kFilterScan: {
       TablePartitionSpec placement = scheme.SpecFor(spec.table_name);
       if (placement.partitioned()) {
         a.site = Site::kPartitioned;
-        a.key_domains[a.schema.MustIndexOf(placement.key_column)] =
+        a.key_domains[node->schema().MustIndexOf(placement.key_column)] =
             placement.domain;
       } else {
         a.site = Site::kReplicated;
@@ -136,7 +84,7 @@ void AnnotateRecursive(const db::PlanPtr& owner, const db::PlanNode* node,
     case db::PlanKind::kHashJoin: {
       const SiteAnnotation& left = *child_annots[0];
       const SiteAnnotation& right = *child_annots[1];
-      size_t left_width = left.schema.num_columns();
+      size_t left_width = children[0]->schema().num_columns();
       auto merge_keys = [&]() {
         a.key_domains = left.key_domains;
         for (const auto& [idx, domain] : right.key_domains) {
@@ -151,7 +99,7 @@ void AnnotateRecursive(const db::PlanPtr& owner, const db::PlanNode* node,
         a.site = Site::kReplicated;
       } else if (left.site == Site::kPartitioned &&
                  right.site == Site::kPartitioned) {
-        if (JoinColocated(spec, left, right)) {
+        if (JoinColocated(spec, *children[0], left, *children[1], right)) {
           a.site = Site::kPartitioned;
           merge_keys();
         } else {
@@ -181,7 +129,7 @@ void AnnotateRecursive(const db::PlanPtr& owner, const db::PlanNode* node,
       a.site = Site::kCoordinator;
       for (size_t i = 0; i < spec.group_by.size(); ++i) {
         auto it = child.key_domains.find(
-            child.schema.MustIndexOf(spec.group_by[i]));
+            children[0]->schema().MustIndexOf(spec.group_by[i]));
         if (it != child.key_domains.end()) {
           a.site = Site::kPartitioned;
           a.key_domains[i] = it->second;
@@ -203,16 +151,17 @@ void AnnotateRecursive(const db::PlanPtr& owner, const db::PlanNode* node,
 }
 
 /// Rebuilds one operator from its spec over new children — the residual's
-/// nodes reuse the original ExprPtrs, which stay valid because fragment
-/// tables are registered with exactly the schemas the original subtrees
-/// produced.
-db::PlanPtr Rebuild(const db::PlanSpec& spec,
+/// nodes reuse the original ExprPtrs, which stay valid because each
+/// fragment scan declares the schema of the subtree it replaces.
+db::PlanPtr Rebuild(const db::PlanNode& node,
                     std::vector<db::PlanPtr> children) {
+  db::PlanSpec spec = node.Spec();
   switch (spec.kind) {
     case db::PlanKind::kScan:
-      return db::Scan(spec.table_name, spec.columns);
+      return db::Scan(spec.table_name, node.schema(), spec.columns);
     case db::PlanKind::kFilterScan:
-      return db::FilterScan(spec.table_name, spec.columns, spec.predicate);
+      return db::FilterScan(spec.table_name, node.schema(), spec.columns,
+                            spec.predicate);
     case db::PlanKind::kFilter:
       return db::Filter(std::move(children[0]), spec.predicate);
     case db::PlanKind::kProject:
@@ -252,18 +201,23 @@ class FragmentExtractor {
   /// Cuts the maximal shard-executable subtree at `node` into a fragment
   /// and returns the residual's Scan leaf over its gathered table.
   db::PlanPtr MakeFragment(const db::PlanNode* node, DistributedPlan* out) {
-    const SiteAnnotation& a = annot_.at(node);
     FragmentPlan frag;
     frag.plan = Alias(root_, node);
-    frag.replicated_only = a.site == Site::kReplicated;
-    frag.output_schema = a.schema;
+    frag.replicated_only = annot_.at(node).site == Site::kReplicated;
     out->fragments.push_back(std::move(frag));
-    return db::Scan(FragmentTableName(out->fragments.size() - 1));
+    return FragmentScan(*node, *out);
+  }
+
+  /// The residual's leaf over the newest fragment's gathered table, which
+  /// holds what `replaced` would have produced.
+  static db::PlanPtr FragmentScan(const db::PlanNode& replaced,
+                                  const DistributedPlan& out) {
+    return db::Scan(FragmentTableName(out.fragments.size() - 1),
+                    replaced.schema());
   }
 
   db::PlanPtr Rewrite(const db::PlanNode* node, DistributedPlan* out) {
-    const SiteAnnotation& a = annot_.at(node);
-    if (a.site != Site::kCoordinator) {
+    if (annot_.at(node).site != Site::kCoordinator) {
       return MakeFragment(node, out);
     }
     db::PlanSpec spec = node->Spec();
@@ -275,19 +229,18 @@ class FragmentExtractor {
     // gathers the child's rows and aggregates at the coordinator.
     if (spec.kind == db::PlanKind::kAggregate &&
         annot_.at(children[0]).site == Site::kPartitioned) {
-      const SiteAnnotation& child = annot_.at(children[0]);
       db::AggSplit split;
-      if (db::SplitAggregates(spec.group_by, spec.aggregates, child.schema,
-                              &split)) {
+      if (db::SplitAggregates(spec.group_by, spec.aggregates,
+                              children[0]->schema(), &split)) {
         FragmentPlan frag;
         frag.plan = db::Aggregate(Alias(root_, children[0]), spec.group_by,
                                   split.partial);
         frag.replicated_only = false;
-        frag.output_schema = a.schema;  // post-merge, post-finalize.
         frag.group_by = spec.group_by;
         frag.agg_split = std::move(split);
         out->fragments.push_back(std::move(frag));
-        return db::Scan(FragmentTableName(out->fragments.size() - 1));
+        // Post-merge, post-finalize: the original aggregate's output.
+        return FragmentScan(*node, *out);
       }
     }
 
@@ -296,7 +249,7 @@ class FragmentExtractor {
     for (const db::PlanNode* child : children) {
       rewritten.push_back(Rewrite(child, out));
     }
-    return Rebuild(spec, std::move(rewritten));
+    return Rebuild(*node, std::move(rewritten));
   }
 
   const db::PlanPtr& root_;
@@ -322,21 +275,17 @@ std::string FragmentTableName(size_t k) {
 }
 
 std::map<const db::PlanNode*, SiteAnnotation> AnnotateSites(
-    const db::PlanPtr& plan, const PartitionScheme& scheme,
-    const db::Database& catalog) {
+    const db::PlanPtr& plan, const PartitionScheme& scheme) {
   PERFEVAL_CHECK(plan != nullptr);
   std::map<const db::PlanNode*, SiteAnnotation> out;
-  // One pinned catalog version for the whole walk.
-  std::shared_ptr<const db::Catalog> pinned = catalog.catalog();
-  AnnotateRecursive(plan, plan.get(), scheme, *pinned, &out);
+  AnnotateRecursive(plan.get(), scheme, &out);
   return out;
 }
 
 DistributedPlan PlanDistributed(const db::PlanPtr& plan,
-                                const PartitionScheme& scheme,
-                                const db::Database& catalog) {
+                                const PartitionScheme& scheme) {
   std::map<const db::PlanNode*, SiteAnnotation> annot =
-      AnnotateSites(plan, scheme, catalog);
+      AnnotateSites(plan, scheme);
   return FragmentExtractor(plan, annot).Run();
 }
 

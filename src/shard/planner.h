@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "db/database.h"
 #include "db/partial_agg.h"
 #include "db/plan.h"
 #include "db/table.h"
@@ -25,25 +24,21 @@ enum class Site {
 
 const char* SiteName(Site site);
 
-/// One node's placement annotation: its site, its output schema, and which
-/// output columns carry a partition key (column index -> domain name).
-/// Key domains are what prove co-location: a P⨝P equi-join stays
-/// shard-local iff some join-key pair shares a domain on both sides.
+/// One node's placement annotation: its site and which output columns
+/// (indexes into the node's schema()) carry a partition key (column index
+/// -> domain name). Key domains are what prove co-location: a P⨝P
+/// equi-join stays shard-local iff some join-key pair shares a domain on
+/// both sides.
 struct SiteAnnotation {
   Site site = Site::kReplicated;
-  db::Schema schema;
   std::map<size_t, std::string> key_domains;
 };
 
-/// Annotates `plan` bottom-up against the partition scheme. `catalog`
-/// resolves base-table schemas (any database holding the full logical
-/// schema works — shard databases do, since partitioning never changes a
-/// schema). Returns one annotation per node, keyed by node pointer; the
-/// root's annotation decides whether the plan needs the coordinator at
-/// all.
+/// Annotates `plan` bottom-up against the partition scheme. Returns one
+/// annotation per node, keyed by node pointer; the root's annotation
+/// decides whether the plan needs the coordinator at all.
 std::map<const db::PlanNode*, SiteAnnotation> AnnotateSites(
-    const db::PlanPtr& plan, const PartitionScheme& scheme,
-    const db::Database& catalog);
+    const db::PlanPtr& plan, const PartitionScheme& scheme);
 
 /// One shard-executable fragment of a distributed plan.
 struct FragmentPlan {
@@ -54,10 +49,6 @@ struct FragmentPlan {
   /// alone yields the complete result (running it everywhere would
   /// duplicate rows).
   bool replicated_only = false;
-  /// Schema of the gathered fragment table the residual scans ("__frag<k>"
-  /// in the coordinator's query-local catalog). For a split aggregate this is
-  /// the ORIGINAL aggregate's output schema (post-merge, post-finalize).
-  db::Schema output_schema;
   /// Engaged when the fragment is a decomposed aggregate: each shard runs
   /// the partial aggregate; the coordinator concatenates partials in shard
   /// order, runs the merge aggregate, and applies the finalize projection.
@@ -70,8 +61,10 @@ struct FragmentPlan {
 struct DistributedPlan {
   std::vector<FragmentPlan> fragments;
   /// The coordinator-side remainder, reading fragment k through a
-  /// Scan("__frag<k>") leaf. Always set — a fully shard-executable plan
-  /// reduces to residual = Scan("__frag0").
+  /// Scan("__frag<k>") leaf that declares the schema of the subtree it
+  /// replaces: `plan->schema()`, or for a split aggregate the original
+  /// aggregate's (post-merge, post-finalize). Always set — a fully
+  /// shard-executable plan reduces to residual = Scan("__frag0").
   db::PlanPtr residual;
   /// The undistributed input plan (the coordinator replays its scan I/O
   /// against the global layout for logical StorageStats).
@@ -104,8 +97,7 @@ std::string FragmentTableName(size_t k);
 /// on the shards: Q15 joins supplier against an aggregate of lineitem
 /// grouped by l_suppkey, which is not a partition key.
 DistributedPlan PlanDistributed(const db::PlanPtr& plan,
-                                const PartitionScheme& scheme,
-                                const db::Database& catalog);
+                                const PartitionScheme& scheme);
 
 }  // namespace shard
 }  // namespace perfeval

@@ -12,13 +12,8 @@ namespace perfeval {
 namespace sql {
 namespace {
 
+using db::PlanPtr;
 using db::Schema;
-
-/// A plan under construction together with its output schema.
-struct Bound {
-  db::PlanPtr plan;
-  Schema schema;
-};
 
 Status ErrorAt(const AstExpr& node, const std::string& message) {
   return Status::InvalidArgument(
@@ -275,20 +270,20 @@ class Planner {
 
   Result<PlannedQuery> Plan() {
     PERFEVAL_RETURN_IF_ERROR(ResolveTables());
-    PERFEVAL_ASSIGN_OR_RETURN(Bound bound, BuildJoinedInput());
-    PERFEVAL_RETURN_IF_ERROR(ApplyResidualWhere(&bound));
+    PERFEVAL_ASSIGN_OR_RETURN(PlanPtr plan, BuildJoinedInput());
+    PERFEVAL_RETURN_IF_ERROR(ApplyResidualWhere(&plan));
     bool is_aggregate = !stmt_.group_by.empty() || HasAggregates();
     if (is_aggregate) {
-      PERFEVAL_RETURN_IF_ERROR(ApplyAggregation(&bound));
+      PERFEVAL_RETURN_IF_ERROR(ApplyAggregation(&plan));
     } else {
       if (stmt_.having != nullptr) {
         return Status::InvalidArgument(
             "HAVING requires GROUP BY or aggregates");
       }
     }
-    PERFEVAL_RETURN_IF_ERROR(ApplyOrderProjectLimit(&bound, is_aggregate));
+    PERFEVAL_RETURN_IF_ERROR(ApplyOrderProjectLimit(&plan, is_aggregate));
     PlannedQuery out;
-    out.plan = bound.plan;
+    out.plan = std::move(plan);
     out.explain = stmt_.explain;
     return out;
   }
@@ -376,7 +371,7 @@ class Planner {
 
   /// Builds the scans (with pushed-down single-table predicates) and the
   /// left-deep join tree; stores residual WHERE conjuncts in residual_.
-  Result<Bound> BuildJoinedInput() {
+  Result<PlanPtr> BuildJoinedInput() {
     std::vector<AstExprPtr> where_conjuncts;
     SplitConjuncts(stmt_.where, &where_conjuncts);
     std::vector<std::vector<AstExprPtr>> pushed(tables_.size());
@@ -389,7 +384,7 @@ class Planner {
       }
     }
 
-    auto build_base = [&](size_t index) -> Result<Bound> {
+    auto build_base = [&](size_t index) -> Result<PlanPtr> {
       const std::string& name = tables_[index];
       const Schema& schema = catalog_->Get(name).table->schema();
       std::vector<std::string> used = UsedColumnsOf(index);
@@ -401,17 +396,17 @@ class Planner {
         }
       }
       if (pushed[index].empty()) {
-        return Bound{db::Scan(name, used), schema};
+        return db::Scan(name, schema, used);
       }
       AstExprPtr predicate = JoinConjuncts(pushed[index]);
       PERFEVAL_ASSIGN_OR_RETURN(db::ExprPtr bound,
                                 BindScalar(predicate, schema, {}));
-      return Bound{db::FilterScan(name, used, bound), schema};
+      return db::FilterScan(name, schema, used, bound);
     };
 
-    PERFEVAL_ASSIGN_OR_RETURN(Bound current, build_base(0));
+    PERFEVAL_ASSIGN_OR_RETURN(PlanPtr current, build_base(0));
     for (size_t j = 0; j < stmt_.joins.size(); ++j) {
-      PERFEVAL_ASSIGN_OR_RETURN(Bound right, build_base(j + 1));
+      PERFEVAL_ASSIGN_OR_RETURN(PlanPtr right, build_base(j + 1));
       PERFEVAL_ASSIGN_OR_RETURN(
           current, BuildJoin(current, right, stmt_.joins[j]));
     }
@@ -419,8 +414,8 @@ class Planner {
   }
 
   /// One JOIN: extract 1-2 column equalities, keep the rest as filters.
-  Result<Bound> BuildJoin(const Bound& left, const Bound& right,
-                          const JoinClause& join) {
+  Result<PlanPtr> BuildJoin(const PlanPtr& left, const PlanPtr& right,
+                            const JoinClause& join) {
     std::vector<AstExprPtr> conjuncts;
     SplitConjuncts(join.condition, &conjuncts);
     std::vector<std::pair<std::string, std::string>> equalities;
@@ -436,10 +431,10 @@ class Planner {
       }
       std::string a = conjunct->children[0]->text;
       std::string b = conjunct->children[1]->text;
-      bool a_left = left.schema.IndexOf(a) >= 0;
-      bool a_right = right.schema.IndexOf(a) >= 0;
-      bool b_left = left.schema.IndexOf(b) >= 0;
-      bool b_right = right.schema.IndexOf(b) >= 0;
+      bool a_left = left->schema().IndexOf(a) >= 0;
+      bool a_right = right->schema().IndexOf(a) >= 0;
+      bool b_left = left->schema().IndexOf(b) >= 0;
+      bool b_right = right->schema().IndexOf(b) >= 0;
       if (a_left && b_right) {
         equalities.emplace_back(a, b);
       } else if (b_left && a_right) {
@@ -453,38 +448,31 @@ class Planner {
       return ErrorAt(*join.condition,
                      "JOIN needs one or two column equalities");
     }
-    std::vector<db::ColumnSpec> specs = left.schema.columns();
-    for (const db::ColumnSpec& spec : right.schema.columns()) {
-      specs.push_back(spec);
+    std::vector<std::string> left_keys;
+    std::vector<std::string> right_keys;
+    for (const auto& [left_key, right_key] : equalities) {
+      left_keys.push_back(left_key);
+      right_keys.push_back(right_key);
     }
-    Bound joined;
-    joined.schema = Schema(std::move(specs));
-    if (equalities.size() == 1) {
-      joined.plan = db::HashJoin(left.plan, right.plan,
-                                 equalities[0].first, equalities[0].second);
-    } else {
-      joined.plan = db::HashJoin2(left.plan, right.plan,
-                                  equalities[0].first, equalities[0].second,
-                                  equalities[1].first,
-                                  equalities[1].second);
-    }
+    PlanPtr joined = db::HashJoinWith(left, right, std::move(left_keys),
+                                      std::move(right_keys), std::nullopt);
     if (!join_residual.empty()) {
       PERFEVAL_ASSIGN_OR_RETURN(
           db::ExprPtr bound,
-          BindScalar(JoinConjuncts(join_residual), joined.schema, {}));
-      joined.plan = db::Filter(joined.plan, bound);
+          BindScalar(JoinConjuncts(join_residual), joined->schema(), {}));
+      joined = db::Filter(joined, bound);
     }
     return joined;
   }
 
-  Status ApplyResidualWhere(Bound* bound) {
+  Status ApplyResidualWhere(PlanPtr* plan) {
     if (residual_.empty()) {
       return Status::OK();
     }
     PERFEVAL_ASSIGN_OR_RETURN(
         db::ExprPtr predicate,
-        BindScalar(JoinConjuncts(residual_), bound->schema, {}));
-    bound->plan = db::Filter(bound->plan, predicate);
+        BindScalar(JoinConjuncts(residual_), (*plan)->schema(), {}));
+    *plan = db::Filter(*plan, predicate);
     return Status::OK();
   }
 
@@ -493,11 +481,11 @@ class Planner {
   /// GROUP BY keys may be base columns or aliases of computed select items
   /// (e.g. `year(o_orderdate) AS y ... GROUP BY y`); computed keys are
   /// materialized by a pre-aggregation projection.
-  Status ApplyAggregation(Bound* bound) {
-    PERFEVAL_RETURN_IF_ERROR(MaterializeComputedGroupKeys(bound));
+  Status ApplyAggregation(PlanPtr* plan) {
+    PERFEVAL_RETURN_IF_ERROR(MaterializeComputedGroupKeys(plan));
     // Validate group-by columns.
     for (const std::string& g : stmt_.group_by) {
-      if (bound->schema.IndexOf(g) < 0) {
+      if ((*plan)->schema().IndexOf(g) < 0) {
         return Status::InvalidArgument("unknown GROUP BY column '" + g +
                                        "'");
       }
@@ -567,42 +555,28 @@ class Planner {
       spec.output_name = name;
       if (!node->children.empty()) {
         PERFEVAL_ASSIGN_OR_RETURN(
-            spec.expr, BindScalar(node->children[0], bound->schema, {}));
+            spec.expr, BindScalar(node->children[0], (*plan)->schema(), {}));
       } else if (spec.op != db::AggOp::kCount) {
         return ErrorAt(*node, "aggregate needs an argument");
       }
       specs.push_back(std::move(spec));
     }
 
-    // The Aggregate node's output schema: group columns then agg outputs.
-    std::vector<db::ColumnSpec> out_specs;
-    for (const std::string& g : stmt_.group_by) {
-      out_specs.push_back(
-          bound->schema.column(bound->schema.MustIndexOf(g)));
-    }
-    for (const db::AggSpec& spec : specs) {
-      // Shared with AggregateNode so the planned schema always matches
-      // execution (int SUM/MIN/MAX stay int64, counts int64, rest double).
-      out_specs.push_back({spec.output_name,
-                           db::AggOutputType(spec, bound->schema)});
-    }
-    bound->plan =
-        db::Aggregate(bound->plan, stmt_.group_by, std::move(specs));
-    bound->schema = Schema(std::move(out_specs));
+    *plan = db::Aggregate(*plan, stmt_.group_by, std::move(specs));
 
     if (stmt_.having != nullptr) {
       PERFEVAL_ASSIGN_OR_RETURN(
           db::ExprPtr having,
-          BindScalar(stmt_.having, bound->schema, agg_names));
-      bound->plan = db::Filter(bound->plan, having);
+          BindScalar(stmt_.having, (*plan)->schema(), agg_names));
+      *plan = db::Filter(*plan, having);
     }
 
     // Project the SELECT list over the aggregate output. Items whose name
     // is a group key reference the key column directly (it may have been
     // computed pre-aggregation).
+    const Schema& aggregated = (*plan)->schema();
     std::vector<db::ExprPtr> exprs;
     std::vector<std::string> names;
-    std::vector<db::ColumnSpec> projected;
     for (size_t i = 0; i < stmt_.items.size(); ++i) {
       const SelectItem& item = stmt_.items[i];
       std::string name = ItemName(item, i);
@@ -612,27 +586,26 @@ class Planner {
       }
       db::ExprPtr expr;
       if (is_group_key) {
-        expr = db::Col(bound->schema, name);
+        expr = db::Col(aggregated, name);
       } else {
         PERFEVAL_ASSIGN_OR_RETURN(
-            expr, BindScalar(item.expr, bound->schema, agg_names));
+            expr, BindScalar(item.expr, aggregated, agg_names));
       }
-      projected.push_back({name, expr->ResultType(bound->schema)});
       exprs.push_back(std::move(expr));
       names.push_back(std::move(name));
     }
-    bound->plan = db::Project(bound->plan, std::move(exprs), names);
-    bound->schema = Schema(std::move(projected));
+    *plan = db::Project(*plan, std::move(exprs), std::move(names));
     return Status::OK();
   }
 
   /// For GROUP BY keys that are aliases of computed select items, inserts
   /// a projection that materializes them (keeping every existing column,
   /// which the scans already pruned to the used set).
-  Status MaterializeComputedGroupKeys(Bound* bound) {
+  Status MaterializeComputedGroupKeys(PlanPtr* plan) {
+    const Schema& input = (*plan)->schema();
     std::vector<std::pair<std::string, AstExprPtr>> computed;
     for (const std::string& g : stmt_.group_by) {
-      if (bound->schema.IndexOf(g) >= 0) {
+      if (input.IndexOf(g) >= 0) {
         continue;
       }
       const AstExprPtr* source = nullptr;
@@ -661,30 +634,25 @@ class Planner {
     }
     std::vector<db::ExprPtr> exprs;
     std::vector<std::string> names;
-    std::vector<db::ColumnSpec> specs;
-    for (const db::ColumnSpec& column : bound->schema.columns()) {
-      exprs.push_back(db::Col(bound->schema, column.name));
+    for (const db::ColumnSpec& column : input.columns()) {
+      exprs.push_back(db::Col(input, column.name));
       names.push_back(column.name);
-      specs.push_back(column);
     }
     for (const auto& [name, ast] : computed) {
       PERFEVAL_ASSIGN_OR_RETURN(db::ExprPtr expr,
-                                BindScalar(ast, bound->schema, {}));
-      specs.push_back({name, expr->ResultType(bound->schema)});
+                                BindScalar(ast, input, {}));
       exprs.push_back(std::move(expr));
       names.push_back(name);
     }
-    bound->plan = db::Project(bound->plan, std::move(exprs), names);
-    bound->schema = Schema(std::move(specs));
+    *plan = db::Project(*plan, std::move(exprs), std::move(names));
     return Status::OK();
   }
 
-  Status ApplyOrderProjectLimit(Bound* bound, bool is_aggregate) {
+  Status ApplyOrderProjectLimit(PlanPtr* plan, bool is_aggregate) {
     // Non-aggregate projection (aggregates already projected).
     if (!is_aggregate && !stmt_.select_star) {
       // ORDER BY keys that are not in the projected output must be sorted
       // before projecting.
-      std::vector<db::ColumnSpec> projected;
       std::vector<std::string> names;
       for (size_t i = 0; i < stmt_.items.size(); ++i) {
         names.push_back(ItemName(stmt_.items[i], i));
@@ -698,40 +666,38 @@ class Planner {
         order_needs_base |= !in_output;
       }
       if (order_needs_base && !stmt_.order_by.empty()) {
-        PERFEVAL_RETURN_IF_ERROR(ApplySort(bound));
+        PERFEVAL_RETURN_IF_ERROR(ApplySort(plan));
       }
       std::vector<db::ExprPtr> exprs;
       for (size_t i = 0; i < stmt_.items.size(); ++i) {
         PERFEVAL_ASSIGN_OR_RETURN(
             db::ExprPtr expr,
-            BindScalar(stmt_.items[i].expr, bound->schema, {}));
-        projected.push_back({names[i], expr->ResultType(bound->schema)});
+            BindScalar(stmt_.items[i].expr, (*plan)->schema(), {}));
         exprs.push_back(std::move(expr));
       }
-      bound->plan = db::Project(bound->plan, std::move(exprs), names);
-      bound->schema = Schema(std::move(projected));
+      *plan = db::Project(*plan, std::move(exprs), std::move(names));
       if (!order_needs_base && !stmt_.order_by.empty()) {
-        PERFEVAL_RETURN_IF_ERROR(ApplySort(bound));
+        PERFEVAL_RETURN_IF_ERROR(ApplySort(plan));
       }
     } else if (!stmt_.order_by.empty()) {
-      PERFEVAL_RETURN_IF_ERROR(ApplySort(bound));
+      PERFEVAL_RETURN_IF_ERROR(ApplySort(plan));
     }
     if (stmt_.limit.has_value()) {
-      bound->plan = db::Limit(bound->plan, *stmt_.limit);
+      *plan = db::Limit(*plan, *stmt_.limit);
     }
     return Status::OK();
   }
 
-  Status ApplySort(Bound* bound) {
+  Status ApplySort(PlanPtr* plan) {
     std::vector<db::SortKey> keys;
     for (const OrderItem& item : stmt_.order_by) {
-      if (bound->schema.IndexOf(item.column) < 0) {
+      if ((*plan)->schema().IndexOf(item.column) < 0) {
         return Status::InvalidArgument("unknown ORDER BY column '" +
                                        item.column + "'");
       }
       keys.push_back({item.column, item.ascending});
     }
-    bound->plan = db::Sort(bound->plan, std::move(keys));
+    *plan = db::Sort(*plan, std::move(keys));
     return Status::OK();
   }
 
@@ -755,7 +721,7 @@ Result<PlannedQuery> PlanStatement(const SelectStatement& statement,
                                    const db::Database& database) {
   Planner planner(statement, database);
   Result<PlannedQuery> planned = planner.Plan();
-  // Opt-in cost-based optimization (`\opt on` / --dbOpt=on): hand the
+  // Opt-in cost-based optimization (`\opt on`): hand the
   // rule-built plan to the optimizer, which re-derives join order and
   // pins a join algorithm per node from the table statistics. EXPLAIN
   // shows the optimized tree; results are oracle-diffed identical.

@@ -1,13 +1,14 @@
 // BenchContext's argument and database-knob parsing. An argument that is
 // neither a property nor a known flag stops the bench, and so does a
 // database knob given to a bench that never applies one, or an order or
-// isolation policy the scheduler cannot parse, and a scheduler flag given
-// to a bench that schedules no trials. The treatment knobs
-// --dbJoin/--dbOpt/--dbThreads are the experiment itself: an unrecognized
-// value must surface as a usage error, never as a silent fallback that
-// quietly measures the wrong engine. The
-// one `db knobs:` line a bench prints is read back from the Database the
-// knobs were applied to, never echoed from the command line.
+// isolation policy the scheduler cannot parse, a scheduler flag given to
+// a bench that schedules no trials, and --dbOpt in any bench (a bench
+// declares which plans it runs). The treatment knobs --dbJoin/--dbThreads
+// are the experiment itself: an unrecognized value must surface as a
+// usage error, never as a silent fallback that quietly measures the wrong
+// engine. The one `db knobs:` line a bench prints is read back from the
+// Database the knobs were applied to, never echoed from the command line.
+// The load-sweep charts plot only the percentiles their tables print.
 
 #include <fstream>
 #include <sstream>
@@ -18,6 +19,9 @@
 
 #include "bench_util.h"
 #include "db/database.h"
+#include "load_sweep.h"
+#include "report/gnuplot.h"
+#include "serve/latency.h"
 
 namespace perfeval {
 namespace bench {
@@ -43,19 +47,19 @@ TEST(BenchUtilTest, DefaultsAreRadixAndOptimizerOff) {
   Result<db::JoinAlgo> join = ctx.DbJoin();
   ASSERT_TRUE(join.ok());
   EXPECT_EQ(join.value(), db::JoinAlgo::kRadix);
-  Result<bool> opt = ctx.DbOpt();
-  ASSERT_TRUE(opt.ok());
-  EXPECT_FALSE(opt.value());
+  db::Database database;
+  ::testing::internal::CaptureStdout();
+  Status status = ctx.ApplyDbKnobs(&database, PlanSource::kRuleOrder);
+  ::testing::internal::GetCapturedStdout();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_FALSE(database.optimize());
 }
 
 TEST(BenchUtilTest, ValidKnobValuesParse) {
-  BenchContext ctx = MakeContext({"--dbJoin=merge", "--dbOpt=on"});
+  BenchContext ctx = MakeContext({"--dbJoin=merge"});
   Result<db::JoinAlgo> join = ctx.DbJoin();
   ASSERT_TRUE(join.ok());
   EXPECT_EQ(join.value(), db::JoinAlgo::kMerge);
-  Result<bool> opt = ctx.DbOpt();
-  ASSERT_TRUE(opt.ok());
-  EXPECT_TRUE(opt.value());
 }
 
 TEST(BenchUtilTest, InvalidDbJoinIsAUsageErrorNotAFallback) {
@@ -83,7 +87,7 @@ TEST(BenchUtilTest, UnknownArgumentIsAUsageErrorNotIgnored) {
 TEST(BenchUtilTest, DbKnobGivenToABenchThatIgnoresItIsAUsageError) {
   // `bench_join_crossover --dbJoin=hash` would otherwise run on with its
   // own join sweep and record a knob it never read in its manifest.
-  for (const char* knob : {"dbThreads", "dbJoin", "radixBits", "dbOpt"}) {
+  for (const char* knob : {"dbThreads", "dbJoin", "radixBits"}) {
     const std::string expected =
         std::string("usage: --") + knob + " is not honored by T0";
     EXPECT_EXIT(MakeContext({std::string("--") + knob + "=1"},
@@ -143,12 +147,16 @@ TEST(BenchUtilTest, UnparsableOrderOrIsolationIsAUsageError) {
 }
 
 TEST(BenchUtilTest, InvalidDbOptIsAUsageErrorNotAFallback) {
-  BenchContext ctx = MakeContext({"--dbOpt=maybe"});
-  Result<bool> opt = ctx.DbOpt();
-  ASSERT_FALSE(opt.ok());
-  EXPECT_NE(opt.status().message().find("usage: --dbOpt"),
-            std::string::npos);
-  EXPECT_NE(opt.status().message().find("maybe"), std::string::npos);
+  // No bench reads --dbOpt, so every value of it, as a flag or a property,
+  // stops every bench: one that applies database knobs or not.
+  for (const char* arg : {"--dbOpt=maybe", "-DdbOpt=maybe", "--dbOpt=on",
+                          "-DdbOpt=on"}) {
+    for (DbKnobs knobs : {DbKnobs::kApplied, DbKnobs::kIgnored}) {
+      EXPECT_EXIT(MakeContext({arg}, knobs), ::testing::ExitedWithCode(2),
+                  "usage: --dbOpt is not a knob: T0 declares the plans it runs")
+          << arg;
+    }
+  }
 }
 
 TEST(BenchUtilTest, InvalidDbThreadsIsAUsageErrorNotAClamp) {
@@ -161,19 +169,20 @@ TEST(BenchUtilTest, InvalidDbThreadsIsAUsageErrorNotAClamp) {
         << text;
     db::Database database;
     database.set_threads(2);
-    EXPECT_FALSE(ctx.ApplyDbKnobs(&database).ok()) << text;
+    EXPECT_FALSE(ctx.ApplyDbKnobs(&database, PlanSource::kRuleOrder).ok())
+        << text;
     EXPECT_EQ(database.threads(), 2) << text;
   }
 }
 
 TEST(BenchUtilTest, ApplyDbKnobsConfiguresTheDatabase) {
-  BenchContext ctx = MakeContext({"--dbJoin=hash", "--dbOpt=on",
-                                  "--dbThreads=3", "--radixBits=6"});
+  BenchContext ctx =
+      MakeContext({"--dbJoin=hash", "--dbThreads=3", "--radixBits=6"});
   db::Database database;
-  Status status = ctx.ApplyDbKnobs(&database);
+  Status status = ctx.ApplyDbKnobs(&database, PlanSource::kRuleOrder);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(database.join_algo(), db::JoinAlgo::kHash);
-  EXPECT_TRUE(database.optimize());
+  EXPECT_FALSE(database.optimize());
   EXPECT_EQ(database.threads(), 3);
   EXPECT_EQ(database.radix_bits(), 6);
 }
@@ -181,7 +190,7 @@ TEST(BenchUtilTest, ApplyDbKnobsConfiguresTheDatabase) {
 TEST(BenchUtilTest, ApplyDbKnobsPropagatesTheFirstError) {
   BenchContext ctx = MakeContext({"--dbJoin=bogus"});
   db::Database database;
-  Status status = ctx.ApplyDbKnobs(&database);
+  Status status = ctx.ApplyDbKnobs(&database, PlanSource::kRuleOrder);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("usage: --dbJoin"), std::string::npos);
 }
@@ -200,15 +209,15 @@ TEST(BenchUtilTest, HeaderEchoesNoKnobs) {
 TEST(BenchUtilTest, ApplyDbKnobsPrintsAndRecordsTheAppliedValues) {
   std::string dir = ::testing::TempDir() + "bench_util_knobs";
   BenchContext ctx =
-      MakeContext({"--dbJoin=hash", "--dbOpt=on", "--dbThreads=3",
-                   "--radixBits=6", "-DresultsDir=" + dir});
+      MakeContext({"--dbJoin=hash", "--dbThreads=3", "--radixBits=6",
+                   "-DresultsDir=" + dir});
   db::Database database;
   ::testing::internal::CaptureStdout();
-  Status status = ctx.ApplyDbKnobs(&database);
+  Status status = ctx.ApplyDbKnobs(&database, PlanSource::kRuleOrder);
   std::string out = ::testing::internal::GetCapturedStdout();
   ASSERT_TRUE(status.ok()) << status.ToString();
   const std::string line =
-      "db knobs: threads=3 join=hash radix_bits=6 opt=on";
+      "db knobs: threads=3 join=hash radix_bits=6 plans=rule-order";
   EXPECT_EQ(out, line + "\n");
 
   std::ifstream manifest(ctx.Finish());
@@ -224,10 +233,11 @@ TEST(BenchUtilTest, ApplyDbKnobsWithoutFlagsReportsTheDefaults) {
   EXPECT_EQ(threads.value(), 1);
   db::Database database;
   ::testing::internal::CaptureStdout();
-  Status status = ctx.ApplyDbKnobs(&database);
+  Status status = ctx.ApplyDbKnobs(&database, PlanSource::kRuleOrder);
   std::string out = ::testing::internal::GetCapturedStdout();
   ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(out, "db knobs: threads=1 join=radix radix_bits=0 opt=off\n");
+  EXPECT_EQ(out,
+            "db knobs: threads=1 join=radix radix_bits=0 plans=rule-order\n");
 }
 
 TEST(BenchUtilTest, ABenchRunningBothPlanKindsNamesThemNotTheOptKnob) {
@@ -253,29 +263,53 @@ TEST(BenchUtilTest, ABenchRunningBothPlanKindsNamesThemNotTheOptKnob) {
 }
 
 TEST(BenchUtilTest, DbOptGivenToABenchRunningBothPlanKindsIsAUsageError) {
+  // A11 runs both plan kinds itself; the knob stops it before it builds a
+  // database, like every other bench.
   for (const char* flag : {"--dbOpt=on", "--dbOpt=off"}) {
-    BenchContext ctx = MakeContext({flag});
-    db::Database database;
-    ::testing::internal::CaptureStdout();
-    Status status =
-        ctx.ApplyDbKnobs(&database, PlanSource::kRuleOrderAndOptimized);
-    std::string out = ::testing::internal::GetCapturedStdout();
-    ASSERT_FALSE(status.ok()) << flag;
-    EXPECT_NE(status.message().find("usage: --dbOpt"), std::string::npos)
-        << status.message();
-    EXPECT_EQ(out, "") << flag;
-    EXPECT_FALSE(database.optimize()) << flag;
+    EXPECT_EXIT(MakeContext({flag}), ::testing::ExitedWithCode(2),
+                "usage: --dbOpt is not a knob")
+        << flag;
   }
 }
 
 TEST(BenchUtilTest, FailedApplyPrintsNoKnobs) {
-  BenchContext ctx = MakeContext({"--dbOpt=maybe"});
+  BenchContext ctx = MakeContext({"--dbJoin=maybe"});
   db::Database database;
   ::testing::internal::CaptureStdout();
-  Status status = ctx.ApplyDbKnobs(&database);
+  Status status = ctx.ApplyDbKnobs(&database, PlanSource::kRuleOrder);
   std::string out = ::testing::internal::GetCapturedStdout();
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(out, "");
+}
+
+TEST(LoadSweepTest, ACellOf48RequestsContributesNoP99Point) {
+  // 48 requests support a p50 (10+ samples beyond it) but not a p99,
+  // which needs 1000; the sweep tables print "n/a (n=48)" for it.
+  serve::LatencyHistogram latency;
+  for (int i = 1; i <= 48; ++i) {
+    latency.Record(int64_t{i} * 1'000'000);
+  }
+  LatencyPercentile p50 = SummarizePercentile(latency, 50.0, 7, 200);
+  LatencyPercentile p99 = SummarizePercentile(latency, 99.0, 7, 200);
+  ASSERT_TRUE(p50.supported);
+  ASSERT_FALSE(p99.supported);
+  core::Series p50_series{"p50", {}, {}, {}};
+  core::Series p99_series{"p99", {}, {}, {}};
+  AppendSupportedPoint(&p50_series, 10.0, p50);
+  AppendSupportedPoint(&p99_series, 10.0, p99);
+  EXPECT_EQ(p50_series.size(), 1u);
+  EXPECT_EQ(p50_series.y_error.size(), 1u);
+  EXPECT_EQ(p99_series.size(), 0u);
+
+  // The empty series is left off the chart, and the title says why.
+  report::ChartSpec chart;
+  chart.title = "latency vs load";
+  AddPercentileCurves("p50", {p50_series}, &chart);
+  AddPercentileCurves("p99", {p99_series}, &chart);
+  ASSERT_EQ(chart.series.size(), 1u);
+  EXPECT_EQ(chart.series[0].name, "p50");
+  EXPECT_EQ(chart.title,
+            "latency vs load (p99 left off: too few requests per cell)");
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "db/database.h"
 #include "db/error.h"
 #include "db/plan.h"
+#include "../test_scans.h"
 
 namespace perfeval {
 namespace db {
@@ -52,7 +53,7 @@ TEST(CheckedArithmeticTest, SumNearInt64MaxThrowsInsteadOfWrapping) {
   auto database = MakeDb(IntTable({kBig, kBig}));
   const Schema& schema = database->GetTable("t").schema();
   PlanPtr plan = Aggregate(
-      Scan("t"), {},
+      ScanOf(*database, "t"), {},
       {MakeAgg(AggOp::kSum, Col(schema, "v"), "total")});
   for (ExecMode mode : {ExecMode::kDebug, ExecMode::kOptimized}) {
     try {
@@ -71,7 +72,7 @@ TEST(CheckedArithmeticTest, SumBelowLimitStillWorks) {
   auto database = MakeDb(IntTable({kBig, 7}));
   const Schema& schema = database->GetTable("t").schema();
   PlanPtr plan = Aggregate(
-      Scan("t"), {},
+      ScanOf(*database, "t"), {},
       {MakeAgg(AggOp::kSum, Col(schema, "v"), "total")});
   QueryResult result = database->Run(plan);
   EXPECT_EQ(result.table->schema().column(0).type, DataType::kInt64);
@@ -85,7 +86,7 @@ TEST(CheckedArithmeticTest, IntSumStaysExactPast2To53) {
   auto database = MakeDb(IntTable({kBeyondDouble, 2}));
   const Schema& schema = database->GetTable("t").schema();
   PlanPtr plan = Aggregate(
-      Scan("t"), {},
+      ScanOf(*database, "t"), {},
       {MakeAgg(AggOp::kSum, Col(schema, "v"), "total"),
        MakeAgg(AggOp::kMax, Col(schema, "v"), "biggest")});
   QueryResult result = database->Run(plan);
@@ -98,7 +99,7 @@ TEST(CheckedArithmeticTest, ExpressionOverflowThrowsInBothModes) {
   auto database = MakeDb(IntTable({5, 6}));
   const Schema& schema = database->GetTable("t").schema();
   // v + (INT64_MAX - 1) overflows for any v >= 2.
-  PlanPtr plan = Project(Scan("t"),
+  PlanPtr plan = Project(ScanOf(*database, "t"),
                          {Add(Col(schema, "v"), LitInt(kBig))}, {"bumped"});
   for (ExecMode mode : {ExecMode::kDebug, ExecMode::kOptimized}) {
     EXPECT_THROW(database->Run(plan, mode), QueryError)
@@ -115,7 +116,7 @@ TEST(CheckedArithmeticTest, OverflowInParallelMorselsStillThrows) {
   database->set_threads(4);
   const Schema& schema = database->GetTable("t").schema();
   PlanPtr plan = Aggregate(
-      Scan("t"), {},
+      ScanOf(*database, "t"), {},
       {MakeAgg(AggOp::kSum, Col(schema, "v"), "total")});
   EXPECT_THROW(database->Run(plan), QueryError);
 }
@@ -142,7 +143,9 @@ TEST(NullAggregateTest, AvgOverZeroRowsIsNullNotNan) {
   auto database = MakeDb(IntTable({1, 2, 3}));
   const Schema& schema = database->GetTable("t").schema();
   PlanPtr plan = Aggregate(
-      FilterScan("t", {"k", "v"}, Gt(Col(schema, "v"), LitInt(100))), {},
+      FilterScanOf(*database, "t", {"k", "v"},
+                   Gt(Col(schema, "v"), LitInt(100))),
+      {},
       {MakeAgg(AggOp::kAvg, Col(schema, "v"), "a"),
        MakeAgg(AggOp::kSum, Col(schema, "v"), "s"),
        MakeAgg(AggOp::kMin, Col(schema, "v"), "lo"),
@@ -161,7 +164,7 @@ TEST(NullAggregateTest, MinMaxAvgOverAllNullColumnIsNull) {
   auto database = MakeDb(NullableTable());
   const Schema& schema = database->GetTable("t").schema();
   PlanPtr plan = Aggregate(
-      Scan("t"), {"g"},
+      ScanOf(*database, "t"), {"g"},
       {MakeAgg(AggOp::kMin, Col(schema, "y"), "lo"),
        MakeAgg(AggOp::kMax, Col(schema, "y"), "hi"),
        MakeAgg(AggOp::kAvg, Col(schema, "x"), "a"),
@@ -190,8 +193,8 @@ TEST(CheckedModeTest, CatchesSeededStaleZoneMap) {
   auto database = MakeDb(table);
   table->column(1).mutable_ints()[5] = 600;  // zone map still says <= 6.
   const Schema& schema = database->GetTable("t").schema();
-  PlanPtr plan = FilterScan("t", {"k", "v"},
-                            Gt(Col(schema, "v"), LitInt(100)));
+  PlanPtr plan = FilterScanOf(*database, "t", {"k", "v"},
+                              Gt(Col(schema, "v"), LitInt(100)));
 
   EXPECT_NO_THROW(database->Run(plan));  // unchecked: silent wrong answer.
 
@@ -212,8 +215,8 @@ TEST(CheckedModeTest, CleanQueriesPassAllOperatorChecks) {
   auto database = MakeDb(table);
   const Schema& schema = database->GetTable("t").schema();
   PlanPtr plan = Sort(
-      Aggregate(FilterScan("t", {"k", "v"},
-                           Gt(Col(schema, "v"), LitInt(2))),
+      Aggregate(FilterScanOf(*database, "t", {"k", "v"},
+                             Gt(Col(schema, "v"), LitInt(2))),
                 {"k"},
                 {MakeAgg(AggOp::kSum, Col(schema, "v"), "total"),
                  MakeAgg(AggOp::kCount, nullptr, "n")}),
@@ -244,16 +247,16 @@ TEST(CheckedModeTest, JoinChecksPassOnHealthyJoin) {
   right->AppendRow({Value::Int64(1), Value::Int64(200)});
   database->RegisterTable("u", right);
   database->set_check(true);
+  PlanPtr t = ScanOf(*database, "t");
+  PlanPtr u = ScanOf(*database, "u");
   for (JoinAlgo algo : {JoinAlgo::kHash, JoinAlgo::kRadix}) {
     database->set_join_algo(algo);
-    QueryResult result =
-        database->Run(HashJoin(Scan("t"), Scan("u"), "k", "k2"));
+    QueryResult result = database->Run(HashJoin(t, u, "k", "k2"));
     EXPECT_EQ(result.table->num_rows(), 4u);
   }
   database->set_join_algo(JoinAlgo::kHash);
-  QueryResult merged =
-      database->Run(HashJoinWith(Scan("t"), Scan("u"), {"k"}, {"k2"},
-                                 JoinAlgo::kMerge));
+  QueryResult merged = database->Run(
+      HashJoinWith(t, u, {"k"}, {"k2"}, JoinAlgo::kMerge));
   EXPECT_EQ(merged.table->num_rows(), 4u);
 }
 
@@ -262,12 +265,14 @@ TEST(NullSemanticsTest, PredicatesOverNullAreFalse) {
   const Schema& schema = database->GetTable("t").schema();
   for (ExecMode mode : {ExecMode::kDebug, ExecMode::kOptimized}) {
     QueryResult gt = database->Run(
-        Filter(Scan("t"), Gt(Col(schema, "x"), LitDouble(0.0))), mode);
+        Filter(ScanOf(*database, "t"), Gt(Col(schema, "x"), LitDouble(0.0))),
+        mode);
     EXPECT_EQ(gt.table->num_rows(), 1u) << ExecModeName(mode);
     // NOT(x > 0) is also false for NULL x: both branches drop the row.
-    QueryResult le = database->Run(
-        Filter(Scan("t"), Not(Gt(Col(schema, "x"), LitDouble(0.0)))),
-        mode);
+    QueryResult le =
+        database->Run(Filter(ScanOf(*database, "t"),
+                             Not(Gt(Col(schema, "x"), LitDouble(0.0)))),
+                      mode);
     EXPECT_EQ(le.table->num_rows(), 0u) << ExecModeName(mode);
   }
 }
@@ -283,12 +288,11 @@ TEST(NullSemanticsTest, NullJoinKeysAreRejected) {
   auto database2 = std::make_unique<Database>(options);
   database2->RegisterTable("t", NullableTable());
   database2->RegisterTable("u", other);
+  PlanPtr t = ScanOf(*database2, "t");
+  PlanPtr u = ScanOf(*database2, "u");
+  EXPECT_THROW(database2->Run(HashJoin(t, u, "y", "k2")), QueryError);
   EXPECT_THROW(
-      database2->Run(HashJoin(Scan("t"), Scan("u"), "y", "k2")),
-      QueryError);
-  EXPECT_THROW(
-      database2->Run(HashJoinWith(Scan("t"), Scan("u"), {"y"}, {"k2"},
-                                  JoinAlgo::kMerge)),
+      database2->Run(HashJoinWith(t, u, {"y"}, {"k2"}, JoinAlgo::kMerge)),
       QueryError);
 }
 
@@ -296,12 +300,12 @@ TEST(NullSemanticsTest, NullsSortFirstAscendingLastDescending) {
   auto database = MakeDb(NullableTable());
   for (ExecMode mode : {ExecMode::kDebug, ExecMode::kOptimized}) {
     QueryResult asc =
-        database->Run(Sort(Scan("t"), {{"x", true}}), mode);
+        database->Run(Sort(ScanOf(*database, "t"), {{"x", true}}), mode);
     EXPECT_TRUE(asc.table->column(1).IsNull(0)) << ExecModeName(mode);
     EXPECT_TRUE(asc.table->column(1).IsNull(1));
     EXPECT_DOUBLE_EQ(asc.table->column(1).GetDouble(2), 10.0);
     QueryResult desc =
-        database->Run(Sort(Scan("t"), {{"x", false}}), mode);
+        database->Run(Sort(ScanOf(*database, "t"), {{"x", false}}), mode);
     EXPECT_DOUBLE_EQ(desc.table->column(1).GetDouble(0), 10.0);
     EXPECT_TRUE(desc.table->column(1).IsNull(2));
   }

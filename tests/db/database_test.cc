@@ -1,4 +1,5 @@
 #include "db/database.h"
+#include "../test_scans.h"
 
 #include <atomic>
 #include <condition_variable>
@@ -52,7 +53,7 @@ TEST(DatabaseTest, ColdRunPaysStallHotRunDoesNot) {
   options.buffer_pool_pages = 1024;
   Database database(options);
   database.RegisterTable("t", MakeTable(10000));
-  PlanPtr plan = Scan("t");
+  PlanPtr plan = ScanOf(database, "t");
 
   QueryResult cold = database.Run(plan);
   EXPECT_GT(cold.server.simulated_stall_ns, 0);
@@ -74,7 +75,7 @@ TEST(DatabaseTest, ColdRealExceedsUserHotRealDoesNot) {
   options.buffer_pool_pages = 4096;  // table fits: hot runs stay hot.
   Database database(options);
   database.RegisterTable("t", MakeTable(50000));
-  PlanPtr plan = Scan("t");
+  PlanPtr plan = ScanOf(database, "t");
   QueryResult cold = database.Run(plan);
   QueryResult hot = database.Run(plan);
   EXPECT_GT(cold.ServerRealMs(), 3 * hot.ServerRealMs());
@@ -83,7 +84,7 @@ TEST(DatabaseTest, ColdRealExceedsUserHotRealDoesNot) {
 TEST(DatabaseTest, ClientTimeIncludesSinkCost) {
   Database database;
   database.RegisterTable("t", MakeTable(5000));
-  PlanPtr plan = Scan("t");
+  PlanPtr plan = ScanOf(database, "t");
   (void)database.Run(plan);  // warm.
   QueryResult discard = database.Run(plan, ExecMode::kOptimized,
                                      SinkKind::kDiscard);
@@ -98,7 +99,7 @@ TEST(DatabaseTest, ClientTimeIncludesSinkCost) {
 TEST(DatabaseTest, ServerAndClientMeasurementsNest) {
   Database database;
   database.RegisterTable("t", MakeTable(100));
-  QueryResult result = database.Run(Scan("t"), ExecMode::kOptimized,
+  QueryResult result = database.Run(ScanOf(database, "t"), ExecMode::kOptimized,
                                     SinkKind::kFile);
   EXPECT_GE(result.client.real_ns, result.server.real_ns);
   EXPECT_GE(result.client.simulated_stall_ns,
@@ -110,7 +111,7 @@ TEST(DatabaseTest, SelectionResultsAreMaterialized) {
   database.RegisterTable("t", MakeTable(100));
   const Schema& schema = database.GetTable("t").schema();
   PlanPtr plan =
-      FilterScan("t", {"k", "v"}, Lt(Col(schema, "k"), LitInt(10)));
+      FilterScanOf(database, "t", {"k", "v"}, Lt(Col(schema, "k"), LitInt(10)));
   QueryResult result = database.Run(plan);
   EXPECT_EQ(result.table->num_rows(), 10u);
   // The materialized result carries actual values, not row ids.
@@ -123,7 +124,7 @@ TEST(DatabaseTest, PerQueryStorageStats) {
   options.buffer_pool_pages = 1024;
   Database database(options);
   database.RegisterTable("t", MakeTable(10000));
-  PlanPtr plan = Scan("t");
+  PlanPtr plan = ScanOf(database, "t");
   QueryResult cold = database.Run(plan);
   EXPECT_GT(cold.storage.page_misses, 0);
   EXPECT_EQ(cold.storage.page_hits, 0);
@@ -137,7 +138,7 @@ TEST(DatabaseTest, PerQueryStorageStats) {
 TEST(DatabaseTest, ProfileAccompaniesEveryRun) {
   Database database;
   database.RegisterTable("t", MakeTable(100));
-  QueryResult result = database.Run(Scan("t"));
+  QueryResult result = database.Run(ScanOf(database, "t"));
   EXPECT_FALSE(result.profile.traces().empty());
 }
 
@@ -162,7 +163,7 @@ TEST(CatalogVersionTest, PinnedVersionIsUndisturbedByInstall) {
   EXPECT_EQ(now.layout.version, 1u);
   EXPECT_EQ(now.layout.table_id, old.layout.table_id);
   EXPECT_EQ(database.GetTableStats("t")->rows, 25u);
-  EXPECT_EQ(database.Run(Scan("t")).table->num_rows(), 25u);
+  EXPECT_EQ(database.Run(ScanOf(database, "t")).table->num_rows(), 25u);
 }
 
 TEST(CatalogVersionTest, ReplacedVersionDiesWithItsLastHolder) {
@@ -211,9 +212,10 @@ TEST(CatalogVersionTest, UnlaidBindingExecutesWithoutStorage) {
   Database database;
   ExecContext ctx = database.ExecSettings();
   ctx.catalog = &local;
-  EXPECT_EQ(Scan("t")->Execute(ctx).Materialize(), table);
+  const Schema& schema = table->schema();
+  EXPECT_EQ(Scan("t", schema)->Execute(ctx).Materialize(), table);
   std::shared_ptr<const Table> filtered =
-      FilterScan("t", {"k", "v"}, Lt(Col(table->schema(), "k"), LitInt(10)))
+      FilterScan("t", schema, {"k", "v"}, Lt(Col(schema, "k"), LitInt(10)))
           ->Execute(ctx)
           .Materialize();
   EXPECT_EQ(filtered->num_rows(), 10u);
@@ -265,8 +267,8 @@ TEST(CatalogVersionTest, ConcurrentQueriesAndInstallsAreClean) {
   Database database;
   database.set_threads(2);
   database.RegisterTable("t", MakeTable(64));
-  PlanPtr plan =
-      FilterScan("t", {"k"}, Ge(Col(MakeTable(0)->schema(), "k"), LitInt(0)));
+  PlanPtr plan = FilterScanOf(database, "t", {"k"},
+                              Ge(Col(MakeTable(0)->schema(), "k"), LitInt(0)));
   std::atomic<bool> done{false};
   std::atomic<int> failures{0};
   std::vector<std::thread> readers;
@@ -317,7 +319,7 @@ class Rendezvous {
 class RendezvousNode : public PlanNode {
  public:
   RendezvousNode(PlanPtr child, Rendezvous* gate)
-      : child_(std::move(child)), gate_(gate) {}
+      : PlanNode(child->schema()), child_(std::move(child)), gate_(gate) {}
 
   Relation Execute(ExecContext& ctx) const override {
     Relation out = child_->Execute(ctx);
@@ -349,11 +351,12 @@ TEST(DatabaseTest, ConcurrentQueriesAreChargedExactlyTheirOwnIo) {
   database.RegisterTable("u", MakeTable(2500));
   const Schema schema = MakeTable(0)->schema();
   const std::vector<PlanPtr> plans = {
-      Scan("t"),
-      FilterScan("t", {"k", "v"}, Lt(Col(schema, "k"), LitInt(1500))),
-      Scan("u", {"v"}),
-      Aggregate(FilterScan("u", {"k", "v"},
-                           Ge(Col(schema, "k"), LitInt(1000))),
+      ScanOf(database, "t"),
+      FilterScanOf(database, "t", {"k", "v"},
+                   Lt(Col(schema, "k"), LitInt(1500))),
+      ScanOf(database, "u", {"v"}),
+      Aggregate(FilterScanOf(database, "u", {"k", "v"},
+                             Ge(Col(schema, "k"), LitInt(1000))),
                 {}, {{AggOp::kSum, Col(schema, "v"), "s"}}),
   };
 

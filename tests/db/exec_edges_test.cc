@@ -23,6 +23,7 @@
 #include "db/error.h"
 #include "db/plan.h"
 #include "db/reference.h"
+#include "../test_scans.h"
 
 namespace perfeval {
 namespace db {
@@ -48,7 +49,7 @@ TEST(ExecEdgesTest, DescendingSortWithNaNKeysPassesCheckedMode) {
   database.RegisterTable("t", MessyDoubles());
   database.set_check(true);
   const Schema& schema = database.GetTable("t").schema();
-  PlanPtr plan = Sort(Scan("t"), {{"v", false}, {"k", true}});
+  PlanPtr plan = Sort(ScanOf(database, "t"), {{"v", false}, {"k", true}});
   std::shared_ptr<const Table> expected =
       ReferenceExecute(plan, database);
   for (ExecMode mode : {ExecMode::kDebug, ExecMode::kOptimized}) {
@@ -88,8 +89,8 @@ TEST(ExecEdgesTest, TopNBreaksTiesExactlyLikeSortPlusLimit) {
   database.RegisterTable("t", std::move(table));
   std::vector<SortKey> keys = {{"g", true}, {"v", false}};
   for (size_t n : {1u, 7u, 66u, 67u, 150u, 400u}) {
-    PlanPtr top = TopN(Scan("t"), keys, n);
-    PlanPtr sorted = Limit(Sort(Scan("t"), keys), n);
+    PlanPtr top = TopN(ScanOf(database, "t"), keys, n);
+    PlanPtr sorted = Limit(Sort(ScanOf(database, "t"), keys), n);
     for (ExecMode mode : {ExecMode::kDebug, ExecMode::kOptimized}) {
       QueryResult a = database.Run(top, mode);
       QueryResult b = database.Run(sorted, mode);
@@ -130,11 +131,13 @@ TEST(ExecEdgesTest, MergeJoinAcceptsKeysFilteredPastNulls) {
   // Filter(k >= 0) drops every NULL key (3VL: UNKNOWN is not selected),
   // so the merge join's visible input is NULL-free even though the base
   // column's null mask is not.
-  PlanPtr filtered = Filter(Scan("fact"), Ge(Col(fs, "k"), LitInt(0)));
+  PlanPtr fact_scan = ScanOf(database, "fact");
+  PlanPtr dim_scan = ScanOf(database, "dim");
+  PlanPtr filtered = Filter(fact_scan, Ge(Col(fs, "k"), LitInt(0)));
   PlanPtr merge =
-      Sort(HashJoinWith(filtered, Scan("dim"), {"k"}, {"k"}, JoinAlgo::kMerge),
+      Sort(HashJoinWith(filtered, dim_scan, {"k"}, {"k"}, JoinAlgo::kMerge),
            {{"v", true}, {"name", true}});
-  PlanPtr hash = Sort(HashJoin(filtered, Scan("dim"), "k", "k"),
+  PlanPtr hash = Sort(HashJoin(filtered, dim_scan, "k", "k"),
                       {{"v", true}, {"name", true}});
   std::shared_ptr<const Table> expected = ReferenceExecute(merge, database);
   for (ExecMode mode : {ExecMode::kDebug, ExecMode::kOptimized}) {
@@ -152,7 +155,7 @@ TEST(ExecEdgesTest, MergeJoinAcceptsKeysFilteredPastNulls) {
 
   // A NULL key that IS visible must still be rejected, with the row id.
   PlanPtr bad =
-      HashJoinWith(Scan("fact"), Scan("dim"), {"k"}, {"k"}, JoinAlgo::kMerge);
+      HashJoinWith(fact_scan, dim_scan, {"k"}, {"k"}, JoinAlgo::kMerge);
   try {
     database.Run(bad);
     FAIL() << "visible NULL join key must throw";

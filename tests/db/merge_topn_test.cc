@@ -7,6 +7,7 @@
 #include "common/random.h"
 #include "db/database.h"
 #include "db/plan.h"
+#include "../test_scans.h"
 
 namespace perfeval {
 namespace db {
@@ -83,8 +84,10 @@ TEST_P(MergeVsHashTest, SameResultAsHashJoin) {
   const JoinCase& c = GetParam();
   auto database = MakeRandomDb(c.left_rows, c.right_rows, c.key_range, 77,
                                c.sorted);
-  PlanPtr hash = HashJoin(Scan("l"), Scan("r"), "lk", "rk");
-  PlanPtr merge = MergePinned(Scan("l"), Scan("r"), "lk", "rk");
+  PlanPtr l = ScanOf(*database, "l");
+  PlanPtr r = ScanOf(*database, "r");
+  PlanPtr hash = HashJoin(l, r, "lk", "rk");
+  PlanPtr merge = MergePinned(l, r, "lk", "rk");
   QueryResult hash_result = database->Run(hash);
   QueryResult merge_result = database->Run(merge);
   EXPECT_EQ(hash_result.table->num_rows(), merge_result.table->num_rows());
@@ -95,7 +98,8 @@ TEST_P(MergeVsHashTest, DebugModeAgrees) {
   const JoinCase& c = GetParam();
   auto database = MakeRandomDb(c.left_rows, c.right_rows, c.key_range, 78,
                                c.sorted);
-  PlanPtr merge = MergePinned(Scan("l"), Scan("r"), "lk", "rk");
+  PlanPtr merge =
+      MergePinned(ScanOf(*database, "l"), ScanOf(*database, "r"), "lk", "rk");
   QueryResult optimized = database->Run(merge, ExecMode::kOptimized);
   QueryResult debug = database->Run(merge, ExecMode::kDebug);
   EXPECT_EQ(RowSet(*optimized.table), RowSet(*debug.table));
@@ -135,8 +139,10 @@ TEST(MergeJoinTest, DescendingClusteredInputMustStillSort) {
   };
   database->RegisterTable("l", make("lk", "lv", 21));
   database->RegisterTable("r", make("rk", "rv", 22));
-  PlanPtr hash = HashJoin(Scan("l"), Scan("r"), "lk", "rk");
-  PlanPtr merge = MergePinned(Scan("l"), Scan("r"), "lk", "rk");
+  PlanPtr l = ScanOf(*database, "l");
+  PlanPtr r = ScanOf(*database, "r");
+  PlanPtr hash = HashJoin(l, r, "lk", "rk");
+  PlanPtr merge = MergePinned(l, r, "lk", "rk");
   for (ExecMode mode : {ExecMode::kOptimized, ExecMode::kDebug}) {
     QueryResult hash_result = database->Run(hash, mode);
     QueryResult merge_result = database->Run(merge, mode);
@@ -155,8 +161,10 @@ TEST_P(EmptyInputJoinTest, EmptySidesYieldEmptyJoins) {
        {std::pair<size_t, size_t>{0, 200}, {200, 0}, {0, 0}}) {
     auto database = MakeRandomDb(left_rows, right_rows, 10, 31, false);
     database->set_join_algo(GetParam());
-    for (PlanPtr plan : {HashJoin(Scan("l"), Scan("r"), "lk", "rk"),
-                         MergePinned(Scan("l"), Scan("r"), "lk", "rk")}) {
+    PlanPtr l = ScanOf(*database, "l");
+    PlanPtr r = ScanOf(*database, "r");
+    for (PlanPtr plan :
+         {HashJoin(l, r, "lk", "rk"), MergePinned(l, r, "lk", "rk")}) {
       for (ExecMode mode : {ExecMode::kOptimized, ExecMode::kDebug}) {
         QueryResult result = database->Run(plan, mode);
         EXPECT_EQ(result.table->num_rows(), 0u);
@@ -177,8 +185,9 @@ TEST(MergeJoinTest, FilteredInputsJoinCorrectly) {
   auto database = MakeRandomDb(300, 300, 50, 5, false);
   const Schema& left = database->GetTable("l").schema();
   PlanPtr merge = MergePinned(
-      FilterScan("l", {"lk", "lv"}, Lt(Col(left, "lk"), LitInt(25))),
-      Scan("r"), "lk", "rk");
+      FilterScanOf(*database, "l", {"lk", "lv"},
+                   Lt(Col(left, "lk"), LitInt(25))),
+      ScanOf(*database, "r"), "lk", "rk");
   QueryResult result = database->Run(merge);
   const Column& lk = result.table->ColumnByName("lk");
   const Column& rk = result.table->ColumnByName("rk");
@@ -190,15 +199,16 @@ TEST(MergeJoinTest, FilteredInputsJoinCorrectly) {
 
 TEST(MergeJoinTest, ExplainNamesTheOperator) {
   auto database = MakeRandomDb(10, 10, 5, 1, false);
-  PlanPtr merge = MergePinned(Scan("l"), Scan("r"), "lk", "rk");
+  PlanPtr merge =
+      MergePinned(ScanOf(*database, "l"), ScanOf(*database, "r"), "lk", "rk");
   EXPECT_NE(Explain(merge).find("HashJoin [lk = rk] algo=merge"),
             std::string::npos);
 }
 
 TEST(TopNTest, MatchesSortPlusLimitOnUniqueKeys) {
   auto database = MakeRandomDb(500, 1, 1'000'000, 9, false);
-  PlanPtr top = TopN(Scan("l"), {{"lk", true}}, 10);
-  PlanPtr sorted = Limit(Sort(Scan("l"), {{"lk", true}}), 10);
+  PlanPtr top = TopN(ScanOf(*database, "l"), {{"lk", true}}, 10);
+  PlanPtr sorted = Limit(Sort(ScanOf(*database, "l"), {{"lk", true}}), 10);
   QueryResult top_result = database->Run(top);
   QueryResult sorted_result = database->Run(sorted);
   ASSERT_EQ(top_result.table->num_rows(), 10u);
@@ -210,7 +220,7 @@ TEST(TopNTest, MatchesSortPlusLimitOnUniqueKeys) {
 
 TEST(TopNTest, DescendingAndMultiKey) {
   auto database = MakeRandomDb(200, 1, 20, 11, false);
-  PlanPtr top = TopN(Scan("l"), {{"lk", false}, {"lv", true}}, 5);
+  PlanPtr top = TopN(ScanOf(*database, "l"), {{"lk", false}, {"lv", true}}, 5);
   QueryResult result = database->Run(top);
   ASSERT_EQ(result.table->num_rows(), 5u);
   for (size_t r = 1; r < 5; ++r) {
@@ -227,7 +237,7 @@ TEST(TopNTest, DescendingAndMultiKey) {
 TEST(TopNTest, NLargerThanInputReturnsAllSorted) {
   auto database = MakeRandomDb(20, 1, 1'000'000, 13, false);
   QueryResult result =
-      database->Run(TopN(Scan("l"), {{"lk", true}}, 100));
+      database->Run(TopN(ScanOf(*database, "l"), {{"lk", true}}, 100));
   EXPECT_EQ(result.table->num_rows(), 20u);
   for (size_t r = 1; r < 20; ++r) {
     EXPECT_LE(result.table->ValueAt(r - 1, 0).AsInt64(),
@@ -237,7 +247,7 @@ TEST(TopNTest, NLargerThanInputReturnsAllSorted) {
 
 TEST(TopNTest, DebugModeAgrees) {
   auto database = MakeRandomDb(300, 1, 1'000'000, 15, false);
-  PlanPtr top = TopN(Scan("l"), {{"lk", true}}, 7);
+  PlanPtr top = TopN(ScanOf(*database, "l"), {{"lk", true}}, 7);
   QueryResult optimized = database->Run(top, ExecMode::kOptimized);
   QueryResult debug = database->Run(top, ExecMode::kDebug);
   EXPECT_EQ(RowSet(*optimized.table), RowSet(*debug.table));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "db/database.h"
+#include "../test_scans.h"
 
 namespace perfeval {
 namespace db {
@@ -46,16 +47,40 @@ std::unique_ptr<Database> MakeTestDb() {
 
 TEST(ScanTest, ReturnsAllRows) {
   auto database = MakeTestDb();
-  QueryResult result = database->Run(Scan("sales"));
+  QueryResult result = database->Run(ScanOf(*database, "sales"));
   EXPECT_EQ(result.table->num_rows(), 6u);
   EXPECT_EQ(result.table->num_columns(), 3u);
+}
+
+TEST(ScanDeathTest, DeclaredSchemaMustMatchThePinnedTable) {
+  // A scan is built with its table's schema, and its parents bind their
+  // expressions against it; a scan run over a version with another schema
+  // aborts instead of handing those expressions the wrong columns.
+  auto database = MakeTestDb();
+  Schema sales = database->GetTable("sales").schema();
+  Schema retyped({{sales.column(0).name, DataType::kDouble},
+                  sales.column(1), sales.column(2)});
+  Schema renamed({{"other", sales.column(0).type}, sales.column(1),
+                  sales.column(2)});
+  Schema narrower({sales.column(0), sales.column(1)});
+  for (const Schema& declared : {retyped, renamed, narrower}) {
+    EXPECT_DEATH(database->Run(Scan("sales", declared)),
+                 "scan of sales declared")
+        << declared.ToString();
+    EXPECT_DEATH(database->Run(FilterScan("sales", declared, {},
+                                          Gt(Col(sales, "amount"),
+                                             LitDouble(25.0)))),
+                 "scan of sales declared")
+        << declared.ToString();
+  }
+  EXPECT_EQ(database->Run(Scan("sales", sales)).table->num_rows(), 6u);
 }
 
 TEST(FilterScanTest, SelectsMatchingRows) {
   auto database = MakeTestDb();
   const Schema& schema = database->GetTable("sales").schema();
-  PlanPtr plan = FilterScan("sales", {"item_id", "amount"},
-                            Gt(Col(schema, "amount"), LitDouble(25.0)));
+  PlanPtr plan = FilterScanOf(*database, "sales", {"item_id", "amount"},
+                              Gt(Col(schema, "amount"), LitDouble(25.0)));
   QueryResult result = database->Run(plan);
   EXPECT_EQ(result.table->num_rows(), 4u);
 }
@@ -65,8 +90,8 @@ TEST(FilterScanTest, ZoneMapsSkipPages) {
   const Schema& schema = database->GetTable("sales").schema();
   // amount is sorted ascending: pages are [10,20], [30,40], [50,60].
   // amount <= 15 can only live in the first page.
-  PlanPtr plan = FilterScan("sales", {"amount"},
-                            Le(Col(schema, "amount"), LitDouble(15.0)));
+  PlanPtr plan = FilterScanOf(*database, "sales", {"amount"},
+                              Le(Col(schema, "amount"), LitDouble(15.0)));
   database->storage().ResetStats();
   QueryResult with_zone_maps = database->Run(plan, ExecMode::kOptimized,
                                              SinkKind::kDiscard,
@@ -86,7 +111,7 @@ TEST(FilterScanTest, ZoneMapsSkipPages) {
 TEST(FilterTest, ComposesWithScan) {
   auto database = MakeTestDb();
   const Schema& schema = database->GetTable("sales").schema();
-  PlanPtr plan = Filter(Scan("sales"),
+  PlanPtr plan = Filter(ScanOf(*database, "sales"),
                         Eq(Col(schema, "region"), LitString("east")));
   QueryResult result = database->Run(plan);
   EXPECT_EQ(result.table->num_rows(), 3u);
@@ -96,7 +121,7 @@ TEST(ProjectTest, ComputesExpressions) {
   auto database = MakeTestDb();
   const Schema& schema = database->GetTable("sales").schema();
   PlanPtr plan = Project(
-      Scan("sales"),
+      ScanOf(*database, "sales"),
       {Col(schema, "item_id"), Mul(Col(schema, "amount"), LitDouble(2.0))},
       {"id", "double_amount"});
   QueryResult result = database->Run(plan);
@@ -109,8 +134,8 @@ TEST(ProjectTest, ComputesExpressions) {
 
 TEST(HashJoinTest, InnerJoinSemantics) {
   auto database = MakeTestDb();
-  PlanPtr plan = HashJoin(Scan("sales"), Scan("items"), "item_id",
-                          "item_id2");
+  PlanPtr plan = HashJoin(ScanOf(*database, "sales"),
+                          ScanOf(*database, "items"), "item_id", "item_id2");
   QueryResult result = database->Run(plan);
   // item 9 has no match; the other 5 sales rows match exactly one item.
   EXPECT_EQ(result.table->num_rows(), 5u);
@@ -126,8 +151,8 @@ TEST(HashJoinTest, InnerJoinSemantics) {
 TEST(HashJoinTest, DuplicateBuildKeysFanOut) {
   auto database = MakeTestDb();
   // Join items with sales as build side: item 1 matches 2 sales rows.
-  PlanPtr plan = HashJoin(Scan("items"), Scan("sales"), "item_id2",
-                          "item_id");
+  PlanPtr plan = HashJoin(ScanOf(*database, "items"),
+                          ScanOf(*database, "sales"), "item_id2", "item_id");
   QueryResult result = database->Run(plan);
   EXPECT_EQ(result.table->num_rows(), 5u);
 }
@@ -147,7 +172,8 @@ TEST(HashJoin2Test, CompositeKeys) {
   right->AppendRow({Value::Int64(2), Value::Int64(2)});
   database->RegisterTable("right", right);
   PlanPtr plan =
-      HashJoin2(Scan("left"), Scan("right"), "a", "c", "b", "d");
+      HashJoinWith(ScanOf(*database, "left"), ScanOf(*database, "right"),
+                   {"a", "b"}, {"c", "d"}, std::nullopt);
   QueryResult result = database->Run(plan);
   // Only (1,2) matches; single-column join on a=c would produce 2 rows.
   EXPECT_EQ(result.table->num_rows(), 1u);
@@ -157,7 +183,7 @@ TEST(AggregateTest, GlobalAggregates) {
   auto database = MakeTestDb();
   const Schema& schema = database->GetTable("sales").schema();
   PlanPtr plan = Aggregate(
-      Scan("sales"), {},
+      ScanOf(*database, "sales"), {},
       {{AggOp::kSum, Col(schema, "amount"), "total"},
        {AggOp::kAvg, Col(schema, "amount"), "mean"},
        {AggOp::kMin, Col(schema, "amount"), "lo"},
@@ -177,7 +203,7 @@ TEST(AggregateTest, GlobalAggregates) {
 TEST(AggregateTest, GroupByStringColumn) {
   auto database = MakeTestDb();
   const Schema& schema = database->GetTable("sales").schema();
-  PlanPtr plan = Aggregate(Scan("sales"), {"region"},
+  PlanPtr plan = Aggregate(ScanOf(*database, "sales"), {"region"},
                            {{AggOp::kSum, Col(schema, "amount"), "total"}});
   PlanPtr sorted = Sort(plan, {{"region", true}});
   QueryResult result = database->Run(sorted);
@@ -193,7 +219,8 @@ TEST(AggregateTest, EmptyInputGlobalAggregateYieldsOneRow) {
   auto database = MakeTestDb();
   const Schema& schema = database->GetTable("sales").schema();
   PlanPtr plan = Aggregate(
-      Filter(Scan("sales"), Gt(Col(schema, "amount"), LitDouble(1e9))),
+      Filter(ScanOf(*database, "sales"),
+             Gt(Col(schema, "amount"), LitDouble(1e9))),
       {}, {{AggOp::kCount, nullptr, "n"}});
   QueryResult result = database->Run(plan);
   ASSERT_EQ(result.table->num_rows(), 1u);
@@ -204,7 +231,8 @@ TEST(AggregateTest, EmptyInputGroupByYieldsNoRows) {
   auto database = MakeTestDb();
   const Schema& schema = database->GetTable("sales").schema();
   PlanPtr plan = Aggregate(
-      Filter(Scan("sales"), Gt(Col(schema, "amount"), LitDouble(1e9))),
+      Filter(ScanOf(*database, "sales"),
+             Gt(Col(schema, "amount"), LitDouble(1e9))),
       {"region"}, {{AggOp::kCount, nullptr, "n"}});
   QueryResult result = database->Run(plan);
   EXPECT_EQ(result.table->num_rows(), 0u);
@@ -212,7 +240,7 @@ TEST(AggregateTest, EmptyInputGroupByYieldsNoRows) {
 
 TEST(SortTest, MultiKeyWithDirections) {
   auto database = MakeTestDb();
-  PlanPtr plan = Sort(Scan("sales"),
+  PlanPtr plan = Sort(ScanOf(*database, "sales"),
                       {{"region", true}, {"amount", false}});
   QueryResult result = database->Run(plan);
   const Column& region = result.table->ColumnByName("region");
@@ -229,7 +257,8 @@ TEST(SortTest, MultiKeyWithDirections) {
 
 TEST(LimitTest, TruncatesAndPreservesOrder) {
   auto database = MakeTestDb();
-  PlanPtr plan = Limit(Sort(Scan("sales"), {{"amount", false}}), 2);
+  PlanPtr plan =
+      Limit(Sort(ScanOf(*database, "sales"), {{"amount", false}}), 2);
   QueryResult result = database->Run(plan);
   ASSERT_EQ(result.table->num_rows(), 2u);
   EXPECT_DOUBLE_EQ(result.table->ColumnByName("amount").GetDouble(0), 60.0);
@@ -238,7 +267,7 @@ TEST(LimitTest, TruncatesAndPreservesOrder) {
 
 TEST(LimitTest, LargerThanInputIsNoop) {
   auto database = MakeTestDb();
-  QueryResult result = database->Run(Limit(Scan("sales"), 100));
+  QueryResult result = database->Run(Limit(ScanOf(*database, "sales"), 100));
   EXPECT_EQ(result.table->num_rows(), 6u);
 }
 
@@ -247,9 +276,10 @@ TEST(ExecModeTest, DebugAndOptimizedAgreeOnComplexPlan) {
   const Schema& sales = database->GetTable("sales").schema();
   PlanPtr plan = Sort(
       Aggregate(
-          HashJoin(FilterScan("sales", {"item_id", "amount", "region"},
-                              Gt(Col(sales, "amount"), LitDouble(5.0))),
-                   Scan("items"), "item_id", "item_id2"),
+          HashJoin(FilterScanOf(*database, "sales",
+                                {"item_id", "amount", "region"},
+                                Gt(Col(sales, "amount"), LitDouble(5.0))),
+                   ScanOf(*database, "items"), "item_id", "item_id2"),
           {"label"},
           {{AggOp::kSum,
             Mul(Col(sales, "amount"), LitDouble(1.0)), "total"},
@@ -271,7 +301,7 @@ TEST(ExplainTest, ShowsTreeStructure) {
   auto database = MakeTestDb();
   const Schema& schema = database->GetTable("sales").schema();
   PlanPtr plan = Limit(
-      Sort(Aggregate(Filter(Scan("sales"),
+      Sort(Aggregate(Filter(ScanOf(*database, "sales"),
                             Gt(Col(schema, "amount"), LitDouble(0.0))),
                      {"region"},
                      {{AggOp::kSum, Col(schema, "amount"), "total"}}),
@@ -291,7 +321,8 @@ TEST(ExplainTest, ShowsTreeStructure) {
 TEST(ProfileTest, TracesEveryOperator) {
   auto database = MakeTestDb();
   PlanPtr plan =
-      Sort(HashJoin(Scan("sales"), Scan("items"), "item_id", "item_id2"),
+      Sort(HashJoin(ScanOf(*database, "sales"), ScanOf(*database, "items"),
+                    "item_id", "item_id2"),
            {{"amount", true}});
   QueryResult result = database->Run(plan);
   // Scan, Scan, HashJoin, Sort.

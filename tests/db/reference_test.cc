@@ -10,6 +10,7 @@
 
 #include "db/database.h"
 #include "db/plan.h"
+#include "../test_scans.h"
 
 namespace perfeval {
 namespace db {
@@ -58,9 +59,9 @@ TEST(ReferenceTest, MatchesEngineOnFilterJoinAggregateSort) {
   const Schema& schema = database->GetTable("sales").schema();
   PlanPtr plan = Sort(
       Aggregate(
-          HashJoin(FilterScan("sales", {"item_id", "amount"},
-                              Gt(Col(schema, "amount"), LitDouble(5.0))),
-                   Scan("items"), "item_id", "item_id2"),
+          HashJoin(FilterScanOf(*database, "sales", {"item_id", "amount"},
+                                Gt(Col(schema, "amount"), LitDouble(5.0))),
+                   ScanOf(*database, "items"), "item_id", "item_id2"),
           {"label"},
           {MakeAgg(AggOp::kSum, Col(schema, "amount"), "total"),
            MakeAgg(AggOp::kCount, nullptr, "n")}),
@@ -84,7 +85,7 @@ TEST(ReferenceTest, MatchesEngineOnProjectTopNLimit) {
   auto database = MakeDb();
   const Schema& schema = database->GetTable("sales").schema();
   PlanPtr projected = Project(
-      Scan("sales"),
+      ScanOf(*database, "sales"),
       {Col(schema, "item_id"),
        Mul(Col(schema, "amount"), LitDouble(2.0))},
       {"item_id", "doubled"});
@@ -107,8 +108,8 @@ TEST(ReferenceTest, ScansAllRowsIndependentlyOfZoneMaps) {
       database->GetTableShared("sales"));
   sales->column(1).mutable_doubles()[5] = 6000.0;
   const Schema& schema = database->GetTable("sales").schema();
-  PlanPtr plan = FilterScan("sales", {"item_id", "amount"},
-                            Gt(Col(schema, "amount"), LitDouble(100.0)));
+  PlanPtr plan = FilterScanOf(*database, "sales", {"item_id", "amount"},
+                              Gt(Col(schema, "amount"), LitDouble(100.0)));
   std::shared_ptr<const Table> reference =
       ReferenceExecute(plan, *database);
   EXPECT_EQ(reference->num_rows(), 1u);
@@ -153,7 +154,7 @@ TEST(ReferenceTest, NullAggregateSemanticsMatchEngine) {
   database->RegisterTable("t", table);
   const Schema& schema = table->schema();
   PlanPtr plan = Sort(
-      Aggregate(Scan("t"), {"g"},
+      Aggregate(ScanOf(*database, "t"), {"g"},
                 {MakeAgg(AggOp::kAvg, Col(schema, "x"), "a"),
                  MakeAgg(AggOp::kCount, Col(schema, "x"), "nx")}),
       {{"g", true}});

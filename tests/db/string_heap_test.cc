@@ -14,6 +14,7 @@
 #include "db/database.h"
 #include "db/expr.h"
 #include "db/reference.h"
+#include "../test_scans.h"
 
 namespace perfeval {
 namespace db {
@@ -152,7 +153,8 @@ TEST(JoinGatherTest, OutputStringsPointIntoTheBaseTable) {
   std::shared_ptr<Table> dim = MakeDim(30);
   database.RegisterTable("dim", dim);
   database.RegisterTable("fact", MakeFact(500, 30));
-  PlanPtr join = HashJoin(Scan("fact"), Scan("dim"), "f_dim", "d_id");
+  PlanPtr join = HashJoin(ScanOf(database, "fact"), ScanOf(database, "dim"),
+                          "f_dim", "d_id");
   Schema join_schema({{"f_id", DataType::kInt64},
                       {"f_dim", DataType::kInt64},
                       {"d_id", DataType::kInt64},
@@ -187,8 +189,8 @@ TEST(JoinGatherTest, ResultSurvivesItsSourceVersion) {
   database.RegisterTable("dim", MakeDim(30));
   database.RegisterTable("fact", MakeFact(500, 30));
   std::weak_ptr<const Table> first_dim = database.GetTableShared("dim");
-  QueryResult result =
-      database.Run(HashJoin(Scan("fact"), Scan("dim"), "f_dim", "d_id"));
+  QueryResult result = database.Run(HashJoin(
+      ScanOf(database, "fact"), ScanOf(database, "dim"), "f_dim", "d_id"));
   database.ReplaceTables({{"dim", MakeDim(3)}});
   ASSERT_TRUE(first_dim.expired());
   const Column& names = result.table->ColumnByName("d_name");
@@ -213,7 +215,8 @@ TEST(JoinGatherTest, ProjectOfColumnRefsKeepsNulls) {
   }
   database.RegisterTable("t", table);
   const Schema& schema = table->schema();
-  PlanPtr filtered = Filter(Scan("t"), Lt(Col(schema, "k"), LitInt(30)));
+  PlanPtr filtered =
+      Filter(ScanOf(database, "t"), Lt(Col(schema, "k"), LitInt(30)));
   PlanPtr plan = Project(filtered,
                          {Col(schema, "s"), Col(schema, "d"), Col(schema, "i"),
                           Col(schema, "s")},

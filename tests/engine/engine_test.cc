@@ -222,8 +222,8 @@ TEST(RowStorageTest, EvictsPastPoolBudgetAndANewVersionGoesCold) {
 db::PlanPtr AllTypesFilterPlan(const db::Schema& schema) {
   return db::Sort(
       db::Project(
-          db::FilterScan("t", {}, db::Ge(db::Col(schema, "i"),
-                                         db::LitInt(0))),
+          db::FilterScan("t", schema, {},
+                         db::Ge(db::Col(schema, "i"), db::LitInt(0))),
           {db::Col(schema, "i"), db::Col(schema, "s"),
            db::Mul(db::Col(schema, "d"), db::LitDouble(2.0))},
           {"i", "s", "d2"}),
@@ -302,7 +302,7 @@ TEST(RowBackendTest, SumOverflowThrowsOutOfRange) {
   table->AppendRow({Value::Int64(1)});
   backend.RegisterTable("t", table);
   db::PlanPtr plan = db::Aggregate(
-      db::Scan("t"), {},
+      db::Scan("t", table->schema()), {},
       {{db::AggOp::kSum, db::Col(table->schema(), "v"), "s"}});
   try {
     (void)backend.Execute(plan, ExecOptions());
@@ -336,8 +336,8 @@ TEST(RowBackendTest, SharedSemanticsMatchReference) {
   messy->AppendRow({Value::Int64(k++), Value::Double(1.5)});
   messy->AppendRow({Value::Int64(k++), Value::Null(DataType::kDouble)});
   cases.push_back({"nan_null_descending_sort", messy,
-                   [](const db::Schema&) {
-                     return db::Sort(db::Scan("t"),
+                   [](const db::Schema& s) {
+                     return db::Sort(db::Scan("t", s),
                                      {{"v", false}, {"k", true}});
                    }});
 
@@ -350,7 +350,7 @@ TEST(RowBackendTest, SharedSemanticsMatchReference) {
   cases.push_back({"all_null_group", nulls, [](const db::Schema& s) {
                      db::ExprPtr x = db::Col(s, "x");
                      return db::Sort(
-                         db::Aggregate(db::Scan("t"), {"g"},
+                         db::Aggregate(db::Scan("t", s), {"g"},
                                        {{db::AggOp::kAvg, x, "a"},
                                         {db::AggOp::kSum, x, "s"},
                                         {db::AggOp::kMin, x, "lo"},
@@ -369,7 +369,7 @@ TEST(RowBackendTest, SharedSemanticsMatchReference) {
   }
   cases.push_back({"int_avg_past_2^53", wide, [](const db::Schema& s) {
                      db::ExprPtr v = db::Col(s, "v");
-                     return db::Aggregate(db::Scan("t"), {"g"},
+                     return db::Aggregate(db::Scan("t", s), {"g"},
                                           {{db::AggOp::kAvg, v, "a"},
                                            {db::AggOp::kSum, v, "s"}});
                    }});
@@ -519,7 +519,7 @@ TEST(BackendFactoryTest, NarrowProjectionReadsFewerBytesColumnar) {
       CreateBackend(db::BackendKind::kRowStore, &database);
   const db::Schema& schema = database.GetTable("lineitem").schema();
   db::PlanPtr plan =
-      db::Aggregate(db::Project(db::Scan("lineitem", {"l_quantity"}),
+      db::Aggregate(db::Project(db::Scan("lineitem", schema, {"l_quantity"}),
                                 {db::Col(schema, "l_quantity")},
                                 {"l_quantity"}),
                     {}, {{db::AggOp::kSum,

@@ -15,6 +15,7 @@
 #include "opt/cost_model.h"
 #include "opt/estimator.h"
 #include "workload/tpch_gen.h"
+#include "../test_scans.h"
 
 namespace perfeval {
 namespace opt {
@@ -50,7 +51,7 @@ TEST_F(EstimatorTest, CatalogResolvesBaseColumns) {
 }
 
 TEST_F(EstimatorTest, ScanEstimateIsExact) {
-  db::PlanPtr scan = db::Scan("lineitem");
+  db::PlanPtr scan = ScanOf(*Db(), "lineitem");
   double rows = estimator_.EstimateRows(*scan);
   size_t actual = Db()->GetTable("lineitem").num_rows();
   EXPECT_DOUBLE_EQ(rows, static_cast<double>(actual));
@@ -61,7 +62,7 @@ TEST_F(EstimatorTest, FilterEstimateTracksActualWithinQError) {
   const db::Schema& schema = database->GetTable("lineitem").schema();
   db::ExprPtr pred = db::Lt(db::Col(schema, "l_quantity"), db::LitInt(25));
   db::PlanPtr plan =
-      db::FilterScan("lineitem", {"l_orderkey", "l_quantity"}, pred);
+      FilterScanOf(*Db(), "lineitem", {"l_orderkey", "l_quantity"}, pred);
   double est = estimator_.EstimateRows(*plan);
   double actual =
       static_cast<double>(database->Run(plan).table->num_rows());
@@ -88,10 +89,10 @@ TEST_F(EstimatorTest, EstimatePlanAlignsWithProfilerTraces) {
   db::Database* database = Db();
   const db::Schema& orders = database->GetTable("orders").schema();
   db::PlanPtr plan = db::Aggregate(
-      db::HashJoin(db::FilterScan("orders", {},
+      db::HashJoin(FilterScanOf(*Db(), "orders", {},
                                   db::Lt(db::Col(orders, "o_orderkey"),
                                          db::LitInt(1000))),
-                   db::Scan("customer"), "o_custkey", "c_custkey"),
+                   ScanOf(*Db(), "customer"), "o_custkey", "c_custkey"),
       {"o_orderpriority"}, {{db::AggOp::kCount, nullptr, "n"}});
   std::vector<NodeEstimate> estimates;
   estimator_.EstimatePlan(*plan, &estimates);
@@ -118,7 +119,7 @@ TEST_F(EstimatorTest, PinnedJoinIsCostedByItsPin) {
        {std::optional<db::JoinAlgo>(db::JoinAlgo::kMerge),
         std::optional<db::JoinAlgo>()}) {
     db::PlanPtr join =
-        db::HashJoinWith(db::Scan("orders"), db::Scan("customer"),
+        db::HashJoinWith(ScanOf(*Db(), "orders"), ScanOf(*Db(), "customer"),
                          {"o_custkey"}, {"c_custkey"}, pin);
     std::vector<NodeEstimate> estimates;
     estimator_.EstimatePlan(*join, &estimates);

@@ -19,6 +19,7 @@
 #include "opt/optimizer.h"
 #include "workload/tpch_gen.h"
 #include "workload/tpch_queries.h"
+#include "../test_scans.h"
 
 namespace perfeval {
 namespace opt {
@@ -47,8 +48,8 @@ TEST_P(TpchOptimizeTest, OptimizedPlanIsEquivalent) {
 
   // Downstream consumers were compiled against the rule plan's schema:
   // the optimizer must reproduce it exactly (names, order, types).
-  db::Schema before = OutputSchema(*plan, *database->catalog());
-  db::Schema after = OutputSchema(*optimized.plan, *database->catalog());
+  const db::Schema& before = plan->schema();
+  const db::Schema& after = optimized.plan->schema();
   ASSERT_EQ(before.columns().size(), after.columns().size());
   for (size_t i = 0; i < before.columns().size(); ++i) {
     EXPECT_EQ(before.columns()[i].name, after.columns()[i].name);
@@ -99,7 +100,7 @@ TEST(OptimizerTest, EngagesOnTheJoinQueries) {
 
 TEST(OptimizerTest, JoinFreePlansAreUntouched) {
   db::Database* database = Db();
-  db::PlanPtr plan = db::Aggregate(db::Scan("lineitem"), {"l_returnflag"},
+  db::PlanPtr plan = db::Aggregate(ScanOf(*Db(), "lineitem"), {"l_returnflag"},
                                    {{db::AggOp::kCount, nullptr, "n"}});
   OptimizeResult result = Optimize(plan, *database);
   EXPECT_FALSE(result.changed);
@@ -113,10 +114,10 @@ TEST(OptimizerTest, AbsorbsColumnEqualityFilterAsJoinEdge) {
   // optimizer may absorb as an edge — results must be unchanged either
   // way.
   db::PlanPtr join = db::HashJoin(
-      db::HashJoin(db::Scan("supplier"), db::Scan("nation"), "s_nationkey",
-                   "n_nationkey"),
-      db::Scan("customer"), "s_nationkey", "c_nationkey");
-  db::Schema schema = OutputSchema(*join, *database->catalog());
+      db::HashJoin(ScanOf(*Db(), "supplier"), ScanOf(*Db(), "nation"),
+                   "s_nationkey", "n_nationkey"),
+      ScanOf(*Db(), "customer"), "s_nationkey", "c_nationkey");
+  const db::Schema& schema = join->schema();
   db::PlanPtr plan = db::Aggregate(
       db::Filter(join, db::Eq(db::Col(schema, "s_nationkey"),
                               db::Col(schema, "c_nationkey"))),

@@ -76,7 +76,7 @@ TEST(SuiteTest, PerfevalSuiteDocumentsSchedulingFlags) {
   EXPECT_NE(doc.find("ShardCluster"), std::string::npos);
   // ... and the cost-based optimizer: its ctest label and the opt-in knob.
   EXPECT_NE(doc.find("-L opt"), std::string::npos);
-  EXPECT_NE(doc.find("--dbOpt"), std::string::npos);
+  EXPECT_NE(doc.find("\\opt on"), std::string::npos);
 }
 
 TEST(SuiteTest, PerfevalSuiteCoversDesignDocIndex) {

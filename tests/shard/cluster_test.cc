@@ -27,6 +27,7 @@
 #include "shard/frontend.h"
 #include "workload/tpch_gen.h"
 #include "workload/tpch_queries.h"
+#include "../test_scans.h"
 
 namespace perfeval {
 namespace shard {
@@ -192,7 +193,8 @@ TEST(ShardClusterTest, CoordinatorJoinsKeepTheirPinnedAlgorithm) {
   ShardCluster* cluster = CustkeyCluster();
   ASSERT_EQ(cluster->shard_db(0).join_algo(), db::JoinAlgo::kRadix);
   db::PlanPtr plan =
-      db::HashJoinWith(db::Scan("orders"), db::Scan("customer"),
+      db::HashJoinWith(ScanOf(*SingleNode(), "orders"),
+                       ScanOf(*SingleNode(), "customer"),
                        {"o_custkey"}, {"c_custkey"}, db::JoinAlgo::kMerge);
   ExpectShardedMatches(cluster, plan, "pinned merge join");
   ShardedResult result = cluster->Execute(plan);

@@ -13,6 +13,7 @@
 #include "common/string_util.h"
 #include "sql/planner.h"
 #include "workload/tpch_gen.h"
+#include "../test_scans.h"
 
 namespace perfeval {
 namespace sql {
@@ -332,12 +333,12 @@ TEST(SqlFuzzTest, MetamorphicPartitionWithNulls) {
     db::ExprPtr p = db::Gt(db::Col(schema, "x"), db::LitDouble(threshold));
     db::ExprPtr not_p = db::Not(
         db::Gt(db::Col(schema, "x"), db::LitDouble(threshold)));
-    int64_t total = count_of(db::Scan("t"), nullptr);
-    int64_t non_null = count_of(db::Scan("t"), db::Col(schema, "x"));
+    int64_t total = count_of(ScanOf(database, "t"), nullptr);
+    int64_t non_null = count_of(ScanOf(database, "t"), db::Col(schema, "x"));
     int64_t matched =
-        count_of(db::Filter(db::Scan("t"), std::move(p)), nullptr);
+        count_of(db::Filter(ScanOf(database, "t"), std::move(p)), nullptr);
     int64_t rest =
-        count_of(db::Filter(db::Scan("t"), std::move(not_p)), nullptr);
+        count_of(db::Filter(ScanOf(database, "t"), std::move(not_p)), nullptr);
     EXPECT_EQ(total, kRows);
     EXPECT_GT(total - non_null, 0);  // The data really has NULLs.
     EXPECT_EQ(matched + rest + (total - non_null), total)

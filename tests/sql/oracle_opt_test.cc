@@ -119,7 +119,7 @@ INSTANTIATE_TEST_SUITE_P(All22, OptimizedTpchOracleTest,
 
 /// Fuzzed join queries with a total-order ORDER BY, planned through the
 /// SQL path with the `optimize` knob on — the exact production wiring
-/// (`\opt on` / --dbOpt=on).
+/// (`\opt on`).
 TEST(OptimizedSqlOracleTest, FuzzedQueriesMatchReferenceAndRulePlan) {
   db::Database* database = OptOracleDb();
   Pcg32 rng(20260808);

@@ -14,6 +14,7 @@
 #include "txn/dml.h"
 #include "txn/store.h"
 #include "txn/vdisk.h"
+#include "../test_scans.h"
 
 namespace perfeval {
 namespace txn {
@@ -173,9 +174,9 @@ TEST_F(DmlTest, DmlAndQueriesInterleaveOnOneDatabase) {
   ASSERT_TRUE(
       ExecuteDml("INSERT INTO items VALUES (50, 9.5, 'fifty', NULL)", store_)
           .ok());
-  EXPECT_EQ(database_->Run(db::Scan("items")).table->num_rows(), 5u);
+  EXPECT_EQ(database_->Run(ScanOf(*database_, "items")).table->num_rows(), 5u);
   ASSERT_TRUE(ExecuteDml("DELETE FROM items WHERE id < 2", store_).ok());
-  EXPECT_EQ(database_->Run(db::Scan("items")).table->num_rows(), 3u);
+  EXPECT_EQ(database_->Run(ScanOf(*database_, "items")).table->num_rows(), 3u);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "db/reference.h"
 #include "txn/store.h"
 #include "txn/wal.h"
+#include "../test_scans.h"
 
 namespace perfeval {
 namespace txn {
@@ -81,7 +82,7 @@ TEST(DeltaStoreTest, CommittedInsertIsVisibleToQueries) {
   EXPECT_GT(info.lsn, 0u);
 
   // The refresh hook folds the delta in at the top of Run().
-  db::QueryResult result = database->Run(db::Scan("t"));
+  db::QueryResult result = database->Run(ScanOf(*database, "t"));
   EXPECT_EQ(result.table->num_rows(), 10u);
   EXPECT_EQ(store.MergedTable("t")->num_rows(), 10u);
 
@@ -101,7 +102,7 @@ TEST(DeltaStoreTest, DeleteResolvesPredicateAtCommit) {
   DeltaStore::CommitInfo info;
   ASSERT_TRUE(store.Commit(txn, &info).ok());
   EXPECT_EQ(info.rows_deleted, 1u);
-  EXPECT_EQ(database->Run(db::Scan("t")).table->num_rows(), 7u);
+  EXPECT_EQ(database->Run(ScanOf(*database, "t")).table->num_rows(), 7u);
 
   // A second delete of the same id resolves against committed state:
   // nothing matches, the commit is trivially empty — not a conflict.
@@ -123,7 +124,7 @@ TEST(DeltaStoreTest, NullPredicateDeletesEveryRow) {
   DeltaStore::CommitInfo info;
   ASSERT_TRUE(store.Commit(txn, &info).ok());
   EXPECT_EQ(info.rows_deleted, 8u);
-  EXPECT_EQ(database->Run(db::Scan("t")).table->num_rows(), 0u);
+  EXPECT_EQ(database->Run(ScanOf(*database, "t")).table->num_rows(), 0u);
 }
 
 TEST(DeltaStoreTest, AbortedAndUnknownTransactionsChangeNothing) {
@@ -135,7 +136,7 @@ TEST(DeltaStoreTest, AbortedAndUnknownTransactionsChangeNothing) {
   uint64_t txn = store.Begin();
   ASSERT_TRUE(store.BufferInsert(txn, "t", IntRows({500})).ok());
   store.Abort(txn);
-  EXPECT_EQ(database->Run(db::Scan("t")).table->num_rows(), 8u);
+  EXPECT_EQ(database->Run(ScanOf(*database, "t")).table->num_rows(), 8u);
   // The aborted id is gone: committing it now is an error, not a replay.
   EXPECT_EQ(store.Commit(txn).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(store.BufferInsert(99999, "t", IntRows({1})).code(),
@@ -200,8 +201,9 @@ TEST(DeltaStoreTest, MultiTableCommitIsAtomicAndVisible) {
                   .ok());
   ASSERT_TRUE(store.BufferDelete(txn, "t", IdEquals(0)).ok());
   ASSERT_TRUE(store.Commit(txn).ok());
-  EXPECT_EQ(database->Run(db::Scan("t")).table->num_rows(), 8u);  // +1 -1
-  EXPECT_EQ(database->Run(db::Scan("u")).table->num_rows(), 2u);
+  // +1 -1
+  EXPECT_EQ(database->Run(ScanOf(*database, "t")).table->num_rows(), 8u);
+  EXPECT_EQ(database->Run(ScanOf(*database, "u")).table->num_rows(), 2u);
 }
 
 TEST(DeltaStoreTest, RecoveryFromWalAloneRestoresExactState) {
@@ -234,7 +236,7 @@ TEST(DeltaStoreTest, RecoveryFromWalAloneRestoresExactState) {
   EXPECT_EQ(db::DiffTables(*store.MergedTable("u"), *expected_u, 0.0, false),
             "");
   // Queries on the recovered database see the recovered state directly.
-  EXPECT_EQ(database->Run(db::Scan("t")).table->num_rows(),
+  EXPECT_EQ(database->Run(ScanOf(*database, "t")).table->num_rows(),
             expected_t->num_rows());
   // The recovered store accepts new commits with continuing LSNs.
   ASSERT_TRUE(CommitInsert(store, "t", IntRows({200})).ok());
@@ -416,16 +418,16 @@ TEST(DeltaStoreTest, CheckedModeCatchesSeededDeltaCorruption) {
   DeltaStore store(database.get(), &disk);
   ASSERT_TRUE(store.Open().ok());
   ASSERT_TRUE(CommitInsert(store, "t", IntRows({100, 101})).ok());
-  ASSERT_EQ(database->Run(db::Scan("t")).table->num_rows(), 10u);
+  ASSERT_EQ(database->Run(ScanOf(*database, "t")).table->num_rows(), 10u);
 
   store.CorruptForTest("t", TableDelta::Corruption::kRowIdOrder);
   EXPECT_FALSE(store.CheckIntegrity().ok());
   // Unchecked: the engine serves on, oblivious.
-  EXPECT_NO_THROW(database->Run(db::Scan("t")));
+  EXPECT_NO_THROW(database->Run(ScanOf(*database, "t")));
   // Checked: the refresh hook refuses before the query executes.
   database->set_check(true);
   try {
-    database->Run(db::Scan("t"));
+    database->Run(ScanOf(*database, "t"));
     FAIL() << "checked mode must detect the corrupted delta";
   } catch (const db::QueryError& e) {
     EXPECT_NE(std::string(e.what()).find("delta store integrity"),
@@ -455,7 +457,7 @@ TEST(DeltaStoreTest, ConcurrentIngestAndScanIsCleanAndMonotone) {
     readers.emplace_back([&database, &done, &failures] {
       size_t last = 0;
       while (!done.load(std::memory_order_acquire)) {
-        size_t rows = database->Run(db::Scan("t")).table->num_rows();
+        size_t rows = database->Run(ScanOf(*database, "t")).table->num_rows();
         if (rows < last) {
           failures.fetch_add(1);
         }
@@ -490,7 +492,7 @@ TEST(DeltaStoreTest, ConcurrentIngestAndScanIsCleanAndMonotone) {
 
   EXPECT_EQ(failures.load(), 0);
   size_t expected = 8 + kWriters * kCommitsPerWriter * kRowsPerCommit;
-  EXPECT_EQ(database->Run(db::Scan("t")).table->num_rows(), expected);
+  EXPECT_EQ(database->Run(ScanOf(*database, "t")).table->num_rows(), expected);
   EXPECT_TRUE(store.CheckIntegrity().ok());
   DeltaStoreStats stats = store.stats();
   EXPECT_EQ(stats.commits, uint64_t{kWriters} * kCommitsPerWriter);
@@ -507,9 +509,11 @@ TEST(DeltaStoreTest, ConcurrentReadersSeeCommitsWholeAcrossTables) {
   VirtualDisk disk;
   DeltaStore store(database.get(), &disk);
   ASSERT_TRUE(store.Open().ok());
-  auto count_of = [](const std::string& table, const std::string& key,
-                     const std::string& count) {
-    db::PlanPtr keyed = db::Project(db::Scan(table), {db::LitInt(1)}, {key});
+  auto count_of = [&database](const std::string& table,
+                              const std::string& key,
+                              const std::string& count) {
+    db::PlanPtr keyed =
+        db::Project(ScanOf(*database, table), {db::LitInt(1)}, {key});
     return db::Aggregate(keyed, {key},
                          {{db::AggOp::kCount, nullptr, count}});
   };

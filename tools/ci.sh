@@ -81,9 +81,11 @@ shard() {
   # fan-out over the per-shard services is the newest concurrency surface
   # in the tree — and the cluster, sharded-oracle and query-service cases
   # under ASan+UBSan: a residual result may alias a gathered fragment
-  # table owned only through the coordinator's query-local catalog, and a
+  # table owned only through the coordinator's query-local catalog, a
   # fragment request is shared between the shard's queued job and the
-  # coordinator that may claim it (claim-on-wait).
+  # coordinator that may claim it (claim-on-wait), and residual plans hold
+  # schema-bearing aliases into fragment subtrees (the declared-schema
+  # oracle, DeclaredSchema*).
   cmake -B build -S .
   cmake --build build "$jobs_flag" --target shard_test oracle_test bench_shard_scaleout
   ctest --test-dir build --output-on-failure -L shard
@@ -95,7 +97,7 @@ shard() {
   ctest --test-dir build-tsan --output-on-failure -L shard -R 'ShardPlanner|ShardCluster|ShardedTpch'
   cmake -B build-asan -S . -DPERFEVAL_SANITIZE=address
   cmake --build build-asan "$jobs_flag" --target shard_test oracle_test serve_test
-  ctest --test-dir build-asan --output-on-failure -R 'QueryService|ShardCluster|ShardedTpch'
+  ctest --test-dir build-asan --output-on-failure -R 'QueryService|ShardCluster|ShardedTpch|DeclaredSchema'
 }
 
 opt() {
